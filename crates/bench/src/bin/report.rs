@@ -1,7 +1,7 @@
 //! Profile report for the solve-and-train pipeline.
 //!
 //! Runs one observability workload pass (solver fallback ladder, guarded
-//! training, thread-pool burst, fault-injected execution — see
+//! training, fault-injected execution — see
 //! `mfcp_bench::report`), prints the human-readable profile tree and
 //! metric summary, and writes the JSON snapshot for machine consumption
 //! (CI uploads it as a workflow artifact).

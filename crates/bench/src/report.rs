@@ -2,13 +2,13 @@
 //! instrumented layer of the pipeline, sized for a CI smoke run.
 //!
 //! The stages mirror `fault_demo` — solver fallback ladder, guarded
-//! training, thread-pool burst, fault-injected execution — but are
+//! training, fault-injected execution — but are
 //! parameterized so CI can run a tiny configuration and the profile
 //! snapshot still shows non-zero activity in every subsystem:
 //!
 //! * solver attempts (`optim.robust.attempts`),
 //! * training epochs (`train.supervised.epochs`),
-//! * pool jobs (`parallel.pool.jobs`),
+//! * batched training solves (`parallel.batch.calls`),
 //! * re-matching attempts (`platform.faults.rematch`).
 //!
 //! [`measure_overhead`] A/Bs the same workload with recording enabled
@@ -20,7 +20,6 @@ use mfcp_linalg::Matrix;
 use mfcp_optim::rounding::solve_discrete;
 use mfcp_optim::solver::SolverOptions;
 use mfcp_optim::{BarrierKind, MatchingProblem, RelaxationParams, RobustSolver};
-use mfcp_parallel::ThreadPool;
 use mfcp_platform::dataset::{NoiseConfig, PlatformDataset};
 use mfcp_platform::embedding::FeatureEmbedder;
 use mfcp_platform::fault::{simulate_with_faults, ClusterOutage, FaultPlan};
@@ -28,8 +27,6 @@ use mfcp_platform::settings::{ClusterPool, Setting};
 use mfcp_platform::task::TaskGenerator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Size knobs for one report workload pass.
@@ -105,21 +102,7 @@ pub(crate) fn training_stage(cfg: &ReportConfig) {
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 }
 
-/// Stage 3: a burst of jobs through the [`ThreadPool`] (the pool is not
-/// on the training path, so the report drives it directly).
-pub(crate) fn pool_stage(cfg: &ReportConfig) {
-    let pool = ThreadPool::new(2);
-    let hits = Arc::new(AtomicUsize::new(0));
-    for _ in 0..cfg.tasks.max(4) {
-        let hits = Arc::clone(&hits);
-        pool.execute(move || {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    let _ = pool.join();
-}
-
-/// Stage 4: a fault-injected execution round with a mid-run outage and
+/// Stage 3: a fault-injected execution round with a mid-run outage and
 /// stragglers, exercising dispatch-time migration and failure re-queues.
 pub(crate) fn fault_stage(cfg: &ReportConfig) {
     let n = cfg.tasks.max(4);
@@ -138,12 +121,11 @@ pub(crate) fn fault_stage(cfg: &ReportConfig) {
     let _ = simulate_with_faults(&problem, &assignment, &plan, 3, &mut rng);
 }
 
-/// Runs all four stages once under whatever recording state is current.
+/// Runs all three stages once under whatever recording state is current.
 pub fn run_workload(cfg: &ReportConfig) {
     let _span = mfcp_obs::span("report_workload");
     solver_stage(cfg);
     training_stage(cfg);
-    pool_stage(cfg);
     fault_stage(cfg);
 }
 
@@ -224,7 +206,7 @@ mod tests {
         for name in [
             "optim.robust.attempts",
             "train.supervised.epochs",
-            "parallel.pool.jobs",
+            "parallel.batch.calls",
             "platform.faults.rematch",
             "platform.faults.attempts",
             "train.rounds",

@@ -43,8 +43,8 @@ fn training_round_trace_exports_as_chrome_json() {
     }
 
     // The workload's known hot paths all surface by name: training
-    // rounds (span-emitted), solver ladder attempts, PGD markers, pool
-    // jobs, and fault-replay attempts.
+    // rounds (span-emitted), solver ladder attempts, PGD markers, and
+    // fault-replay attempts.
     let names: Vec<&str> = events
         .iter()
         .filter_map(|e| e.get("name").and_then(Json::as_str))
@@ -53,8 +53,6 @@ fn training_round_trace_exports_as_chrome_json() {
         "round",
         "robust.primary",
         "pgd.iter",
-        "pool.enqueue",
-        "pool.job",
         "fault.attempt",
         "simulate_with_faults",
     ] {

@@ -8,12 +8,11 @@
 //! * [`lu::Lu`] — LU factorization with partial pivoting, the solver behind
 //!   the implicit differentiation of the matching layer (paper Eq. 15).
 //! * [`cholesky::Cholesky`] — cache-blocked right-looking factorization
-//!   for symmetric positive-definite systems, with a batched refactor API
-//!   ([`cholesky::CholeskyBatch`]) that amortizes one blocking plan across
-//!   many same-shape factorizations.
+//!   for symmetric positive-definite systems, the Schur-complement solver
+//!   of the structured KKT path.
 //! * [`qr::Qr`] — Householder QR and least-squares solves.
-//! * [`eigen`] — cyclic-Jacobi symmetric eigendecomposition, used for
-//!   conditioning diagnostics of the KKT systems.
+//! * [`simd`] — runtime-dispatched AVX2/FMA kernels behind the blocked
+//!   LU and Cholesky factorizations, with a bitwise-matching scalar arm.
 //! * [`vector`] — free functions on `&[f64]` slices (dot, norms, softmax,
 //!   log-sum-exp) shared by the optimizer and the neural nets.
 //!
@@ -36,13 +35,12 @@ mod matrix;
 mod ops;
 
 pub mod cholesky;
-pub mod eigen;
 pub mod lu;
 pub mod qr;
 pub mod simd;
 pub mod vector;
 
-pub use cholesky::{Cholesky, CholeskyBatch};
+pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use ops::MatmulOptions;

@@ -1,6 +1,6 @@
 //! Runtime-dispatched SIMD kernels for the blocked factorizations.
 //!
-//! The blocked Cholesky/QR kernels shape their inner loops around three
+//! The blocked Cholesky/LU kernels shape their inner loops around three
 //! primitives — a split-accumulator dot product, an axpy-style panel
 //! update, and the four-row syrk-shaped trailing update. This module pins
 //! those primitives to AVX2/FMA intrinsics on `x86_64` (selected once per
@@ -13,8 +13,7 @@
 //! which is what lets the differential suites compare the two dispatch
 //! arms directly.
 //!
-//! Dispatch policy (see DESIGN.md "SIMD kernels and the sharded KKT
-//! path"):
+//! Dispatch policy (see DESIGN.md "SIMD kernels"):
 //!
 //! * the `strict-determinism` feature pins the scalar arm unconditionally,
 //!   so every bitwise differential suite runs on one arithmetic path;

@@ -298,26 +298,10 @@ pub struct KktWorkspace {
     d_diag: Vec<f64>,
     /// `G = D W` (`N × rank`).
     g_mat: Matrix,
-    /// `Q = Cap⁻¹ Gᵀ` (`rank × N`, dense-Schur path only).
+    /// `Q = Cap⁻¹ Gᵀ` (`rank × N`).
     q_mat: Matrix,
     s_mat: Matrix,
     schur: Cholesky,
-    /// Opt-in sharded Schur path: when `> 0`, the N×N Schur complement is
-    /// never assembled — `S⁻¹` is applied through a second-level Woodbury
-    /// identity against the shared rank-≤(2M+2) capacitance, with the
-    /// O(N) reductions computed per contiguous task shard and combined in
-    /// ascending shard order (deterministic for any shard count).
-    schur_shards: usize,
-    /// Whether the current structured factorization took the sharded path.
-    schur_sharded: bool,
-    /// Second-level capacitance `Cap₂ = Cap − Gᵀ D⁻¹ G` (`rank × rank`).
-    cap2_mat: Matrix,
-    cap2_lu: Lu,
-    /// Per-shard partial reductions (`shards × rank²` at factor time,
-    /// `shards × rank` at solve time).
-    shard_red: Vec<f64>,
-    /// `Gᵀ D⁻¹ r` reduction target at solve time.
-    sh_u: Vec<f64>,
     // Dense fallback.
     k_dense: Matrix,
     dense_lu: Lu,
@@ -361,12 +345,6 @@ impl Default for KktWorkspace {
             q_mat: Matrix::zeros(0, 0),
             s_mat: Matrix::zeros(0, 0),
             schur: Cholesky::empty(),
-            schur_shards: 0,
-            schur_sharded: false,
-            cap2_mat: Matrix::zeros(0, 0),
-            cap2_lu: Lu::empty(),
-            shard_red: Vec::new(),
-            sh_u: Vec::new(),
             k_dense: Matrix::zeros(0, 0),
             dense_lu: Lu::empty(),
             t1: Vec::new(),
@@ -403,31 +381,6 @@ impl KktWorkspace {
     /// Whether the most recent successful factorization was structured.
     pub fn last_factor_structured(&self) -> bool {
         self.mode == KktMode::Structured
-    }
-
-    /// Enables (`shards > 0`) or disables (`shards == 0`) the sharded
-    /// Schur path. When enabled, structured factorizations skip the N×N
-    /// Schur assembly and Cholesky entirely: `S⁻¹` is applied through the
-    /// second-level Woodbury identity
-    /// `S⁻¹ = D⁻¹ + D⁻¹ G Cap₂⁻¹ Gᵀ D⁻¹` with
-    /// `Cap₂ = Cap − Gᵀ D⁻¹ G` (rank ≤ 2M+2), dropping the Schur cost
-    /// from `O(N³ + N²·rank)` to `O(N·rank²)`. The solve is exact (and
-    /// polished by the same iterative-refinement step as every other
-    /// path); a singular `Cap₂` falls back to the dense Schur assembly
-    /// and is counted on `optim.sharded.kkt_fallback`.
-    pub fn set_schur_shards(&mut self, shards: usize) {
-        self.schur_shards = shards;
-    }
-
-    /// The configured sharded-Schur shard count (0 = disabled).
-    pub fn schur_shards(&self) -> usize {
-        self.schur_shards
-    }
-
-    /// Whether the most recent structured factorization used the sharded
-    /// Schur path (as opposed to the assembled N×N Schur complement).
-    pub fn last_schur_sharded(&self) -> bool {
-        self.mode == KktMode::Structured && self.schur_sharded
     }
 
     /// Dense-fallback guard: the structured elimination needs an SPD
@@ -650,20 +603,6 @@ impl KktWorkspace {
                 }
             }
         }
-        // Sharded Schur path (opt-in): never assemble S. Factor the
-        // second-level capacitance Cap₂ = Cap − Gᵀ D⁻¹ G instead and
-        // apply S⁻¹ through the Woodbury identity at solve time. A
-        // singular Cap₂ falls through to the dense Schur assembly below.
-        self.schur_sharded = false;
-        if self.schur_shards > 0 {
-            if self.factor_schur_sharded().is_ok() {
-                self.schur_sharded = true;
-                mfcp_obs::counter("optim.sharded.kkt_sharded").inc();
-                return Ok(());
-            }
-            mfcp_obs::counter("optim.sharded.kkt_fallback").inc();
-        }
-
         if self.q_mat.shape() != (rank, n) {
             self.q_mat = Matrix::zeros(rank, n);
         }
@@ -679,10 +618,7 @@ impl KktWorkspace {
         // Schur complement S = D H⁻¹ Dᵀ = diag(d) − G Cap⁻¹ Gᵀ: SPD since
         // H is SPD, so Cholesky doubles as the fallback trigger. The
         // refactor runs the cache-blocked right-looking kernel (the N×N
-        // Schur system is the cubic term of this path at Table-1 scale);
-        // pipelines factoring many same-shape Schur systems — e.g. the S
-        // perturbed re-solves of an MFCP-FG batch — can amortize the
-        // setup further with `mfcp_linalg::CholeskyBatch`.
+        // Schur system is the cubic term of this path at Table-1 scale).
         if self.s_mat.shape() != (n, n) {
             self.s_mat = Matrix::zeros(n, n);
         }
@@ -697,112 +633,6 @@ impl KktWorkspace {
             }
         }
         self.schur.refactor(&self.s_mat)?;
-        Ok(())
-    }
-
-    /// Contiguous task range of shard `s` out of `shards` (sizes differ by
-    /// at most one; same split rule as `ShardedSolver`).
-    fn shard_range(n: usize, shards: usize, s: usize) -> (usize, usize) {
-        let base = n / shards;
-        let rem = n % shards;
-        let start = s * base + s.min(rem);
-        (start, start + base + usize::from(s < rem))
-    }
-
-    /// Factors `Cap₂ = Cap − Gᵀ D⁻¹ G` for the sharded Schur path. The
-    /// `O(N·rank²)` reduction is computed per contiguous task shard into
-    /// disjoint partials and the partials are combined in ascending shard
-    /// order, so the arithmetic is fixed for a given shard count.
-    fn factor_schur_sharded(&mut self) -> Result<(), LinalgError> {
-        let n = self.n;
-        let rank = self.rank;
-        for &d in &self.d_diag {
-            if !(d.is_finite() && d > 0.0) {
-                return Err(LinalgError::NotPositiveDefinite { pivot: 0 });
-            }
-        }
-        if rank == 0 {
-            // S is exactly diag(d): the solve is a pointwise divide.
-            return Ok(());
-        }
-        let shards = self.schur_shards.min(n).max(1);
-        self.shard_red.clear();
-        self.shard_red.resize(shards * rank * rank, 0.0);
-        for s in 0..shards {
-            let (j0, j1) = Self::shard_range(n, shards, s);
-            let dst = &mut self.shard_red[s * rank * rank..(s + 1) * rank * rank];
-            for j in j0..j1 {
-                let grow = self.g_mat.row(j);
-                let dinv = 1.0 / self.d_diag[j];
-                for (k, &gk) in grow.iter().enumerate().take(rank) {
-                    let gkd = gk * dinv;
-                    for (dv, &gl) in dst[k * rank..(k + 1) * rank].iter_mut().zip(grow) {
-                        *dv += gkd * gl;
-                    }
-                }
-            }
-        }
-        if self.cap2_mat.shape() != (rank, rank) {
-            self.cap2_mat = Matrix::zeros(rank, rank);
-        }
-        self.cap2_mat
-            .as_mut_slice()
-            .copy_from_slice(self.cap_mat.as_slice());
-        for s in 0..shards {
-            let part = &self.shard_red[s * rank * rank..(s + 1) * rank * rank];
-            for (dv, &pv) in self.cap2_mat.as_mut_slice().iter_mut().zip(part) {
-                *dv -= pv;
-            }
-        }
-        self.cap2_lu.refactor(&self.cap2_mat)
-    }
-
-    /// Applies `S⁻¹` to `zn` in place through the second-level Woodbury
-    /// identity: `S⁻¹ r = D⁻¹ r + D⁻¹ G Cap₂⁻¹ Gᵀ D⁻¹ r`. Allocation-free
-    /// after warm-up; the two `O(N·rank)` sweeps run per shard with the
-    /// cross-shard reduction combined in ascending shard order.
-    fn solve_schur_sharded(&mut self) -> Result<(), LinalgError> {
-        let n = self.n;
-        let rank = self.rank;
-        for (z, &d) in self.zn.iter_mut().zip(&self.d_diag) {
-            *z /= d;
-        }
-        if rank == 0 {
-            return Ok(());
-        }
-        let shards = self.schur_shards.min(n).max(1);
-        // u = Gᵀ (D⁻¹ r): per-shard partials, combined in shard order.
-        self.shard_red.clear();
-        self.shard_red.resize(shards * rank, 0.0);
-        for s in 0..shards {
-            let (j0, j1) = Self::shard_range(n, shards, s);
-            let dst = &mut self.shard_red[s * rank..(s + 1) * rank];
-            for j in j0..j1 {
-                let zj = self.zn[j];
-                for (uv, &gv) in dst.iter_mut().zip(self.g_mat.row(j)) {
-                    *uv += gv * zj;
-                }
-            }
-        }
-        self.sh_u.clear();
-        self.sh_u.resize(rank, 0.0);
-        for s in 0..shards {
-            let part = &self.shard_red[s * rank..(s + 1) * rank];
-            for (uv, &pv) in self.sh_u.iter_mut().zip(part) {
-                *uv += pv;
-            }
-        }
-        self.cap2_lu.solve_into(&self.sh_u, &mut self.sr)?;
-        for s in 0..shards {
-            let (j0, j1) = Self::shard_range(n, shards, s);
-            for j in j0..j1 {
-                let mut acc = 0.0;
-                for (&gv, &wv) in self.g_mat.row(j).iter().zip(&self.sr) {
-                    acc += gv * wv;
-                }
-                self.zn[j] += acc / self.d_diag[j];
-            }
-        }
         Ok(())
     }
 
@@ -932,11 +762,7 @@ impl KktWorkspace {
                         self.zn[j] += self.t1[i * n + j];
                     }
                 }
-                if self.schur_sharded {
-                    self.solve_schur_sharded()?;
-                } else {
-                    self.schur.solve_in_place(&mut self.zn)?;
-                }
+                self.schur.solve_in_place(&mut self.zn)?;
                 // y = H⁻¹ (b − Dᵀ z)
                 self.t2.clear();
                 self.t2.resize(mn, 0.0);

@@ -324,7 +324,31 @@ pub enum StageOutcome {
     /// The stage aborted with a typed error.
     Failed(SolveError),
     /// The stage was not applicable and was skipped (reason attached).
-    Skipped(String),
+    Skipped(SkipReason),
+}
+
+/// Why a ladder rung was skipped without running.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SkipReason {
+    /// The caller's per-request [`Budget`] expired or was cancelled.
+    RequestBudgetExpired,
+    /// The ladder's shared [`HealthPolicy::wall_limit`] ran out.
+    WallClockExhausted,
+    /// Newton needs the convex setting, and the problem has parallel
+    /// speedup curves.
+    NeedsConvex,
+}
+
+impl fmt::Display for SkipReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            SkipReason::RequestBudgetExpired => "request budget expired",
+            SkipReason::WallClockExhausted => "wall-clock budget exhausted",
+            SkipReason::NeedsConvex => {
+                "parallel speedup curves: Newton needs the convex sequential setting"
+            }
+        })
+    }
 }
 
 /// Record of one attempt at one rung of the ladder.
@@ -729,9 +753,9 @@ impl RobustSolver {
                     warm_start: false,
                     predicted: false,
                     outcome: StageOutcome::Skipped(if self.budget.expired() {
-                        "request budget expired".into()
+                        SkipReason::RequestBudgetExpired
                     } else {
-                        "wall-clock budget exhausted".into()
+                        SkipReason::WallClockExhausted
                     }),
                 });
                 record_attempt_metrics(attempts.last().expect("just pushed"));
@@ -827,11 +851,7 @@ impl RobustSolver {
                             elapsed_secs: 0.0,
                             warm_start: false,
                             predicted: false,
-                            outcome: StageOutcome::Skipped(
-                                "parallel speedup curves: Newton needs the convex sequential \
-                                 setting"
-                                    .into(),
-                            ),
+                            outcome: StageOutcome::Skipped(SkipReason::NeedsConvex),
                         });
                         record_attempt_metrics(attempts.last().expect("just pushed"));
                         continue;
@@ -1749,9 +1769,12 @@ mod tests {
             .diagnostics
             .attempts
             .iter()
-            .filter(
-                |a| matches!(&a.outcome, StageOutcome::Skipped(r) if r.contains("request budget")),
-            )
+            .filter(|a| {
+                matches!(
+                    a.outcome,
+                    StageOutcome::Skipped(SkipReason::RequestBudgetExpired)
+                )
+            })
             .collect();
         assert_eq!(skipped.len(), sol.diagnostics.attempts.len() - 1);
 
@@ -1760,6 +1783,29 @@ mod tests {
         let again = solver.solve(&problem).expect("greedy rung is infallible");
         assert_eq!(again.objective.to_bits(), sol.objective.to_bits());
         assert_eq!(again.x.as_slice(), sol.x.as_slice());
+    }
+
+    #[test]
+    fn exhausted_wall_budget_skips_with_its_own_variant() {
+        let problem = random_problem(23, 3, 8);
+        let mut solver = RobustSolver::new(RelaxationParams::default());
+        solver.policy.wall_limit = Some(Duration::ZERO);
+        let sol = solver
+            .solve(&problem)
+            .expect("an exhausted wall budget still yields a feasible matching");
+        assert_eq!(sol.stage, FallbackStage::GreedyRounding);
+        let skipped = sol
+            .diagnostics
+            .attempts
+            .iter()
+            .filter(|a| {
+                matches!(
+                    a.outcome,
+                    StageOutcome::Skipped(SkipReason::WallClockExhausted)
+                )
+            })
+            .count();
+        assert_eq!(skipped, sol.diagnostics.attempts.len() - 1);
     }
 
     #[test]

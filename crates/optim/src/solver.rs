@@ -349,23 +349,6 @@ pub fn solve_relaxed_newton(
     }
 }
 
-/// [`solve_relaxed_newton`] against a caller-owned [`KktWorkspace`] —
-/// the entry point for callers that pre-configure the workspace (e.g.
-/// [`crate::sharded::ShardedSolver::solve_newton`] enabling the sharded
-/// Schur path) or that want the factorization buffers to survive across
-/// solves.
-pub(crate) fn solve_relaxed_newton_with_workspace(
-    problem: &MatchingProblem,
-    params: &RelaxationParams,
-    opts: &NewtonOptions,
-    kkt_ws: &mut KktWorkspace,
-) -> RelaxedSolution {
-    match solve_relaxed_newton_impl(problem, params, opts, false, &mut |_, _, _| Ok(()), kkt_ws) {
-        Ok(sol) => sol,
-        Err(_) => unreachable!("non-strict Newton with a no-op guard never fails"),
-    }
-}
-
 /// Guarded variant of [`solve_relaxed_newton`]. With `strict` set, a
 /// singular KKT system is reported as [`SolveError::SingularKkt`] instead
 /// of silently returning the current iterate; `guard` runs after every

@@ -14,15 +14,6 @@
 //! `mfcp-parallel`. Theorem 3 bounds the mean-squared error by
 //! `β²Δ²d/4 + σ²d/(SΔ²)`; the benches sweep `Δ` and `S` against the
 //! analytic KKT gradients to reproduce that trade-off.
-//!
-//! The `solve` closure owns whatever linear algebra each re-solve needs.
-//! When the closure runs a factorization-based solver (e.g. the Newton
-//! path, which Cholesky-factors an `N×N` Schur system per iteration —
-//! see [`crate::kkt`]), the `S` same-shape factorizations across one
-//! sample batch are exactly the workload
-//! [`mfcp_linalg::CholeskyBatch::refactor_all`] amortizes: one factor
-//! slot per sample, a shared blocking plan, and per-slot failure
-//! isolation that matches this module's checked estimator.
 
 use crate::recovery::SolveError;
 use mfcp_linalg::Matrix;

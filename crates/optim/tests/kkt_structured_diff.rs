@@ -182,6 +182,54 @@ fn near_active_barrier_takes_dense_fallback() {
     assert!(!ws.last_factor_structured());
 }
 
+/// A capacity row whose slack sits just above the barrier cutoff
+/// (`≈ 1.2e-3` vs `eps = 1e-3`) puts that row's curvature deep in the
+/// `λ/g²` regime; whichever path handles it must still match the dense
+/// oracle.
+#[test]
+fn near_active_capacity_barrier_agrees() {
+    let mut rng = StdRng::seed_from_u64(77);
+    let (m, n) = (3, 6);
+    let times = Matrix::from_fn(m, n, |_, _| rng.gen_range(0.5..3.0));
+    let rel = Matrix::from_fn(m, n, |_, _| rng.gen_range(0.8..0.999));
+    let x = interior_x(&mut rng, m, n);
+    let usage = Matrix::from_fn(m, n, |_, _| rng.gen_range(0.05..0.5));
+    let limits = (0..m)
+        .map(|i| {
+            let used: f64 = (0..n).map(|j| x[(i, j)] * usage[(i, j)]).sum();
+            let target_slack = if i == 0 { 1.2e-3 } else { 0.5 };
+            used / (1.0 - target_slack)
+        })
+        .collect();
+    let problem =
+        MatchingProblem::new(times, rel, 0.5).with_capacity(CapacityConstraint::new(usage, limits));
+    let dl_dx = Matrix::from_fn(m, n, |_, _| rng.gen_range(-1.0..1.0));
+    let params = RelaxationParams::default();
+    assert_paths_agree(&problem, &params, &x, &dl_dx, 1e-9, "near-active capacity");
+}
+
+/// A huge spread in cluster loads under a large `β` underflows the
+/// smooth-max weights of the losing clusters to exactly zero, so their
+/// curvature coefficients vanish; the structured path must stay finite
+/// and match the dense oracle.
+#[test]
+fn smooth_max_weight_underflow_agrees() {
+    let (m, n) = (3, 4);
+    let times = Matrix::from_fn(m, n, |i, _| if i == 0 { 1000.0 } else { 0.001 });
+    let rel = Matrix::from_fn(m, n, |_, _| 0.95);
+    let problem = MatchingProblem::new(times, rel, 0.5);
+    let mut rng = StdRng::seed_from_u64(5);
+    let x = interior_x(&mut rng, m, n);
+    let params = RelaxationParams {
+        beta: 8.0,
+        barrier: BarrierKind::log(),
+        cost: CostKind::SmoothMax,
+        ..RelaxationParams::default()
+    };
+    let dl_dx = Matrix::from_fn(m, n, |_, _| rng.gen_range(-1.0..1.0));
+    assert_paths_agree(&problem, &params, &x, &dl_dx, 1e-9, "smooth-max underflow");
+}
+
 /// Without the entropy term the Hessian diagonal can vanish, so the
 /// structured elimination (which divides by it) must not be attempted.
 #[test]

@@ -7,16 +7,12 @@
 //! under `catch_unwind`, so a panicking solve poisons only its own slot
 //! — sibling results are returned intact, the scope join never sees a
 //! panicked worker, and the output order always matches the input order
-//! regardless of thread count. [`solve_batch_on_pool`] offers the same
-//! contract for `'static` jobs on a shared [`crate::ThreadPool`]
-//! (extending the pool's own panic accounting: jobs wrapped here never
-//! trip [`crate::PoolError::WorkerPanicked`]).
+//! regardless of thread count.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
-use crate::pool::ThreadPool;
 use crate::scoped::ParallelConfig;
 
 /// Cached observability handles for the batch entry points.
@@ -141,67 +137,6 @@ where
     out
 }
 
-/// Runs `jobs` on a shared [`ThreadPool`], returning results in job
-/// order with the same per-slot panic isolation as [`solve_batch`].
-///
-/// Jobs must be `'static` (the pool outlives the call); prefer
-/// [`solve_batch`] for borrowed data. Because every job is wrapped in
-/// `catch_unwind`, a panicking job neither deadlocks
-/// [`ThreadPool::join`] nor flips the pool's panicked-worker accounting
-/// for the remaining jobs in this batch.
-pub fn solve_batch_on_pool<R, F>(pool: &ThreadPool, jobs: Vec<F>) -> Vec<Result<R, SlotPanic>>
-where
-    R: Send + 'static,
-    F: FnOnce() -> R + Send + 'static,
-{
-    use std::sync::Arc;
-
-    type Slots<R> = Arc<Mutex<Vec<Option<Result<R, SlotPanic>>>>>;
-
-    let m = metrics();
-    m.calls.inc();
-    m.items.record(jobs.len() as f64);
-    let slots: Slots<R> = Arc::new(Mutex::new(
-        std::iter::repeat_with(|| None).take(jobs.len()).collect(),
-    ));
-    for (index, job) in jobs.into_iter().enumerate() {
-        let slots = Arc::clone(&slots);
-        pool.execute(move || {
-            let result = catch_unwind(AssertUnwindSafe(job)).map_err(|payload| {
-                mfcp_obs::trace::instant("batch.slot_panic", Some(index as u64));
-                SlotPanic {
-                    index,
-                    message: panic_message(payload),
-                }
-            });
-            slots.lock().expect("batch jobs catch their own panics")[index] = Some(result);
-        });
-    }
-    // Join waits for in-flight work; our jobs cannot trip the pool's
-    // panic accounting, but a concurrent caller's unwrapped job might,
-    // so tolerate WorkerPanicked here rather than unwrapping.
-    let _ = pool.join();
-    let taken = std::mem::take(&mut *slots.lock().expect("batch jobs catch their own panics"));
-    let out: Vec<Result<R, SlotPanic>> = taken
-        .into_iter()
-        .enumerate()
-        .map(|(index, slot)| {
-            slot.unwrap_or_else(|| {
-                Err(SlotPanic {
-                    index,
-                    message: "job was dropped before running".to_string(),
-                })
-            })
-        })
-        .collect();
-    for slot in &out {
-        if slot.is_err() {
-            m.panics.inc();
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,32 +193,5 @@ mod tests {
         let items: Vec<u8> = vec![];
         let out = solve_batch(&ParallelConfig::default(), &items, |_, &x| x);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn pool_batch_preserves_order_and_isolates_panics() {
-        let pool = ThreadPool::new(3);
-        let jobs: Vec<_> = (0..20)
-            .map(|i| {
-                move || {
-                    if i == 7 {
-                        panic!("pool slot 7");
-                    }
-                    i * i
-                }
-            })
-            .collect();
-        let out = solve_batch_on_pool(&pool, jobs);
-        assert_eq!(out.len(), 20);
-        for (i, slot) in out.iter().enumerate() {
-            if i == 7 {
-                assert_eq!(slot.as_ref().unwrap_err().index, 7);
-            } else {
-                assert_eq!(*slot.as_ref().unwrap(), i * i);
-            }
-        }
-        // The pool is still usable and join does not report our panics.
-        pool.execute(|| {});
-        assert!(pool.join().is_ok());
     }
 }

@@ -6,17 +6,13 @@
 //! blocked dense matrix multiplication. This crate provides the two
 //! primitives those stages need:
 //!
-//! * [`ThreadPool`] — a fixed-size pool executing `'static` jobs submitted
-//!   through a crossbeam channel, with panic propagation and graceful
-//!   shutdown on drop.
 //! * Scoped helpers ([`par_map`], [`par_for_each`], [`par_chunks_mut`],
 //!   [`par_reduce`]) — borrow-friendly fork/join over slices built on
 //!   `crossbeam::thread::scope`, so callers can parallelize over borrowed
 //!   data without `Arc`-wrapping everything.
-//! * [`solve_batch`] / [`solve_batch_on_pool`] — batched fan-out with
-//!   deterministic result ordering and per-slot panic isolation
-//!   ([`SlotPanic`]), used by training to keep one poisoned solve from
-//!   taking down a whole round.
+//! * [`solve_batch`] — batched fan-out with deterministic result
+//!   ordering and per-slot panic isolation ([`SlotPanic`]), used by
+//!   training to keep one poisoned solve from taking down a whole round.
 //!
 //! All helpers fall back to sequential execution for tiny inputs where
 //! thread spawn overhead would dominate.
@@ -25,11 +21,9 @@
 #![warn(missing_docs)]
 
 mod batch;
-mod pool;
 mod scoped;
 
-pub use batch::{solve_batch, solve_batch_on_pool, SlotPanic};
-pub use pool::{PoolError, ShutdownMode, ThreadPool};
+pub use batch::{solve_batch, SlotPanic};
 pub use scoped::{par_chunks_mut, par_for_each, par_map, par_reduce, ParallelConfig};
 
 /// Returns the number of worker threads to use by default.

@@ -44,7 +44,7 @@ use mfcp_optim::cache::{fingerprint, validate_warm};
 use mfcp_optim::learned::repair;
 use mfcp_optim::{
     Budget, DualPredictor, FallbackStage, LearnedDualHead, MatchingProblem, RelaxationParams,
-    RobustSolver, SolveError, StageOutcome, WarmStartCache, WarmStartEntry,
+    RobustSolver, SkipReason, SolveError, StageOutcome, WarmStartCache, WarmStartEntry,
 };
 use mfcp_platform::prelude::{FeatureEmbedder, PerfModel};
 use mfcp_platform::stream::ExchangeEvent;
@@ -421,9 +421,10 @@ impl ExchangeDaemon {
             Ok(sol) => {
                 let missed = sol.diagnostics.attempts.iter().any(|att| {
                     matches!(
-                        &att.outcome,
+                        att.outcome,
                         StageOutcome::Failed(SolveError::DeadlineExceeded { .. })
-                    ) || matches!(&att.outcome, StageOutcome::Skipped(r) if r.contains("request budget"))
+                            | StageOutcome::Skipped(SkipReason::RequestBudgetExpired)
+                    )
                 });
                 if missed {
                     self.state.counters.deadline_miss += 1;
