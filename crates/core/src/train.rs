@@ -900,6 +900,9 @@ fn train_mfcp_impl(
     let spike_window = 8usize;
     let mut recent_losses: VecDeque<f64> = VecDeque::with_capacity(spike_window);
     let mut last_good = (predictors.clone(), opt_t.clone(), opt_a.clone());
+    // The per-cluster fan-out below uses every CPU the calling thread has;
+    // ask the OS once per call, not once per round.
+    let per_cluster_parallelism = ParallelConfig::default();
 
     for round in 0..cfg.rounds {
         let _round_span = mfcp_obs::span("round");
@@ -1090,7 +1093,7 @@ fn train_mfcp_impl(
             Vec::new() // rolled back: no updates this round
         } else {
             solve_batch(
-                &ParallelConfig::default(),
+                &per_cluster_parallelism,
                 &cluster_seeds,
                 |_, &(i, fg_seed)| {
                     let t_hat: Vec<f64> = predictors[i]

@@ -4,7 +4,14 @@ use crate::{LinalgError, Matrix, Result};
 use mfcp_parallel::{par_chunks_mut, ParallelConfig};
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
+/// Default cache-block edge and parallel row cutoff of [`MatmulOptions`].
+const DEFAULT_TILE: usize = 64;
+
 /// Tuning options for [`Matrix::matmul_with`].
+///
+/// `Default` builds [`ParallelConfig::default`], which asks the OS for the
+/// calling thread's CPU count; [`Matrix::matmul`] skips that query for
+/// products below the row cutoff, which never fork.
 #[derive(Debug, Clone, Copy)]
 pub struct MatmulOptions {
     /// Cache-block edge length (rows/cols per tile of the k-loop).
@@ -18,17 +25,35 @@ pub struct MatmulOptions {
 impl Default for MatmulOptions {
     fn default() -> Self {
         MatmulOptions {
-            block: 64,
+            block: DEFAULT_TILE,
             parallel: ParallelConfig::default(),
-            parallel_row_cutoff: 64,
+            parallel_row_cutoff: DEFAULT_TILE,
         }
     }
 }
 
 impl Matrix {
     /// Matrix product `self * rhs` with default options.
+    ///
+    /// Products with fewer than the default row cutoff (64) output rows run
+    /// on the calling thread without querying the OS for a thread count;
+    /// larger ones use [`ParallelConfig::default`]. Every output row is
+    /// computed by the same kernel whatever the panel split, so the result
+    /// is bitwise independent of the thread count.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.matmul_with(rhs, &MatmulOptions::default())
+        let parallel = if self.rows() < DEFAULT_TILE {
+            ParallelConfig::sequential()
+        } else {
+            ParallelConfig::default()
+        };
+        self.matmul_with(
+            rhs,
+            &MatmulOptions {
+                block: DEFAULT_TILE,
+                parallel,
+                parallel_row_cutoff: DEFAULT_TILE,
+            },
+        )
     }
 
     /// Matrix product with explicit blocking/parallelism options.
@@ -260,6 +285,26 @@ mod tests {
             )
             .unwrap();
         assert!(serial.approx_eq(&parallel, 1e-12));
+    }
+
+    #[test]
+    fn matmul_is_bitwise_equal_to_explicit_threads_around_the_cutoff() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for m in [63, 64, 65] {
+            let a = random_matrix(&mut rng, m, 37);
+            let b = random_matrix(&mut rng, 37, 29);
+            let threaded = a
+                .matmul_with(
+                    &b,
+                    &MatmulOptions {
+                        parallel: ParallelConfig::with_threads(4),
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+            let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.matmul(&b).unwrap()), bits(&threaded), "m = {m}");
+        }
     }
 
     #[test]

@@ -207,12 +207,20 @@ impl HistogramInner {
 
     /// Records one finite-or-not observation into the active generation,
     /// retrying on the fresh generation if a reset flips mid-record.
+    ///
+    /// The registration (`writers += 1`, then re-read `active`) and the
+    /// reset's flip-then-drain (`active ^= 1`, then read `writers`) are a
+    /// store-then-load handshake on two cells. Acquire/release allows both
+    /// sides to read the other's old value (store buffering), which would
+    /// let a record land in a generation being zeroed; `SeqCst` on those
+    /// four operations rules that out. On x86 it costs nothing on this
+    /// path: the `fetch_add` is a locked instruction either way.
     pub(crate) fn record(&self, v: f64) {
         loop {
             let a = self.active.load(Ordering::Acquire) & 1;
             let shard = &self.shards[a];
-            shard.writers.fetch_add(1, Ordering::AcqRel);
-            if self.active.load(Ordering::Acquire) & 1 != a {
+            shard.writers.fetch_add(1, Ordering::SeqCst);
+            if self.active.load(Ordering::SeqCst) & 1 != a {
                 // A reset flipped between the load and the registration;
                 // nothing was written yet, so just move to the new shard.
                 shard.writers.fetch_sub(1, Ordering::AcqRel);
@@ -229,10 +237,9 @@ impl HistogramInner {
     /// generation's in-flight writers, then zeroes it.
     pub(crate) fn reset(&self) {
         let _g = self.reset_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let old = self.active.load(Ordering::Acquire) & 1;
-        self.active.store(old ^ 1, Ordering::Release);
+        let old = self.active.fetch_xor(1, Ordering::SeqCst) & 1;
         let mut spins = 0u32;
-        while self.shards[old].writers.load(Ordering::Acquire) != 0 {
+        while self.shards[old].writers.load(Ordering::SeqCst) != 0 {
             // A record is a handful of atomic ops; yield only if one is
             // somehow descheduled mid-flight.
             spins += 1;
@@ -433,78 +440,119 @@ mod tests {
         assert_eq!(out[bucket_index(0.5)], 2);
     }
 
-    /// The shard invariant `Σ buckets == count` (and consistent sum /
-    /// min / max) must hold no matter how resets interleave with
-    /// concurrent records — the race the old in-place reset lost.
+    /// The shard invariants (`Σ buckets == count`, a sum and min/max
+    /// consistent with the buckets, an all-zero inactive generation)
+    /// must hold exactly however resets interleave with concurrent
+    /// records — the race the old in-place reset lost.
+    ///
+    /// The checks run only at quiescent points, with every writer parked
+    /// on a barrier: a live read of 173 buckets and then `count` is not
+    /// a snapshot, since records landing mid-scan are counted but their
+    /// bucket may already have been read. A torn record, by contrast,
+    /// leaves the storage inconsistent for good, which a quiescent check
+    /// sees exactly.
     #[test]
     fn concurrent_reset_never_tears() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        const WRITERS: usize = 4;
+        const ROUNDS: usize = 100;
+        const RESETS_PER_ROUND: usize = 3;
+        const VALUES: [f64; 3] = [0.5, 2.0, 30.0];
+
         let _g = crate::test_guard();
         let inner = Arc::new(HistogramInner::new());
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let writers: Vec<_> = (0..4)
+        let sync = Arc::new(Barrier::new(WRITERS + 1));
+        let stop = Arc::new(AtomicBool::new(false));
+        let done = Arc::new(AtomicBool::new(false));
+        let writers: Vec<_> = (0..WRITERS)
             .map(|w| {
-                let inner = Arc::clone(&inner);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut i = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        // Values from a fixed small set so expectations
-                        // are exact per shard state.
-                        inner.record([0.5, 2.0, 30.0][(w + i as usize) % 3]);
+                let (inner, sync) = (Arc::clone(&inner), Arc::clone(&sync));
+                let (stop, done) = (Arc::clone(&stop), Arc::clone(&done));
+                std::thread::spawn(move || loop {
+                    sync.wait();
+                    if done.load(Ordering::Acquire) {
+                        return;
+                    }
+                    let mut i = w;
+                    while !stop.load(Ordering::Acquire) {
+                        inner.record(VALUES[i % 3]);
                         i += 1;
                     }
+                    sync.wait();
                 })
             })
             .collect();
-        for _ in 0..200 {
-            inner.reset();
-            std::thread::yield_now();
-            let shard = inner.active_shard();
-            // Torn events would break count == Σ buckets permanently;
-            // transient skew is expected while writers are mid-flight,
-            // so only check the one-sided invariant that holds at any
-            // instant: every counted event has its bucket increment
-            // visible no later than... both orders are possible, so the
-            // instantaneous check is |Σ buckets - count| ≤ in-flight.
+
+        let check_quiescent = |round: usize| {
+            let active = inner.active.load(Ordering::Acquire) & 1;
+            let shard = &inner.shards[active];
             let bucket_total: u64 = shard
                 .buckets
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
                 .sum();
             let count = shard.count.load(Ordering::Relaxed);
-            let in_flight = shard.writers.load(Ordering::Acquire) + 4;
-            assert!(
-                bucket_total.abs_diff(count) <= in_flight,
-                "torn mid-run: buckets {bucket_total} vs count {count}"
+            assert_eq!(
+                bucket_total, count,
+                "round {round}: torn Σ buckets vs count"
             );
+            // Each value sits alone in its bucket and every partial sum
+            // is exact in f64, so the sum must match the buckets exactly.
+            let expected_sum: f64 = VALUES
+                .iter()
+                .map(|&v| v * shard.buckets[bucket_index(v)].load(Ordering::Relaxed) as f64)
+                .sum();
+            let sum = f64::from_bits(shard.sum_bits.load(Ordering::Relaxed));
+            assert_eq!(sum, expected_sum, "round {round}: torn sum");
+            let min = f64::from_bits(shard.min_bits.load(Ordering::Relaxed));
+            let max = f64::from_bits(shard.max_bits.load(Ordering::Relaxed));
+            if count > 0 {
+                assert!(
+                    VALUES.contains(&min) && VALUES.contains(&max),
+                    "round {round}"
+                );
+                assert!(min <= max, "round {round}");
+            } else {
+                assert_eq!(
+                    (min, max),
+                    (f64::INFINITY, f64::NEG_INFINITY),
+                    "round {round}"
+                );
+            }
+            let idle = &inner.shards[active ^ 1];
+            assert!(
+                idle.buckets.iter().all(|b| b.load(Ordering::Relaxed) == 0)
+                    && idle.count.load(Ordering::Relaxed) == 0
+                    && idle.sum_bits.load(Ordering::Relaxed) == 0f64.to_bits()
+                    && idle.min_bits.load(Ordering::Relaxed) == f64::INFINITY.to_bits()
+                    && idle.max_bits.load(Ordering::Relaxed) == f64::NEG_INFINITY.to_bits(),
+                "round {round}: a record landed in the retired generation"
+            );
+        };
+
+        for round in 0..ROUNDS {
+            stop.store(false, Ordering::Release);
+            sync.wait();
+            for _ in 0..RESETS_PER_ROUND {
+                // Reset only once writers are mid-stream on the shard.
+                while inner.active_shard().count.load(Ordering::Relaxed) == 0 {
+                    std::thread::yield_now();
+                }
+                inner.reset();
+            }
+            stop.store(true, Ordering::Release);
+            sync.wait();
+            check_quiescent(round);
         }
-        stop.store(true, Ordering::Relaxed);
+        done.store(true, Ordering::Release);
+        sync.wait();
         for w in writers {
             w.join().unwrap();
         }
-        // Quiesced: the invariant must be exact, and stay exact across
-        // one more reset.
-        for _ in 0..2 {
-            let shard = inner.active_shard();
-            let bucket_total: u64 = shard
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .sum();
-            let count = shard.count.load(Ordering::Relaxed);
-            assert_eq!(bucket_total, count, "torn after quiesce");
-            let sum = f64::from_bits(shard.sum_bits.load(Ordering::Relaxed));
-            assert!(sum.is_finite() && sum >= 0.0);
-            if count > 0 {
-                let min = f64::from_bits(shard.min_bits.load(Ordering::Relaxed));
-                let max = f64::from_bits(shard.max_bits.load(Ordering::Relaxed));
-                assert!((0.5..=30.0).contains(&min));
-                assert!((0.5..=30.0).contains(&max));
-                assert!(min <= max);
-            }
-            inner.reset();
-        }
-        let shard = inner.active_shard();
-        assert_eq!(shard.count.load(Ordering::Relaxed), 0);
+        inner.reset();
+        check_quiescent(ROUNDS);
+        assert_eq!(inner.active_shard().count.load(Ordering::Relaxed), 0);
     }
 }

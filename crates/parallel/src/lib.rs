@@ -28,10 +28,17 @@ pub use scoped::{par_chunks_mut, par_for_each, par_map, par_reduce, ParallelConf
 
 /// Returns the number of worker threads to use by default.
 ///
-/// This is the machine's available parallelism, clamped to at least 1. The
-/// value is computed once per call; callers that need a stable value should
-/// capture it in a [`ParallelConfig`].
+/// This is the calling thread's available parallelism, at least one. Every
+/// call asks the OS afresh (on Linux that reads the affinity mask and the
+/// cgroup CPU quota files, tens of microseconds) and nothing is cached, so
+/// the answer tracks the thread's current affinity. Callers that need it
+/// repeatedly should capture it once in a [`ParallelConfig`]. Each call
+/// increments the `parallel.thread_queries` counter.
 pub fn default_threads() -> usize {
+    static QUERIES: std::sync::OnceLock<mfcp_obs::Counter> = std::sync::OnceLock::new();
+    QUERIES
+        .get_or_init(|| mfcp_obs::counter("parallel.thread_queries"))
+        .inc();
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

@@ -33,20 +33,20 @@ pub struct ParallelConfig {
 }
 
 impl Default for ParallelConfig {
+    /// Every available CPU of the calling thread, queried from the OS now
+    /// (see [`crate::default_threads`]).
     fn default() -> Self {
-        ParallelConfig {
-            threads: crate::default_threads(),
-            sequential_cutoff: 2,
-        }
+        ParallelConfig::with_threads(crate::default_threads())
     }
 }
 
 impl ParallelConfig {
     /// A configuration with an explicit thread count and the default cutoff.
+    /// Never queries the OS.
     pub fn with_threads(threads: usize) -> Self {
         ParallelConfig {
             threads: threads.max(1),
-            ..Default::default()
+            sequential_cutoff: 2,
         }
     }
 
