@@ -15,6 +15,12 @@ pub mod batch;
 pub mod perfgate;
 pub mod report;
 
+/// Serializes this crate's tests that reset the process-wide `mfcp_obs`
+/// registry: one test's reset would zero the counters another is
+/// about to assert on.
+#[cfg(test)]
+pub(crate) static OBS_REGISTRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 use mfcp_core::eval::{evaluate_method, EvalOptions, MethodScores};
 use mfcp_core::methods::{PerformancePredictor, TamPredictor};
 use mfcp_core::train::{

@@ -213,13 +213,9 @@ fn solve_train_cfg(cfg: &PerfgateConfig, mode: GradientMode) -> MfcpTrainConfig 
         // rather than the 400-iteration default cap: iteration counts must
         // respond to solve difficulty for the warm-start suite to measure
         // anything — a capped solver burns the same budget cold or warm.
-        // lr 0.2 keeps mirror descent monotone on these instances; at the
-        // default 0.8 several solves limit-cycle above the tolerance and
-        // burn `max_iters` no matter where they start.
         solver: SolverOptions {
             max_iters: 20_000,
             tol: 1e-8,
-            lr: 0.2,
             ..Default::default()
         },
         ..Default::default()
@@ -532,7 +528,6 @@ fn suite_learned_duals(cfg: &PerfgateConfig) {
     solver.solver_opts = SolverOptions {
         max_iters: 20_000,
         tol: 1e-8,
-        lr: 0.1,
         ..Default::default()
     };
     solver.policy.stall_checks = usize::MAX;
@@ -1238,6 +1233,9 @@ mod tests {
     /// median and at least one metric, and the report's JSON parses.
     #[test]
     fn tiny_pass_covers_every_suite() {
+        let _registry = crate::OBS_REGISTRY
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         let cfg = PerfgateConfig {
             runs: 1,
             tasks: 6,

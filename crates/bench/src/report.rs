@@ -197,6 +197,9 @@ mod tests {
 
     #[test]
     fn tiny_report_covers_every_subsystem() {
+        let _registry = crate::OBS_REGISTRY
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         let cfg = ReportConfig {
             tasks: 8,
             rounds: 2,

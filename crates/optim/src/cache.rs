@@ -39,7 +39,7 @@ const SIMPLEX_TOL: f64 = 1e-6;
 /// Interior blend weight used by [`warm_init`].
 ///
 /// Kept tiny on purpose: the blend is itself a perturbation the solver
-/// must then contract below its step-change tolerance, so a large blend
+/// must then contract below its stationarity tolerance, so a large blend
 /// caps the warm-start savings no matter how good the seed is (a 1e-3
 /// blend forces ~7 decades of geometric decay at tol 1e-10). 1e-9 is
 /// enough to keep every coordinate strictly positive — multiplicative

@@ -68,5 +68,7 @@ pub use recovery::{
     BackoffSchedule, FallbackStage, HealthPolicy, PredictionOutcome, RobustSolution, RobustSolver,
     SkipReason, SolveDiagnostics, SolveError, StageAttempt, StageOutcome,
 };
-pub use solver::{NewtonOptions, PgdWorkspace, ProjectionKind, RelaxedSolution, SolverOptions};
+pub use solver::{
+    NewtonOptions, PgdWorkspace, ProjectionKind, RelaxedSolution, SolverOptions, StopReason,
+};
 pub use speedup::SpeedupCurve;

@@ -331,14 +331,83 @@ pub fn grad_x_into(
     }
 }
 
+/// Per-cluster sums of a task-major iterate — fractional load, weighted
+/// time, reliability mass and capacity use — plus its entropy sum
+/// `Σ x log x`, accumulated row by row inside the solver's update sweep.
+/// [`TransposedEval::value`] turns them into `F` in `O(M)`, and
+/// [`TransposedEval::grad_into`] reuses them for the next gradient.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct IterStats {
+    count: Vec<f64>,
+    load: Vec<f64>,
+    rel: Vec<f64>,
+    cap_used: Vec<f64>,
+    entropy: f64,
+}
+
+impl IterStats {
+    /// Zeroes the sums for an `M`-cluster problem (allocation-free once
+    /// sized).
+    pub fn reset(&mut self, m: usize) {
+        for buf in [
+            &mut self.count,
+            &mut self.load,
+            &mut self.rel,
+            &mut self.cap_used,
+        ] {
+            buf.clear();
+            buf.resize(m, 0.0);
+        }
+        self.entropy = 0.0;
+    }
+
+    /// Adds task `j`'s row `xr` (with its floored logs `lxr`) to the
+    /// sums. Rows must arrive in ascending `j`: the per-cluster partial
+    /// sums then run in the same order as the cluster-major [`grad_x`].
+    #[inline]
+    pub fn add_row(&mut self, te: &TransposedEval, j: usize, xr: &[f64], lxr: &[f64]) {
+        let tr = te.tt.row(j);
+        let ar = te.at.row(j);
+        for i in 0..xr.len() {
+            self.count[i] += xr[i];
+            self.load[i] += xr[i] * tr[i];
+            self.rel[i] += xr[i] * ar[i];
+        }
+        if let Some(ut) = &te.ut {
+            let ur = ut.row(j);
+            for i in 0..xr.len() {
+                self.cap_used[i] += xr[i] * ur[i];
+            }
+        }
+        let ln_floor = ln_x_floor();
+        for (&v, &lv) in xr.iter().zip(lxr) {
+            self.entropy += v.max(X_FLOOR) * lv.max(ln_floor);
+        }
+    }
+
+    /// Whether every accumulated sum is finite: a non-finite iterate
+    /// entry poisons its cluster's count.
+    pub fn is_finite(&self) -> bool {
+        self.count.iter().all(|c| c.is_finite())
+    }
+}
+
+/// `ln(X_FLOOR)`. For a log `lx = ln(max(x, f))` with any floor
+/// `f ≤ X_FLOOR`, `max(lx, ln(X_FLOOR)) == ln(max(x, X_FLOOR))` because
+/// `ln` is monotone — which is what lets the solver keep one floored log
+/// per entry and still reproduce [`grad_x`]'s entropy term.
+fn ln_x_floor() -> f64 {
+    X_FLOOR.ln()
+}
+
 /// Transposed (task-major) problem data plus scratch buffers for the PGD
 /// hot loop: with tasks as rows, both the gradient step and the per-task
 /// simplex projection read contiguous memory instead of striding by `N`.
 ///
 /// Every accumulation below runs in the same floating-point order as the
 /// row-major [`grad_x`] path (per-cluster partial sums over ascending
-/// `j`, reduced over ascending `i`), so the produced gradients — and
-/// therefore whole solver trajectories — are bitwise identical to it.
+/// `j`, reduced over ascending `i`), so the produced gradients are
+/// bitwise identical to it.
 #[derive(Debug, Clone)]
 pub(crate) struct TransposedEval {
     /// `times` transposed to `N×M`.
@@ -347,13 +416,9 @@ pub(crate) struct TransposedEval {
     pub at: Matrix,
     /// Capacity usage transposed to `N×M` (when constrained).
     pub ut: Option<Matrix>,
-    count: Vec<f64>,
-    load: Vec<f64>,
     weights: Vec<f64>,
     zeta: Vec<f64>,
     dzeta: Vec<f64>,
-    rel: Vec<f64>,
-    cap_used: Vec<f64>,
     cap_dphi: Vec<f64>,
 }
 
@@ -363,13 +428,9 @@ impl Default for TransposedEval {
             tt: Matrix::zeros(0, 0),
             at: Matrix::zeros(0, 0),
             ut: None,
-            count: Vec::new(),
-            load: Vec::new(),
             weights: Vec::new(),
             zeta: Vec::new(),
             dzeta: Vec::new(),
-            rel: Vec::new(),
-            cap_used: Vec::new(),
             cap_dphi: Vec::new(),
         }
     }
@@ -402,13 +463,9 @@ impl TransposedEval {
             None => self.ut = None,
         }
         for buf in [
-            &mut self.count,
-            &mut self.load,
             &mut self.weights,
             &mut self.zeta,
             &mut self.dzeta,
-            &mut self.rel,
-            &mut self.cap_used,
             &mut self.cap_dphi,
         ] {
             buf.clear();
@@ -416,61 +473,83 @@ impl TransposedEval {
         }
     }
 
+    /// Reliability slack `g` from the accumulated reliability mass,
+    /// reduced in cluster order like [`reliability_slack`].
+    fn slack(problem: &MatchingProblem, stats: &IterStats) -> f64 {
+        let n = problem.tasks();
+        if n == 0 {
+            return 1.0 - problem.gamma;
+        }
+        let mut acc = 0.0;
+        for &r in &stats.rel {
+            acc += r;
+        }
+        acc / n as f64 - problem.gamma
+    }
+
+    /// `F(X, T, A)` of the iterate whose sums are `stats`, in `O(M)`:
+    /// the same terms as [`value`] (the entropy sum runs task-major, so
+    /// the two agree to rounding, not bitwise).
+    pub fn value(
+        &mut self,
+        problem: &MatchingProblem,
+        params: &RelaxationParams,
+        stats: &IterStats,
+    ) -> f64 {
+        let m = problem.clusters();
+        let scaled = &mut self.weights;
+        for (i, s) in scaled.iter_mut().enumerate() {
+            *s = problem.speedup[i].eval(stats.count[i]) * stats.load[i];
+        }
+        let cost = match params.cost {
+            CostKind::SmoothMax => {
+                for s in scaled.iter_mut() {
+                    *s *= params.beta;
+                }
+                vector::logsumexp(scaled) / params.beta
+            }
+            CostKind::LinearSum => scaled.iter().sum(),
+        };
+        let capacity: f64 = problem.capacity.as_ref().map_or(0.0, |cap| {
+            (0..m)
+                .map(|i| barrier_value(params, (cap.limits[i] - stats.cap_used[i]) / cap.limits[i]))
+                .sum()
+        });
+        let entropy = if params.rho == 0.0 {
+            0.0
+        } else {
+            params.rho * stats.entropy
+        };
+        cost + barrier_value(params, Self::slack(problem, stats)) + capacity + entropy
+    }
+
     /// Writes `∇_X F` in task-major (`N×M`) layout into `out`, given the
-    /// task-major iterate `xt`. Allocation-free after [`Self::prepare`].
+    /// iterate's sums `stats` and its floored logs `lx` (task-major).
+    /// Calls no transcendental per entry; allocation-free after
+    /// [`Self::prepare`].
     pub fn grad_into(
         &mut self,
         problem: &MatchingProblem,
         params: &RelaxationParams,
-        xt: &Matrix,
+        stats: &IterStats,
+        lx: &Matrix,
         out: &mut Matrix,
     ) {
         let m = problem.clusters();
         let n = problem.tasks();
-        debug_assert_eq!(xt.shape(), (n, m));
+        debug_assert_eq!(lx.shape(), (n, m));
         if out.shape() != (n, m) {
             *out = Matrix::zeros(n, m);
         }
-        self.count.fill(0.0);
-        self.load.fill(0.0);
-        self.rel.fill(0.0);
-        self.cap_used.fill(0.0);
-        for j in 0..n {
-            let xr = xt.row(j);
-            let tr = self.tt.row(j);
-            let ar = self.at.row(j);
-            for i in 0..m {
-                self.count[i] += xr[i];
-                self.load[i] += xr[i] * tr[i];
-                self.rel[i] += xr[i] * ar[i];
-            }
-            if let Some(ut) = &self.ut {
-                let ur = ut.row(j);
-                for i in 0..m {
-                    self.cap_used[i] += xr[i] * ur[i];
-                }
-            }
-        }
-        // Reliability slack: per-cluster partials reduced in cluster order,
-        // matching `reliability_slack`'s row-by-row accumulation.
-        let g = if n == 0 {
-            1.0 - problem.gamma
-        } else {
-            let mut acc = 0.0;
-            for i in 0..m {
-                acc += self.rel[i];
-            }
-            acc / n as f64 - problem.gamma
-        };
-        let dphi = barrier_derivative(params, g);
+        let dphi = barrier_derivative(params, Self::slack(problem, stats));
         for i in 0..m {
-            self.zeta[i] = problem.speedup[i].eval(self.count[i]);
-            self.dzeta[i] = problem.speedup[i].derivative(self.count[i]);
+            self.zeta[i] = problem.speedup[i].eval(stats.count[i]);
+            self.dzeta[i] = problem.speedup[i].derivative(stats.count[i]);
         }
         match params.cost {
             CostKind::SmoothMax => {
                 for i in 0..m {
-                    self.weights[i] = params.beta * (self.zeta[i] * self.load[i]);
+                    self.weights[i] = params.beta * (self.zeta[i] * stats.load[i]);
                 }
                 vector::softmax_inplace(&mut self.weights);
             }
@@ -478,16 +557,17 @@ impl TransposedEval {
         }
         if let Some(cap) = &problem.capacity {
             for i in 0..m {
-                let slack = (cap.limits[i] - self.cap_used[i]) / cap.limits[i];
+                let slack = (cap.limits[i] - stats.cap_used[i]) / cap.limits[i];
                 self.cap_dphi[i] = barrier_derivative(params, slack);
             }
         }
+        let ln_floor = ln_x_floor();
         for j in 0..n {
             let tr = self.tt.row(j);
             let ar = self.at.row(j);
-            let xr = xt.row(j);
+            let lxr = lx.row(j);
             for i in 0..m {
-                let ds = self.zeta[i] * tr[i] + self.dzeta[i] * self.load[i];
+                let ds = self.zeta[i] * tr[i] + self.dzeta[i] * stats.load[i];
                 let mut gij = self.weights[i] * ds;
                 if n > 0 {
                     gij += dphi * ar[i] / n as f64;
@@ -496,7 +576,7 @@ impl TransposedEval {
                     gij -= self.cap_dphi[i] * ut[(j, i)] / cap.limits[i];
                 }
                 if params.rho != 0.0 {
-                    gij += params.rho * (1.0 + xr[i].max(X_FLOOR).ln());
+                    gij += params.rho * (1.0 + lxr[i].max(ln_floor));
                 }
                 out[(j, i)] = gij;
             }
@@ -701,15 +781,23 @@ mod tests {
                     limits: vec![4.0, 5.0, 6.0],
                 });
             }
-            let x = random_interior_x(seed + 1, 3, 7);
+            let mut x = random_interior_x(seed + 1, 3, 7);
+            // One entry below the entropy floor exercises the floored log.
+            x[(1, 2)] = 1e-200;
             let params = RelaxationParams::default();
             let expected = grad_x(&problem, &params, &x);
             let mut te = TransposedEval::default();
             te.prepare(&problem);
             let mut xt = Matrix::zeros(0, 0);
             transpose_into(&x, &mut xt);
+            let lx = Matrix::from_fn(7, 3, |j, i| xt[(j, i)].max(1e-300).ln());
+            let mut stats = IterStats::default();
+            stats.reset(3);
+            for j in 0..7 {
+                stats.add_row(&te, j, xt.row(j), lx.row(j));
+            }
             let mut gt = Matrix::zeros(0, 0);
-            te.grad_into(&problem, &params, &xt, &mut gt);
+            te.grad_into(&problem, &params, &stats, &lx, &mut gt);
             for i in 0..3 {
                 for j in 0..7 {
                     assert_eq!(
@@ -719,6 +807,12 @@ mod tests {
                     );
                 }
             }
+            let f = te.value(&problem, &params, &stats);
+            let reference = value(&problem, &params, &x);
+            assert!(
+                (f - reference).abs() <= 1e-14 * reference.abs().max(1.0),
+                "seed={seed}: {f} vs {reference}"
+            );
         }
     }
 

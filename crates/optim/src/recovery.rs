@@ -54,7 +54,7 @@ use crate::objective::{self, BarrierKind, RelaxationParams};
 use crate::problem::{Assignment, MatchingProblem};
 use crate::solver::{
     is_column_stochastic, solve_relaxed_from_guarded, solve_relaxed_newton_guarded, uniform_init,
-    NewtonOptions, PgdWorkspace, ProjectionKind, RelaxedSolution, SolverOptions,
+    NewtonOptions, PgdWorkspace, ProjectionKind, RelaxedSolution, SolverOptions, StopReason,
 };
 use mfcp_linalg::Matrix;
 
@@ -114,7 +114,7 @@ pub enum SolveError {
         reference: f64,
     },
     /// No measurable objective improvement for the configured window
-    /// while the step-change tolerance was still unmet.
+    /// while the iterate kept taking sizable steps.
     Stalled {
         /// Stalled stage.
         stage: FallbackStage,
@@ -224,8 +224,9 @@ impl std::error::Error for SolveError {}
 /// Per-iterate health thresholds applied by [`RobustSolver`].
 #[derive(Debug, Clone, Copy)]
 pub struct HealthPolicy {
-    /// Objective-based checks run every this many iterations (finiteness
-    /// of the iterate itself is checked on every iteration).
+    /// Divergence and stall checks run every this many iterations
+    /// (finiteness of the iterate's objective is checked on every
+    /// iteration).
     pub check_every: usize,
     /// Declare divergence when the objective exceeds
     /// `best + slack + ratio·|best|`.
@@ -238,8 +239,8 @@ pub struct HealthPolicy {
     /// Relative improvement below which a check counts as stalled.
     pub stall_tol: f64,
     /// Stall checks only count while the solver's step magnitude exceeds
-    /// this floor — an iterate crawling toward its step-change tolerance
-    /// is converging, not stalled; large steps with no objective
+    /// this floor — an iterate crawling toward its stationary point is
+    /// converging, not stalled; large steps with no objective
     /// improvement are an oscillation.
     pub stall_step_floor: f64,
     /// Shared wall-clock budget for the whole ladder; `None` disables
@@ -361,8 +362,12 @@ pub struct StageAttempt {
     pub retry: usize,
     /// Iterations the underlying solver performed.
     pub iterations: usize,
-    /// Whether the underlying solver reported convergence.
-    pub converged: bool,
+    /// Why the underlying solver stopped; `None` when the rung produced
+    /// no solver iterate (skipped, failed, or greedy rounding).
+    pub stop: Option<StopReason>,
+    /// Projected stationarity residual of the attempt's iterate, when
+    /// the solver returned one.
+    pub residual: Option<f64>,
     /// Final objective of the attempt, when one was computed.
     pub objective: Option<f64>,
     /// Wall-clock seconds spent in this attempt.
@@ -747,7 +752,8 @@ impl RobustSolver {
                     stage,
                     retry: 0,
                     iterations: 0,
-                    converged: false,
+                    stop: None,
+                    residual: None,
                     objective: None,
                     elapsed_secs: 0.0,
                     warm_start: false,
@@ -781,7 +787,7 @@ impl RobustSolver {
                             &mut pgd_ws,
                         ) {
                             return Ok(self.finish(
-                                sol,
+                                (sol.x, sol.objective),
                                 stage,
                                 None,
                                 attempts,
@@ -802,7 +808,7 @@ impl RobustSolver {
                         &mut pgd_ws,
                     ) {
                         return Ok(self.finish(
-                            sol,
+                            (sol.x, sol.objective),
                             stage,
                             None,
                             attempts,
@@ -830,7 +836,7 @@ impl RobustSolver {
                             &mut pgd_ws,
                         ) {
                             return Ok(self.finish(
-                                sol,
+                                (sol.x, sol.objective),
                                 stage,
                                 None,
                                 attempts,
@@ -846,7 +852,8 @@ impl RobustSolver {
                             stage,
                             retry: 0,
                             iterations: 0,
-                            converged: false,
+                            stop: None,
+                            residual: None,
                             objective: None,
                             elapsed_secs: 0.0,
                             warm_start: false,
@@ -858,7 +865,7 @@ impl RobustSolver {
                     }
                     if let Some(sol) = self.try_newton(problem, start, &mut attempts, kkt_ws) {
                         return Ok(self.finish(
-                            sol,
+                            (sol.x, sol.objective),
                             stage,
                             None,
                             attempts,
@@ -887,7 +894,7 @@ impl RobustSolver {
                         &mut pgd_ws,
                     ) {
                         return Ok(self.finish(
-                            sol,
+                            (sol.x, sol.objective),
                             stage,
                             None,
                             attempts,
@@ -906,17 +913,12 @@ impl RobustSolver {
                     }
                     let x = asg.to_matrix(problem.clusters());
                     let objective = objective::value(problem, &self.safe_params(), &x);
-                    let sol = RelaxedSolution {
-                        x,
-                        objective,
-                        iterations: 0,
-                        converged: true,
-                    };
                     attempts.push(StageAttempt {
                         stage,
                         retry: 0,
                         iterations: 0,
-                        converged: true,
+                        stop: None,
+                        residual: None,
                         objective: Some(objective),
                         elapsed_secs: t0.elapsed().as_secs_f64(),
                         warm_start: false,
@@ -926,7 +928,7 @@ impl RobustSolver {
                     mfcp_obs::trace::end(stage_trace_name(stage), None);
                     record_attempt_metrics(attempts.last().expect("just pushed"));
                     return Ok(self.finish(
-                        sol,
+                        (x, objective),
                         stage,
                         Some(asg),
                         attempts,
@@ -980,7 +982,7 @@ impl RobustSolver {
         if let BarrierKind::Log { eps } = params.barrier {
             mfcp_obs::histogram("optim.robust.barrier_eps").record(eps);
         }
-        let mut guard = GuardRunner::new(problem, params, &self.policy, &self.budget, start, stage);
+        let mut guard = GuardRunner::new(&self.policy, &self.budget, start, stage);
         let kind = seed.as_ref().map(|(_, kind)| *kind);
         let x0 = match seed {
             // Both seed kinds are blended toward the interior —
@@ -1000,7 +1002,7 @@ impl RobustSolver {
             &params,
             &opts,
             x0,
-            &mut |it, x, step| guard.check(it, x, step),
+            &mut |it, f, step| guard.check(it, f, step),
             pgd_ws,
         );
         self.record(stage, retry, t0, result, kind, attempts)
@@ -1018,12 +1020,12 @@ impl RobustSolver {
         let params = self.safe_params();
         let t0 = Instant::now();
         mfcp_obs::trace::begin(stage_trace_name(stage), None);
-        let mut guard = GuardRunner::new(problem, params, &self.policy, &self.budget, start, stage);
+        let mut guard = GuardRunner::new(&self.policy, &self.budget, start, stage);
         let result = solve_relaxed_newton_guarded(
             problem,
             &params,
             &self.newton_opts,
-            &mut |it, x, step| guard.check(it, x, step),
+            &mut |it, f, step| guard.check(it, f, step),
             kkt_ws,
         );
         self.record(stage, 0, t0, result, None, attempts)
@@ -1068,7 +1070,8 @@ impl RobustSolver {
                     stage,
                     retry,
                     iterations: sol.iterations,
-                    converged: sol.converged,
+                    stop: Some(sol.stop),
+                    residual: Some(sol.residual),
                     objective: Some(sol.objective),
                     elapsed_secs,
                     warm_start,
@@ -1083,7 +1086,8 @@ impl RobustSolver {
                     stage,
                     retry,
                     iterations: error_iteration(&err),
-                    converged: false,
+                    stop: None,
+                    residual: None,
                     objective: None,
                     elapsed_secs,
                     warm_start,
@@ -1098,7 +1102,7 @@ impl RobustSolver {
 
     fn finish(
         &self,
-        sol: RelaxedSolution,
+        (x, objective): (Matrix, f64),
         stage: FallbackStage,
         assignment: Option<Assignment>,
         attempts: Vec<StageAttempt>,
@@ -1112,8 +1116,8 @@ impl RobustSolver {
             mfcp_obs::counter("optim.robust.recovered").inc();
         }
         RobustSolution {
-            x: sol.x,
-            objective: sol.objective,
+            x,
+            objective,
             stage,
             assignment,
             diagnostics: SolveDiagnostics {
@@ -1186,10 +1190,10 @@ fn error_iteration(err: &SolveError) -> usize {
     }
 }
 
-/// Per-iterate health state threaded through a guarded solver run.
+/// Per-iterate health state threaded through a guarded solver run. It
+/// judges the objective the solver hands it and never re-evaluates the
+/// iterate.
 struct GuardRunner<'a> {
-    problem: &'a MatchingProblem,
-    params: RelaxationParams,
     policy: &'a HealthPolicy,
     budget: &'a Budget,
     start: Instant,
@@ -1200,16 +1204,12 @@ struct GuardRunner<'a> {
 
 impl<'a> GuardRunner<'a> {
     fn new(
-        problem: &'a MatchingProblem,
-        params: RelaxationParams,
         policy: &'a HealthPolicy,
         budget: &'a Budget,
         start: Instant,
         stage: FallbackStage,
     ) -> Self {
         GuardRunner {
-            problem,
-            params,
             policy,
             budget,
             start,
@@ -1219,7 +1219,9 @@ impl<'a> GuardRunner<'a> {
         }
     }
 
-    fn check(&mut self, iteration: usize, x: &Matrix, step: f64) -> Result<(), SolveError> {
+    /// Judges accepted iterate `iteration` by its objective `obj` (`NaN`
+    /// when the iterate itself is not finite) and step magnitude `step`.
+    fn check(&mut self, iteration: usize, obj: f64, step: f64) -> Result<(), SolveError> {
         // The request budget is the tightest contract: checked first, on
         // every accepted iterate of both the PGD and Newton/KKT loops.
         if self.budget.expired() {
@@ -1228,7 +1230,7 @@ impl<'a> GuardRunner<'a> {
                 iteration,
             });
         }
-        if x.as_slice().iter().any(|v| !v.is_finite()) {
+        if !obj.is_finite() {
             return Err(SolveError::NonFinite {
                 stage: self.stage,
                 iteration,
@@ -1244,13 +1246,6 @@ impl<'a> GuardRunner<'a> {
             }
         }
         if iteration == 1 || iteration.is_multiple_of(self.policy.check_every.max(1)) {
-            let obj = objective::value(self.problem, &self.params, x);
-            if !obj.is_finite() {
-                return Err(SolveError::NonFinite {
-                    stage: self.stage,
-                    iteration,
-                });
-            }
             if self.best.is_finite() {
                 let ceiling = self.best
                     + self.policy.divergence_slack
@@ -1421,11 +1416,7 @@ mod tests {
     #[test]
     fn healthy_problem_succeeds_on_primary() {
         let problem = random_problem(1, 3, 6);
-        let mut solver = RobustSolver::new(RelaxationParams::default());
-        // At the default lr = 0.8 mirror descent enters a large-step limit
-        // cycle on this instance (which the stall guard rightly flags and
-        // the ladder recovers from); lr = 0.3 converges monotonically.
-        solver.solver_opts.lr = 0.3;
+        let solver = RobustSolver::new(RelaxationParams::default());
         let sol = solver.solve(&problem).expect("healthy instance solves");
         assert_eq!(
             sol.stage,
@@ -1436,6 +1427,9 @@ mod tests {
         );
         assert!(!sol.diagnostics.recovered);
         assert_eq!(sol.diagnostics.attempts.len(), 1);
+        let attempt = &sol.diagnostics.attempts[0];
+        assert!(attempt.stop.is_some(), "a solver attempt records its stop");
+        assert!(attempt.residual.is_some_and(f64::is_finite));
         assert!(is_column_stochastic(&sol.x, 1e-6));
         assert!(sol.objective.is_finite());
     }
@@ -1609,9 +1603,8 @@ mod tests {
     fn cached_solver() -> RobustSolver {
         let mut solver = RobustSolver::new(RelaxationParams::default());
         // Converge tightly so warm and cold land on the same unique
-        // entropic optimum (the default budget of 400 iterations stops
-        // short of the 1e-8 objective agreement these tests assert).
-        solver.solver_opts.lr = 0.3;
+        // entropic optimum (the default tolerance stops short of the 1e-8
+        // objective agreement these tests assert).
         solver.solver_opts.max_iters = 20_000;
         solver.solver_opts.tol = 1e-12;
         solver
@@ -1815,21 +1808,15 @@ mod tests {
         let policy = HealthPolicy::default();
         let token = crate::budget::CancelToken::new();
         let budget = Budget::unlimited().with_cancel(token.clone());
-        let mut guard = GuardRunner::new(
-            &problem,
-            params,
-            &policy,
-            &budget,
-            Instant::now(),
-            FallbackStage::Primary,
-        );
+        let mut guard = GuardRunner::new(&policy, &budget, Instant::now(), FallbackStage::Primary);
         let x = crate::solver::uniform_init(problem.clusters(), problem.tasks());
+        let f = objective::value(&problem, &params, &x);
 
         // Healthy while the token is quiet...
-        guard.check(0, &x, 1.0).expect("live budget passes");
+        guard.check(0, f, 1.0).expect("live budget passes");
         // ...and a typed abort at the very next iterate once it fires.
         token.cancel();
-        let err = guard.check(1, &x, 1.0).unwrap_err();
+        let err = guard.check(1, f, 1.0).unwrap_err();
         match err {
             SolveError::DeadlineExceeded { stage, iteration } => {
                 assert_eq!(stage, FallbackStage::Primary);

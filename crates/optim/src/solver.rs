@@ -1,33 +1,88 @@
-//! Algorithm 1: optimal relaxed matching by projected gradient descent.
+//! Algorithm 1: optimal relaxed matching by projected gradient descent,
+//! solved to a stated accuracy.
 //!
 //! The paper's Algorithm 1 alternates a gradient step on `F(X, T, A)` with
-//! a per-task-column softmax projection back onto the simplex. We support
-//! three readings of that projection (an ablation in `mfcp-bench`):
+//! a per-task-column softmax projection back onto the simplex, for a
+//! fixed number of epochs. Here every solve instead stops on the
+//! *projected stationarity residual* ([`stationarity_residual`]): per
+//! task, the spread of the gradient over its active coordinates, and
+//! over its collapsed ones the complementarity `x·(g − g_min)` or the
+//! dual infeasibility `ḡ − g`, whichever is larger. The residual is
+//! checked every [`RESIDUAL_EVERY`] iterations against
+//! [`SolverOptions::tol`]; [`SolverOptions::max_iters`] is only a safety
+//! net, and every solve reports why it stopped ([`StopReason`]).
+//!
+//! We support three readings of the projection (an ablation in
+//! `mfcp-bench`):
 //!
 //! * [`ProjectionKind::MirrorDescent`] (default) — exponentiated gradient:
 //!   `x_ij ← x_ij · exp(-η ∂F/∂x_ij)` renormalized per column. This is the
 //!   entropic-geometry projected step; it keeps iterates strictly interior
 //!   (which the log barrier and the KKT differentiation both want) and is
 //!   what "gradient step then softmax" converges to when `X` is stored as
-//!   logits.
+//!   logits. Its step is Armijo-safeguarded: the first trial step is
+//!   `η = lr`, an accepted step grows `η` by 1.2, a rejected one halves
+//!   it, and a step is accepted when
+//!   `F(x⁺) ≤ F(x) + 10⁻⁴·⟨∇F, x⁺ − x⟩` — so `F` never increases. When
+//!   no step within 40 backtracks is accepted, or a rejected step's
+//!   predicted decrease is already below the objective's rounding, the
+//!   iterate is stationary to numerical resolution and the solve stops
+//!   ([`StopReason::NoDescent`]).
 //! * [`ProjectionKind::SoftmaxPaper`] — the literal Algorithm 1 lines 3–4:
-//!   `X ← X − η∇F`, then `softmax` of each column of the *values*.
+//!   `X ← X − η∇F`, then `softmax` of each column of the *values*, at the
+//!   fixed step `η = lr`. Its fixed point is in general not a
+//!   stationary point of `F`, so it usually runs to the iteration cap.
 //! * [`ProjectionKind::Euclidean`] — classical sort-based projection onto
-//!   the simplex after the gradient step.
+//!   the simplex after a fixed gradient step.
+//!
+//! Each trial step is one fused sweep over the task-major iterate: the
+//! projection, the new iterate's floored logs, its per-cluster sums and
+//! entropy, `⟨∇F, x⁺ − x⟩` and `max |Δx|`. `F(x⁺)` then costs `O(M)`,
+//! and the next gradient reuses the accepted trial's sums and logs, so
+//! it calls no transcendental per entry: an accepted mirror step costs
+//! one `exp` per entry and one `ln` per task.
 
 use crate::kkt::KktWorkspace;
-use crate::objective::{self, ClusterStats, RelaxationParams, TransposedEval};
+use crate::objective::{self, ClusterStats, IterStats, RelaxationParams, TransposedEval};
 use crate::problem::MatchingProblem;
 use crate::recovery::{FallbackStage, SolveError};
 use mfcp_linalg::{vector, Matrix};
 
-/// Reusable buffers for the PGD hot loop: the task-major working copy of
-/// the iterate, the task-major gradient, the per-task projection scratch,
-/// and the transposed problem data. One workspace per solve (or per
-/// thread) makes every inner iteration allocation-free after warm-up.
+/// Iterations between two stationarity-residual checks of the PGD loop.
+pub const RESIDUAL_EVERY: usize = 5;
+/// Armijo sufficient-decrease coefficient of the mirror-descent step.
+const ARMIJO_C: f64 = 1e-4;
+/// Step growth after an accepted mirror-descent step.
+const STEP_GROW: f64 = 1.2;
+/// Step shrink after a rejected mirror-descent trial.
+const STEP_SHRINK: f64 = 0.5;
+/// Trial steps per mirror-descent iteration before declaring
+/// [`StopReason::NoDescent`].
+const MAX_BACKTRACKS: usize = 40;
+/// Relative resolution of a computed objective: a rejected trial whose
+/// predicted decrease `|⟨∇F, x⁺ − x⟩|` is below one ulp of `1 + |F|`
+/// is at the objective's rounding, where shorter steps cannot be told
+/// apart from noise either.
+const F_RESOLUTION: f64 = f64::EPSILON;
+/// Floor under the iterate before taking its log in the update.
+const LOG_FLOOR: f64 = 1e-300;
+/// Coordinates above this count as active in [`stationarity_residual`].
+const ACTIVE_FLOOR: f64 = 1e-6;
+
+/// Reusable buffers for the PGD hot loop: task-major copies of the
+/// iterate and of the trial step (each with its floored logs and
+/// per-cluster sums), the task-major gradient, the per-task projection
+/// scratch, and the transposed problem data. One workspace per solve (or
+/// per thread) makes every iteration and every backtrack allocation-free
+/// after warm-up.
 #[derive(Debug, Clone)]
 pub struct PgdWorkspace {
     xt: Matrix,
+    lx: Matrix,
+    stats: IterStats,
+    trial_xt: Matrix,
+    trial_lx: Matrix,
+    trial_stats: IterStats,
     grad_t: Matrix,
     col: Vec<f64>,
     proj: Vec<f64>,
@@ -38,6 +93,11 @@ impl Default for PgdWorkspace {
     fn default() -> Self {
         PgdWorkspace {
             xt: Matrix::zeros(0, 0),
+            lx: Matrix::zeros(0, 0),
+            stats: IterStats::default(),
+            trial_xt: Matrix::zeros(0, 0),
+            trial_lx: Matrix::zeros(0, 0),
+            trial_stats: IterStats::default(),
             grad_t: Matrix::zeros(0, 0),
             col: Vec::new(),
             proj: Vec::new(),
@@ -55,15 +115,16 @@ impl PgdWorkspace {
 
 /// Per-iterate health hook used by the guarded solver entry points in
 /// [`crate::recovery`]: called after every accepted iterate with the
-/// iteration count, the current matching, and the step magnitude
-/// (`max |ΔX|` for PGD, `α·max|Δx|` for Newton); returning an error
-/// aborts the solve.
-pub(crate) type IterGuard<'a> = &'a mut dyn FnMut(usize, &Matrix, f64) -> Result<(), SolveError>;
+/// iteration count, the iterate's objective (`NaN` when the iterate is
+/// not finite), and the step magnitude (`max |ΔX|` for PGD, `α·max|Δx|`
+/// for Newton); returning an error aborts the solve.
+pub(crate) type IterGuard<'a> = &'a mut dyn FnMut(usize, f64, f64) -> Result<(), SolveError>;
 
 /// Simplex-projection flavor used after each gradient step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProjectionKind {
-    /// Exponentiated-gradient / mirror-descent step (default).
+    /// Armijo-safeguarded exponentiated-gradient / mirror-descent step
+    /// (default).
     MirrorDescent,
     /// Literal paper Algorithm 1: value-space softmax after the step.
     SoftmaxPaper,
@@ -74,11 +135,15 @@ pub enum ProjectionKind {
 /// Options for [`solve_relaxed`].
 #[derive(Debug, Clone, Copy)]
 pub struct SolverOptions {
-    /// Maximum gradient-descent iterations (`Epochs` in Algorithm 1).
+    /// Iteration cap (`Epochs` in Algorithm 1): a safety net, since
+    /// solves stop on [`SolverOptions::tol`].
     pub max_iters: usize,
-    /// Step size `η`.
+    /// Step size `η`: the fixed step of the `SoftmaxPaper` and
+    /// `Euclidean` projections, and the first trial step of the
+    /// Armijo-safeguarded mirror-descent step.
     pub lr: f64,
-    /// Convergence tolerance on `max |X_{k+1} - X_k|`.
+    /// Stop once the projected stationarity residual
+    /// ([`stationarity_residual`], the worst task) falls below this.
     pub tol: f64,
     /// Projection flavor.
     pub projection: ProjectionKind,
@@ -89,9 +154,29 @@ impl Default for SolverOptions {
         SolverOptions {
             max_iters: 400,
             lr: 0.8,
-            tol: 1e-8,
+            tol: 1e-4,
             projection: ProjectionKind::MirrorDescent,
         }
+    }
+}
+
+/// Why a relaxed solve stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StopReason {
+    /// The stationarity residual fell below the tolerance.
+    Converged,
+    /// The iteration cap ended the solve above the tolerance.
+    IterationCap,
+    /// No trial step decreased the objective: the iterate is stationary
+    /// to numerical resolution (or, for Newton, no step could be formed).
+    NoDescent,
+}
+
+impl StopReason {
+    /// Whether the solve ended at a stationary point rather than at the
+    /// cap.
+    pub fn converged(self) -> bool {
+        self != StopReason::IterationCap
     }
 }
 
@@ -104,8 +189,73 @@ pub struct RelaxedSolution {
     pub objective: f64,
     /// Iterations actually performed.
     pub iterations: usize,
-    /// Whether the step-change tolerance was reached before `max_iters`.
-    pub converged: bool,
+    /// Why the solve stopped.
+    pub stop: StopReason,
+    /// Projected stationarity residual at the solution (`NaN` when the
+    /// iterate is not finite).
+    pub residual: f64,
+}
+
+impl RelaxedSolution {
+    /// Whether the solve stopped at a stationary point (see
+    /// [`StopReason::converged`]).
+    pub fn converged(&self) -> bool {
+        self.stop.converged()
+    }
+}
+
+/// Projected stationarity residual of one task's simplex block: `x` and
+/// `grad` hold the task's coordinates over all clusters.
+///
+/// At a stationary point the gradient is constant across the *active*
+/// coordinates (`x > 1e-6`), so their spread around its mean `ḡ`
+/// measures how far the block is from stationary. Collapsed coordinates
+/// are excluded from the spread — their true entropy gradient is
+/// −∞-like and never equalizes in floating point — and contribute their
+/// complementarity `x·(g − g_min)` instead, or their dual infeasibility
+/// `ḡ − g` when that is larger: a collapsed coordinate whose gradient
+/// sits below the active mean wants mass (a cluster back from an
+/// outage), however small `x` is. The block's residual is the largest
+/// of these terms; a `NaN` term makes it `NaN`.
+pub fn stationarity_residual(x: &[f64], grad: &[f64]) -> f64 {
+    let mut gmin = f64::INFINITY;
+    let (mut sum, mut active) = (0.0, 0usize);
+    for (&xi, &gi) in x.iter().zip(grad) {
+        gmin = gmin.min(gi);
+        if xi > ACTIVE_FLOOR {
+            sum += gi;
+            active += 1;
+        }
+    }
+    let mean = sum / active.max(1) as f64;
+    let mut residual = 0.0;
+    for (&xi, &gi) in x.iter().zip(grad) {
+        let term = if xi > ACTIVE_FLOOR {
+            (gi - mean).abs()
+        } else {
+            (mean - gi).max(xi * (gi - gmin))
+        };
+        residual = nan_max(residual, term);
+    }
+    residual
+}
+
+/// The worst task's [`stationarity_residual`] of a task-major iterate
+/// and gradient (one row per task).
+fn worst_residual(xt: &Matrix, grad_t: &Matrix) -> f64 {
+    (0..xt.rows())
+        .map(|j| stationarity_residual(xt.row(j), grad_t.row(j)))
+        .fold(0.0, nan_max)
+}
+
+/// `max` that propagates `NaN` (`f64::max` drops it), so a non-finite
+/// iterate can never read as stationary.
+fn nan_max(acc: f64, v: f64) -> f64 {
+    if v > acc || v.is_nan() {
+        v
+    } else {
+        acc
+    }
 }
 
 /// Uniform initial matching: every task spread equally over clusters.
@@ -127,6 +277,7 @@ pub fn uniform_init(m: usize, n: usize) -> Matrix {
 /// let sol = solve_relaxed(&problem, &RelaxationParams::default(), &SolverOptions::default());
 /// // Each task leans toward its faster cluster.
 /// assert!(sol.x[(0, 0)] > 0.5 && sol.x[(1, 1)] > 0.5);
+/// assert!(sol.converged());
 /// ```
 pub fn solve_relaxed(
     problem: &MatchingProblem,
@@ -165,16 +316,132 @@ pub fn solve_relaxed_from(
     sol
 }
 
+/// Records how a solve stopped: `optim.solve.cap_hits` counts solves the
+/// iteration cap ended, `optim.solve.residual` histograms the (finite)
+/// final residuals, and `optim.solve.backtracks` counts rejected Armijo
+/// trials.
+fn record_stop(stop: StopReason, residual: f64, backtracks: u64) {
+    static METRICS: std::sync::OnceLock<(
+        mfcp_obs::Counter,
+        mfcp_obs::Histogram,
+        mfcp_obs::Counter,
+    )> = std::sync::OnceLock::new();
+    let (cap_hits, residuals, rejected) = METRICS.get_or_init(|| {
+        (
+            mfcp_obs::counter("optim.solve.cap_hits"),
+            mfcp_obs::histogram("optim.solve.residual"),
+            mfcp_obs::counter("optim.solve.backtracks"),
+        )
+    });
+    if stop == StopReason::IterationCap {
+        cap_hits.inc();
+    }
+    // A non-finite iterate's `NaN` residual would poison the histogram's
+    // sum; the solution's own `residual` field still reports it.
+    if residual.is_finite() {
+        residuals.record(residual);
+    }
+    if backtracks > 0 {
+        rejected.add(backtracks);
+    }
+}
+
+/// The sweep-level by-products of one trial step.
+struct Trial {
+    /// `⟨∇F, x⁺ − x⟩`.
+    slope: f64,
+    /// `max |x⁺ − x|`.
+    max_change: f64,
+}
+
+/// One fused trial sweep over the task-major iterate: projects
+/// `x − η∇F` (mirror: `ln x − η∇F`) row by row into `trial_xt`, writes
+/// the trial's floored logs into `trial_lx`, accumulates its per-cluster
+/// sums and entropy into `trial_stats`, and returns `⟨∇F, x⁺ − x⟩` and
+/// `max |Δx|`.
+#[allow(clippy::too_many_arguments)]
+fn trial_step(
+    projection: ProjectionKind,
+    eta: f64,
+    teval: &TransposedEval,
+    xt: &Matrix,
+    lx: &Matrix,
+    grad_t: &Matrix,
+    trial_xt: &mut Matrix,
+    trial_lx: &mut Matrix,
+    trial_stats: &mut IterStats,
+    col: &mut [f64],
+    proj: &mut Vec<f64>,
+) -> Trial {
+    let (n, m) = xt.shape();
+    trial_stats.reset(m);
+    let mut slope = 0.0;
+    let mut max_change: f64 = 0.0;
+    for j in 0..n {
+        let xr = xt.row(j);
+        let gr = grad_t.row(j);
+        let out = trial_xt.row_mut(j);
+        let lout = trial_lx.row_mut(j);
+        match projection {
+            ProjectionKind::MirrorDescent => {
+                // x⁺ ∝ x · exp(-η g), computed stably in log space; the
+                // softmax is `vector::softmax_inplace`'s arithmetic, and
+                // ln x⁺ = (c − c_max) − ln Σ exp(c − c_max) costs one
+                // `ln` per task.
+                let lr = lx.row(j);
+                let mut cmax = f64::NEG_INFINITY;
+                for (c, (lv, gv)) in col.iter_mut().zip(lr.iter().zip(gr)) {
+                    *c = lv - eta * gv;
+                    cmax = cmax.max(*c);
+                }
+                let mut sum = 0.0;
+                for (o, c) in out.iter_mut().zip(col.iter_mut()) {
+                    *c -= cmax;
+                    *o = c.exp();
+                    sum += *o;
+                }
+                let inv = 1.0 / sum;
+                let ln_sum = sum.ln();
+                let ln_floor = LOG_FLOOR.ln();
+                for ((o, l), &c) in out.iter_mut().zip(lout.iter_mut()).zip(col.iter()) {
+                    *o *= inv;
+                    *l = (c - ln_sum).max(ln_floor);
+                }
+            }
+            ProjectionKind::SoftmaxPaper | ProjectionKind::Euclidean => {
+                for (c, (xv, gv)) in col.iter_mut().zip(xr.iter().zip(gr)) {
+                    *c = xv - eta * gv;
+                }
+                if projection == ProjectionKind::SoftmaxPaper {
+                    vector::softmax_inplace(col);
+                } else {
+                    project_simplex_with(col, proj);
+                }
+                for ((o, l), &c) in out.iter_mut().zip(lout.iter_mut()).zip(col.iter()) {
+                    *o = c;
+                    *l = c.max(LOG_FLOOR).ln();
+                }
+            }
+        }
+        for ((&o, &xv), &gv) in out.iter().zip(xr).zip(gr) {
+            let delta = o - xv;
+            slope += gv * delta;
+            max_change = max_change.max(delta.abs());
+        }
+        trial_stats.add_row(teval, j, out, lout);
+    }
+    Trial { slope, max_change }
+}
+
 /// Guarded variant of [`solve_relaxed_from`]: `guard` is invoked after
-/// every iterate update and may abort the solve with a typed error.
+/// every accepted iterate and may abort the solve with a typed error.
 ///
-/// The hot loop runs on a task-major (`N×M`) working copy of the iterate:
+/// The loop runs on a task-major (`N×M`) working copy of the iterate:
 /// with tasks as rows, the gradient step and the per-task simplex
 /// projection both read and write contiguous memory instead of striding
-/// by `N`, and every buffer lives in `ws` so no iteration allocates. The
-/// update arithmetic runs in the exact floating-point order of the
-/// original cluster-major loop, so trajectories are bitwise identical
-/// (see `transposed_solver_is_bitwise_identical`).
+/// by `N`, and every buffer lives in `ws` so no iteration or backtrack
+/// allocates. The iterate is copied back to cluster-major once, at the
+/// end.
 pub(crate) fn solve_relaxed_from_guarded(
     problem: &MatchingProblem,
     params: &RelaxationParams,
@@ -191,86 +458,112 @@ pub(crate) fn solve_relaxed_from_guarded(
             x,
             objective,
             iterations: 0,
-            converged: true,
+            stop: StopReason::Converged,
+            residual: 0.0,
         });
     }
     let PgdWorkspace {
         xt,
+        lx,
+        stats,
+        trial_xt,
+        trial_lx,
+        trial_stats,
         grad_t,
         col,
         proj,
         teval,
     } = ws;
     teval.prepare(problem);
-    if xt.shape() != (n, m) {
-        *xt = Matrix::zeros(n, m);
-    }
-    for i in 0..m {
-        for (j, &v) in x.row(i).iter().enumerate() {
-            xt[(j, i)] = v;
+    for buf in [&mut *xt, &mut *lx, &mut *trial_xt, &mut *trial_lx] {
+        if buf.shape() != (n, m) {
+            *buf = Matrix::zeros(n, m);
         }
     }
     col.clear();
     col.resize(m, 0.0);
-    let mut converged = false;
+    // The starting point's logs, sums and objective; from here on every
+    // accepted trial carries its own.
+    for i in 0..m {
+        for (j, &v) in x.row(i).iter().enumerate() {
+            xt[(j, i)] = v;
+            lx[(j, i)] = v.max(LOG_FLOOR).ln();
+        }
+    }
+    stats.reset(m);
+    for j in 0..n {
+        stats.add_row(teval, j, xt.row(j), lx.row(j));
+    }
+    let mut f = teval.value(problem, params, stats);
+    // Only mirror descent searches its step; the other projections keep
+    // the fixed step `lr`.
+    let line_search = opts.projection == ProjectionKind::MirrorDescent;
+    let tries = if line_search { MAX_BACKTRACKS } else { 1 };
+    let mut eta = opts.lr;
     let mut iterations = 0;
-    for iter in 0..opts.max_iters {
-        iterations = iter + 1;
-        teval.grad_into(problem, params, xt, grad_t);
-        let mut max_change: f64 = 0.0;
-        match opts.projection {
-            ProjectionKind::MirrorDescent => {
-                for j in 0..n {
-                    let xr = xt.row_mut(j);
-                    let gr = grad_t.row(j);
-                    // x_ij ∝ x_ij · exp(-η g_ij), computed stably in log space.
-                    for (c, (xv, gv)) in col.iter_mut().zip(xr.iter().zip(gr)) {
-                        *c = xv.max(1e-300).ln() - opts.lr * gv;
-                    }
-                    vector::softmax_inplace(col);
-                    for (xv, &c) in xr.iter_mut().zip(col.iter()) {
-                        max_change = max_change.max((c - *xv).abs());
-                        *xv = c;
-                    }
-                }
+    let mut backtracks = 0u64;
+    let (stop, residual) = loop {
+        teval.grad_into(problem, params, stats, lx, grad_t);
+        let at_cap = iterations >= opts.max_iters;
+        if at_cap || iterations.is_multiple_of(RESIDUAL_EVERY) {
+            let residual = worst_residual(xt, grad_t);
+            if residual < opts.tol {
+                break (StopReason::Converged, residual);
             }
-            ProjectionKind::SoftmaxPaper => {
-                for j in 0..n {
-                    let xr = xt.row_mut(j);
-                    let gr = grad_t.row(j);
-                    for (c, (xv, gv)) in col.iter_mut().zip(xr.iter().zip(gr)) {
-                        *c = xv - opts.lr * gv;
-                    }
-                    vector::softmax_inplace(col);
-                    for (xv, &c) in xr.iter_mut().zip(col.iter()) {
-                        max_change = max_change.max((c - *xv).abs());
-                        *xv = c;
-                    }
-                }
-            }
-            ProjectionKind::Euclidean => {
-                for j in 0..n {
-                    let xr = xt.row_mut(j);
-                    let gr = grad_t.row(j);
-                    for (c, (xv, gv)) in col.iter_mut().zip(xr.iter().zip(gr)) {
-                        *c = xv - opts.lr * gv;
-                    }
-                    project_simplex_with(col, proj);
-                    for (xv, &c) in xr.iter_mut().zip(col.iter()) {
-                        max_change = max_change.max((c - *xv).abs());
-                        *xv = c;
-                    }
-                }
+            if at_cap {
+                break (StopReason::IterationCap, residual);
             }
         }
-        // Mirror the iterate back to cluster-major: the guard evaluates
-        // the objective on it and the caller receives it.
-        for i in 0..m {
-            let xrow = x.row_mut(i);
-            for (j, slot) in xrow.iter_mut().enumerate() {
-                *slot = xt[(j, i)];
+        let mut accepted = None;
+        for _ in 0..tries {
+            let trial = trial_step(
+                opts.projection,
+                eta,
+                teval,
+                xt,
+                lx,
+                grad_t,
+                trial_xt,
+                trial_lx,
+                trial_stats,
+                col,
+                proj,
+            );
+            // A non-finite trial comes from a non-finite gradient, which
+            // no smaller step repairs: take it and let the guard decide.
+            let f_trial = if trial_stats.is_finite() {
+                teval.value(problem, params, trial_stats)
+            } else {
+                f64::NAN
+            };
+            if !line_search
+                || f_trial.is_nan()
+                || !f.is_finite()
+                || f_trial <= f + ARMIJO_C * trial.slope
+            {
+                accepted = Some((f_trial, trial.max_change));
+                break;
             }
+            backtracks += 1;
+            if -trial.slope <= F_RESOLUTION * (1.0 + f.abs()) {
+                // Shorter steps only shrink a decrease that is already
+                // below the objective's rounding.
+                break;
+            }
+            eta *= STEP_SHRINK;
         }
+        let Some((f_next, step)) = accepted else {
+            // No trial decreased F: stationary to numerical resolution.
+            break (StopReason::NoDescent, worst_residual(xt, grad_t));
+        };
+        std::mem::swap(xt, trial_xt);
+        std::mem::swap(lx, trial_lx);
+        std::mem::swap(stats, trial_stats);
+        f = f_next;
+        if line_search {
+            eta *= STEP_GROW;
+        }
+        iterations += 1;
         // Strided flight-recorder markers: iteration 1 plus every 8th keep
         // the per-iteration cost a single branch while still showing PGD
         // progress (arg = iteration) on the trace timeline.
@@ -279,18 +572,20 @@ pub(crate) fn solve_relaxed_from_guarded(
             let id = *PGD_ITER.get_or_init(|| mfcp_obs::trace::intern("pgd.iter"));
             mfcp_obs::trace::instant_id(id, Some(iterations as u64));
         }
-        guard(iterations, &x, max_change)?;
-        if max_change < opts.tol {
-            converged = true;
-            break;
+        guard(iterations, f, step)?;
+    };
+    for i in 0..m {
+        for (j, slot) in x.row_mut(i).iter_mut().enumerate() {
+            *slot = xt[(j, i)];
         }
     }
-    let objective = objective::value(problem, params, &x);
+    record_stop(stop, residual, backtracks);
     Ok(RelaxedSolution {
         x,
-        objective,
+        objective: f,
         iterations,
-        converged,
+        stop,
+        residual,
     })
 }
 
@@ -299,7 +594,8 @@ pub(crate) fn solve_relaxed_from_guarded(
 pub struct NewtonOptions {
     /// Maximum Newton iterations.
     pub max_iters: usize,
-    /// Stop when the projected-gradient infinity norm falls below this.
+    /// Stop when the worst task's [`stationarity_residual`] falls below
+    /// this.
     pub grad_tol: f64,
     /// Fraction-to-boundary rule: step length keeps
     /// `x + αΔx ≥ (1 − fraction) · x`.
@@ -384,43 +680,35 @@ fn solve_relaxed_newton_impl(
             x,
             objective,
             iterations: 0,
-            converged: true,
+            stop: StopReason::Converged,
+            residual: 0.0,
         });
     }
     let mn = m * n;
-    let mut converged = false;
+    let mut stop = StopReason::IterationCap;
     let mut iterations = 0;
     let mut f_prev = f64::INFINITY;
     let mut stagnant = 0usize;
     let mut stats = ClusterStats::default();
     let mut grad = Matrix::zeros(m, n);
     let mut rhs = vec![0.0; mn + n];
+    let (mut xcol, mut gcol) = (vec![0.0; m], vec![0.0; m]);
+    // Worst per-task residual of the cluster-major iterate.
+    let mut residual_of = |x: &Matrix, grad: &Matrix| {
+        (0..n).fold(0.0, |acc, j| {
+            for i in 0..m {
+                xcol[i] = x[(i, j)];
+                gcol[i] = grad[(i, j)];
+            }
+            nan_max(acc, stationarity_residual(&xcol, &gcol))
+        })
+    };
+    let mut f = objective::value(problem, params, &x);
     for iter in 0..opts.max_iters {
         iterations = iter + 1;
         objective::grad_x_into(problem, params, &x, &mut stats, &mut grad);
-        // Stationarity on each simplex column: the full gradient (which
-        // includes the entropy term) must be constant across the *active*
-        // coordinates. Collapsed coordinates (x at the numerical floor)
-        // are excluded — their true entropy gradient is −∞-like and never
-        // equalizes in floating point; their complementarity contribution
-        // `x·(g − g_min)` is separately required to be negligible.
-        let mut residual: f64 = 0.0;
-        for j in 0..n {
-            let gmin = (0..m).map(|i| grad[(i, j)]).fold(f64::INFINITY, f64::min);
-            let active: Vec<usize> = (0..m).filter(|&i| x[(i, j)] > 1e-6).collect();
-            let mean: f64 =
-                active.iter().map(|&i| grad[(i, j)]).sum::<f64>() / active.len().max(1) as f64;
-            for &i in &active {
-                residual = residual.max((grad[(i, j)] - mean).abs());
-            }
-            for i in 0..m {
-                if x[(i, j)] <= 1e-6 {
-                    residual = residual.max(x[(i, j)] * (grad[(i, j)] - gmin));
-                }
-            }
-        }
-        if residual < opts.grad_tol {
-            converged = true;
+        if residual_of(&x, &grad) < opts.grad_tol {
+            stop = StopReason::Converged;
             break;
         }
         // Newton step from the shared KKT factorization (structured
@@ -440,7 +728,12 @@ fn solve_relaxed_newton_impl(
                     iteration: iterations,
                 })
             }
-            Err(_) => break, // singular KKT system: return the current iterate
+            Err(_) => {
+                // Singular KKT system: no Newton direction exists; return
+                // the current iterate.
+                stop = StopReason::NoDescent;
+                break;
+            }
         }
         let mut step = Matrix::from_fn(m, n, |i, j| rhs[i * n + j]);
 
@@ -464,7 +757,6 @@ fn solve_relaxed_newton_impl(
         alpha = alpha.min(1.0);
 
         // Armijo backtracking on F.
-        let f0 = objective::value(problem, params, &x);
         let slope: f64 = grad
             .as_slice()
             .iter()
@@ -483,8 +775,9 @@ fn solve_relaxed_newton_impl(
                 }
             }
             let f_trial = objective::value(problem, params, &trial);
-            if f_trial <= f0 + opts.armijo_c * alpha * slope {
+            if f_trial <= f + opts.armijo_c * alpha * slope {
                 x = trial;
+                f = f_trial;
                 accepted = true;
                 break;
             }
@@ -493,31 +786,33 @@ fn solve_relaxed_newton_impl(
         if !accepted {
             // No acceptable step: the iterate is stationary to numerical
             // resolution.
-            converged = true;
+            stop = StopReason::NoDescent;
             break;
         }
-        guard(iterations, &x, alpha * step.max_abs())?;
+        guard(iterations, f, alpha * step.max_abs())?;
         // Objective stagnation: the clamped/renormalized iterate has hit
         // the resolution limit of the floored entropy term — the point is
         // optimal to within floating-point reproducibility.
-        let f_new = objective::value(problem, params, &x);
-        if (f_prev - f_new).abs() <= 1e-10 * (1.0 + f_new.abs()) {
+        if (f_prev - f).abs() <= 1e-10 * (1.0 + f.abs()) {
             stagnant += 1;
             if stagnant >= 2 {
-                converged = true;
+                stop = StopReason::NoDescent;
                 break;
             }
         } else {
             stagnant = 0;
         }
-        f_prev = f_new;
+        f_prev = f;
     }
-    let objective = objective::value(problem, params, &x);
+    objective::grad_x_into(problem, params, &x, &mut stats, &mut grad);
+    let residual = residual_of(&x, &grad);
+    record_stop(stop, residual, 0);
     Ok(RelaxedSolution {
         x,
-        objective,
+        objective: f,
         iterations,
-        converged,
+        stop,
+        residual,
     })
 }
 
@@ -828,19 +1123,16 @@ mod tests {
     fn theorem4_linear_convergence_in_convex_case() {
         // With SpeedupCurve::None the objective is convex; mirror descent
         // distance-to-solution should shrink geometrically. We verify the
-        // objective gap decreases monotonically and collapses.
+        // objective gap decreases monotonically and collapses (the Armijo
+        // step makes every trajectory monotone, at any first step).
         let problem = random_problem(7, 3, 5);
         let params = RelaxationParams::default();
         let mut gaps = Vec::new();
-        // A conservative step size keeps the trajectory monotone; at the
-        // default lr = 0.8 this instance overshoots early and transiently
-        // dips below its own limit point, which breaks the gap comparison.
         let final_sol = solve_relaxed(
             &problem,
             &params,
             &SolverOptions {
                 max_iters: 2000,
-                lr: 0.4,
                 tol: 0.0,
                 ..Default::default()
             },
@@ -851,7 +1143,6 @@ mod tests {
                 &params,
                 &SolverOptions {
                     max_iters: iters,
-                    lr: 0.4,
                     tol: 0.0,
                     ..Default::default()
                 },
@@ -910,7 +1201,7 @@ mod tests {
             &RelaxationParams::default(),
             &SolverOptions::default(),
         );
-        assert!(sol.converged);
+        assert!(sol.converged());
         assert_eq!(sol.x.shape(), (2, 0));
     }
 
@@ -929,11 +1220,11 @@ mod tests {
                 },
             );
             let newton = solve_relaxed_newton(&problem, &params, &NewtonOptions::default());
-            assert!(newton.converged, "seed {seed}: Newton did not converge");
+            assert!(newton.converged(), "seed {seed}: Newton did not converge");
             // Newton must reach at least mirror descent's objective. (It
             // often does strictly better: the multiplicative mirror update
-            // stalls once losing coordinates collapse, so its step-change
-            // criterion can fire slightly short of the optimum.)
+            // crawls once losing coordinates collapse, so it stops at its
+            // residual floor slightly short of the optimum.)
             assert!(
                 newton.objective <= mirror.objective + 1e-5,
                 "seed {seed}: Newton {} vs mirror {}",
@@ -956,7 +1247,7 @@ mod tests {
         let problem = random_problem(11, 3, 8);
         let params = RelaxationParams::default();
         let newton = solve_relaxed_newton(&problem, &params, &NewtonOptions::default());
-        assert!(newton.converged);
+        assert!(newton.converged());
         assert!(
             newton.iterations <= 40,
             "second-order convergence expected, took {}",
@@ -998,136 +1289,354 @@ mod tests {
             &RelaxationParams::default(),
             &NewtonOptions::default(),
         );
-        assert!(sol.converged);
+        assert!(sol.converged());
     }
 
-    /// The pre-transposition cluster-major PGD loop, kept verbatim as the
-    /// bitwise oracle for the transposed hot loop in
-    /// [`solve_relaxed_from_guarded`].
-    fn solve_relaxed_reference(
+    /// The pre-transposition cluster-major fixed-step PGD loop, kept as
+    /// the bitwise oracle for the `SoftmaxPaper` and `Euclidean` arms of
+    /// [`solve_relaxed_from_guarded`]. Runs exactly `max_iters` steps.
+    fn fixed_step_reference(
+        problem: &MatchingProblem,
+        params: &RelaxationParams,
+        opts: &SolverOptions,
+        mut x: Matrix,
+    ) -> Matrix {
+        let (m, n) = (problem.clusters(), problem.tasks());
+        let mut col = vec![0.0; m];
+        for _ in 0..opts.max_iters {
+            let grad = objective::grad_x(problem, params, &x);
+            for j in 0..n {
+                for (i, c) in col.iter_mut().enumerate() {
+                    *c = x[(i, j)] - opts.lr * grad[(i, j)];
+                }
+                match opts.projection {
+                    ProjectionKind::SoftmaxPaper => vector::softmax_inplace(&mut col),
+                    ProjectionKind::Euclidean => project_simplex(&mut col),
+                    ProjectionKind::MirrorDescent => unreachable!("see armijo_reference"),
+                }
+                for (i, &c) in col.iter().enumerate() {
+                    x[(i, j)] = c;
+                }
+            }
+        }
+        x
+    }
+
+    /// Plain cluster-major reference for the mirror-descent arm: the same
+    /// step policy and stop rule as [`solve_relaxed_from_guarded`], but
+    /// re-evaluating `objective::value` and `grad_x` from scratch on
+    /// every trial and taking every log with `ln` directly.
+    fn armijo_reference(
         problem: &MatchingProblem,
         params: &RelaxationParams,
         opts: &SolverOptions,
         mut x: Matrix,
     ) -> RelaxedSolution {
         let (m, n) = (problem.clusters(), problem.tasks());
-        assert_eq!(x.shape(), (m, n), "x0 shape mismatch");
-        if n == 0 || m == 0 {
-            let objective = objective::value(problem, params, &x);
-            return RelaxedSolution {
-                x,
-                objective,
-                iterations: 0,
-                converged: true,
-            };
-        }
-        let mut converged = false;
+        let residual_of = |x: &Matrix, g: &Matrix| {
+            (0..n).fold(0.0, |acc, j| {
+                let xc: Vec<f64> = (0..m).map(|i| x[(i, j)]).collect();
+                let gc: Vec<f64> = (0..m).map(|i| g[(i, j)]).collect();
+                nan_max(acc, stationarity_residual(&xc, &gc))
+            })
+        };
+        let mut f = objective::value(problem, params, &x);
+        let mut eta = opts.lr;
         let mut iterations = 0;
         let mut col = vec![0.0; m];
-        for iter in 0..opts.max_iters {
-            iterations = iter + 1;
+        let (stop, residual) = loop {
             let grad = objective::grad_x(problem, params, &x);
-            let mut max_change: f64 = 0.0;
-            match opts.projection {
-                ProjectionKind::MirrorDescent => {
-                    for j in 0..n {
-                        for (i, c) in col.iter_mut().enumerate() {
-                            *c = x[(i, j)].max(1e-300).ln() - opts.lr * grad[(i, j)];
-                        }
-                        vector::softmax_inplace(&mut col);
-                        for (i, &c) in col.iter().enumerate() {
-                            max_change = max_change.max((c - x[(i, j)]).abs());
-                            x[(i, j)] = c;
-                        }
-                    }
+            if iterations >= opts.max_iters || iterations % RESIDUAL_EVERY == 0 {
+                let r = residual_of(&x, &grad);
+                if r < opts.tol {
+                    break (StopReason::Converged, r);
                 }
-                ProjectionKind::SoftmaxPaper => {
-                    for j in 0..n {
-                        for (i, c) in col.iter_mut().enumerate() {
-                            *c = x[(i, j)] - opts.lr * grad[(i, j)];
-                        }
-                        vector::softmax_inplace(&mut col);
-                        for (i, &c) in col.iter().enumerate() {
-                            max_change = max_change.max((c - x[(i, j)]).abs());
-                            x[(i, j)] = c;
-                        }
-                    }
-                }
-                ProjectionKind::Euclidean => {
-                    for j in 0..n {
-                        for (i, c) in col.iter_mut().enumerate() {
-                            *c = x[(i, j)] - opts.lr * grad[(i, j)];
-                        }
-                        project_simplex(&mut col);
-                        for (i, &c) in col.iter().enumerate() {
-                            max_change = max_change.max((c - x[(i, j)]).abs());
-                            x[(i, j)] = c;
-                        }
-                    }
+                if iterations >= opts.max_iters {
+                    break (StopReason::IterationCap, r);
                 }
             }
-            if max_change < opts.tol {
-                converged = true;
-                break;
+            let mut next = None;
+            for _ in 0..MAX_BACKTRACKS {
+                let mut trial = x.clone();
+                for j in 0..n {
+                    for (i, c) in col.iter_mut().enumerate() {
+                        *c = x[(i, j)].max(LOG_FLOOR).ln() - eta * grad[(i, j)];
+                    }
+                    vector::softmax_inplace(&mut col);
+                    for (i, &c) in col.iter().enumerate() {
+                        trial[(i, j)] = c;
+                    }
+                }
+                let slope: f64 = (0..m)
+                    .flat_map(|i| (0..n).map(move |j| (i, j)))
+                    .map(|(i, j)| grad[(i, j)] * (trial[(i, j)] - x[(i, j)]))
+                    .sum();
+                let f_trial = objective::value(problem, params, &trial);
+                if f_trial <= f + ARMIJO_C * slope {
+                    next = Some((trial, f_trial));
+                    break;
+                }
+                eta *= STEP_SHRINK;
             }
-        }
-        let objective = objective::value(problem, params, &x);
+            let Some((trial, f_trial)) = next else {
+                break (StopReason::NoDescent, residual_of(&x, &grad));
+            };
+            x = trial;
+            f = f_trial;
+            eta *= STEP_GROW;
+            iterations += 1;
+        };
         RelaxedSolution {
             x,
-            objective,
+            objective: f,
             iterations,
-            converged,
+            stop,
+            residual,
         }
     }
 
-    #[test]
-    fn transposed_solver_is_bitwise_identical() {
+    fn reference_problems() -> Vec<MatchingProblem> {
         use crate::problem::CapacityConstraint;
-        for (seed, parallel, with_cap) in
-            [(21u64, false, false), (22, true, false), (23, false, true)]
-        {
-            let mut problem = random_problem(seed, 3, 6);
-            if parallel {
-                problem.speedup = vec![SpeedupCurve::paper_parallel(); 3];
-            }
-            if with_cap {
-                let mut rng = StdRng::seed_from_u64(seed + 50);
-                problem.capacity = Some(CapacityConstraint {
-                    usage: Matrix::from_fn(3, 6, |_, _| rng.gen_range(0.1..1.0)),
-                    limits: vec![4.0, 5.0, 6.0],
-                });
-            }
-            let params = RelaxationParams::default();
-            for proj in [
-                ProjectionKind::MirrorDescent,
-                ProjectionKind::SoftmaxPaper,
-                ProjectionKind::Euclidean,
-            ] {
+        [(21u64, false, false), (22, true, false), (23, false, true)]
+            .into_iter()
+            .map(|(seed, parallel, with_cap)| {
+                let mut problem = random_problem(seed, 3, 6);
+                if parallel {
+                    problem.speedup = vec![SpeedupCurve::paper_parallel(); 3];
+                }
+                if with_cap {
+                    let mut rng = StdRng::seed_from_u64(seed + 50);
+                    problem.capacity = Some(CapacityConstraint {
+                        usage: Matrix::from_fn(3, 6, |_, _| rng.gen_range(0.1..1.0)),
+                        limits: vec![4.0, 5.0, 6.0],
+                    });
+                }
+                problem
+            })
+            .collect()
+    }
+
+    #[test]
+    fn transposed_fixed_step_solver_is_bitwise_identical() {
+        let params = RelaxationParams::default();
+        for (k, problem) in reference_problems().iter().enumerate() {
+            for proj in [ProjectionKind::SoftmaxPaper, ProjectionKind::Euclidean] {
+                // tol = 0 runs both loops for exactly `max_iters` steps.
                 let opts = SolverOptions {
                     projection: proj,
                     max_iters: 120,
+                    tol: 0.0,
                     ..Default::default()
                 };
                 let x0 = uniform_init(3, 6);
-                let reference = solve_relaxed_reference(&problem, &params, &opts, x0.clone());
-                let sol = solve_relaxed_from(&problem, &params, &opts, x0);
-                assert_eq!(sol.iterations, reference.iterations, "{proj:?} seed {seed}");
-                assert_eq!(sol.converged, reference.converged, "{proj:?} seed {seed}");
+                let reference = fixed_step_reference(problem, &params, &opts, x0.clone());
+                let sol = solve_relaxed_from(problem, &params, &opts, x0);
+                assert_eq!(sol.iterations, 120, "{proj:?} problem {k}");
                 for (idx, (a, b)) in sol
                     .x
                     .as_slice()
                     .iter()
-                    .zip(reference.x.as_slice())
+                    .zip(reference.as_slice())
                     .enumerate()
                 {
                     assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
-                        "{proj:?} seed {seed} entry {idx}: {a} vs {b}"
+                        "{proj:?} problem {k} entry {idx}: {a} vs {b}"
                     );
                 }
-                assert_eq!(sol.objective.to_bits(), reference.objective.to_bits());
             }
         }
+    }
+
+    /// The fused mirror-descent loop against [`armijo_reference`].
+    ///
+    /// The two differ only in rounding: the fused loop sums the entropy
+    /// task-major (the reference sums it cluster-major) and takes
+    /// `ln x⁺` as `(c − c_max) − ln Σ exp(·)` rather than `ln(x⁺)`; each
+    /// is a few ulps per entry per step. At `tol = 1e-5` the solves stop
+    /// while every Armijo decision is decided by a margin far above that
+    /// rounding, so both take the same accept/reject path and the same
+    /// iteration count, and the iterates agree to 1e-10 and the
+    /// objectives to 1e-12.
+    #[test]
+    fn fused_mirror_descent_matches_armijo_reference() {
+        let params = RelaxationParams::default();
+        for (k, problem) in reference_problems().iter().enumerate() {
+            let opts = SolverOptions {
+                tol: 1e-5,
+                max_iters: 5000,
+                ..Default::default()
+            };
+            let x0 = uniform_init(3, 6);
+            let reference = armijo_reference(problem, &params, &opts, x0.clone());
+            let sol = solve_relaxed_from(problem, &params, &opts, x0);
+            assert_eq!(reference.stop, StopReason::Converged, "problem {k}");
+            assert_eq!(sol.stop, reference.stop, "problem {k}");
+            assert_eq!(sol.iterations, reference.iterations, "problem {k}");
+            let dx = sol
+                .x
+                .as_slice()
+                .iter()
+                .zip(reference.x.as_slice())
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f64::max);
+            assert!(dx <= 1e-10, "problem {k}: max |Δx| = {dx:e}");
+            assert!(
+                (sol.objective - reference.objective).abs() <= 1e-12,
+                "problem {k}: {} vs {}",
+                sol.objective,
+                reference.objective
+            );
+            assert!((sol.residual - reference.residual).abs() <= 1e-9);
+        }
+    }
+
+    #[test]
+    fn objective_never_increases_across_accepted_iterates() {
+        let params = RelaxationParams::default();
+        for (k, problem) in reference_problems().iter().enumerate() {
+            // A first step far too long for these instances forces
+            // backtracking from the very first iteration.
+            for lr in [0.8, 50.0] {
+                let opts = SolverOptions {
+                    lr,
+                    tol: 0.0,
+                    max_iters: 300,
+                    ..Default::default()
+                };
+                let x0 = uniform_init(3, 6);
+                let mut prev = objective::value(problem, &params, &x0);
+                let mut seen = 0;
+                let mut guard = |it: usize, f: f64, _: f64| {
+                    assert!(
+                        f <= prev,
+                        "problem {k} lr {lr}: F rose at iteration {it}: {prev} -> {f}"
+                    );
+                    prev = f;
+                    seen += 1;
+                    Ok(())
+                };
+                let mut ws = PgdWorkspace::new();
+                let sol =
+                    solve_relaxed_from_guarded(problem, &params, &opts, x0, &mut guard, &mut ws)
+                        .expect("no-fail guard");
+                assert_eq!(seen, sol.iterations);
+                assert!(sol.iterations > 0);
+            }
+        }
+    }
+
+    /// A platform-scale instance: task times log-uniform over
+    /// [0.005, 3) hours, as the exchange's clusters serve them.
+    fn platform_problem(rng: &mut StdRng, m: usize, n: usize) -> MatchingProblem {
+        let (lo, hi) = (0.005f64.ln(), 3.0f64.ln());
+        let t = Matrix::from_fn(m, n, |_, _| rng.gen_range(lo..hi).exp());
+        let a = Matrix::from_fn(m, n, |_, _| rng.gen_range(0.7..1.0));
+        MatchingProblem::new(t, a, 0.75)
+    }
+
+    #[test]
+    fn warm_start_from_neighbour_optimum_converges_well_before_the_cap() {
+        let params = RelaxationParams::default();
+        let opts = SolverOptions::default();
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(100 + seed);
+            let base = platform_problem(&mut rng, 5, 8);
+            let base_sol = solve_relaxed(&base, &params, &opts);
+            // The neighbour: task 3 leaves and a fresh task takes its slot,
+            // as when the daemon re-solves after one arrival and one
+            // departure. The seed keeps the other tasks' optimum and
+            // starts the newcomer uniform.
+            let mut next = base.clone();
+            let fresh = platform_problem(&mut rng, 5, 1);
+            for i in 0..5 {
+                next.times[(i, 3)] = fresh.times[(i, 0)];
+                next.reliability[(i, 3)] = fresh.reliability[(i, 0)];
+            }
+            let mut seed_x = base_sol.x.clone();
+            for i in 0..5 {
+                seed_x[(i, 3)] = 0.2;
+            }
+            let warm = solve_relaxed_from(&next, &params, &opts, crate::cache::warm_init(&seed_x));
+            let cold = solve_relaxed(&next, &params, &opts);
+            assert_eq!(warm.stop, StopReason::Converged, "seed {seed}");
+            assert!(warm.residual < opts.tol);
+            assert!(
+                warm.iterations <= opts.max_iters / 4,
+                "seed {seed}: warm start took {} of {} iterations (cold: {})",
+                warm.iterations,
+                opts.max_iters,
+                cold.iterations
+            );
+            assert!(warm.iterations <= cold.iterations, "seed {seed}");
+        }
+    }
+
+    /// At the default `tol`, the objective sits within a proven bound of
+    /// a long tight-tolerance solve. In the convex setting the entropy
+    /// term makes `F` ρ-strongly convex in the ℓ1 norm on each task's
+    /// simplex, so a residual `r_j` per task bounds the gap by
+    /// `Σ_j r_j²/(2ρ) ≤ N·tol²/(2ρ)`: 4e-6 at the default `tol` for
+    /// N = 8. The 1e-6-tolerance reference sits within 4e-10 of the
+    /// optimum by the same bound, which is the slack allowed below it.
+    #[test]
+    fn default_tol_objective_is_close_to_tight_reference() {
+        let params = RelaxationParams::default();
+        let (n, long) = (8, 50_000);
+        for seed in 0..6u64 {
+            let problem = random_problem(300 + seed, 4, n);
+            let opts = SolverOptions {
+                max_iters: long,
+                ..Default::default()
+            };
+            let sol = solve_relaxed(&problem, &params, &opts);
+            let tight = solve_relaxed(
+                &problem,
+                &params,
+                &SolverOptions {
+                    tol: 1e-6,
+                    max_iters: long,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(sol.stop, StopReason::Converged, "seed {seed}");
+            assert_eq!(tight.stop, StopReason::Converged, "seed {seed}");
+            let bound = |tol: f64| n as f64 * tol * tol / (2.0 * params.rho);
+            let gap = sol.objective - tight.objective;
+            assert!(
+                (-bound(1e-6)..=bound(opts.tol)).contains(&gap),
+                "seed {seed}: default-tol gap {gap:e} outside [-{:e}, {:e}]",
+                bound(1e-6),
+                bound(opts.tol)
+            );
+        }
+    }
+
+    #[test]
+    fn stationarity_residual_of_a_hand_built_column() {
+        // Two active coordinates whose gradients spread ±0.05 around
+        // their mean 1.0, and one collapsed coordinate (x = 1e-8 ≤ 1e-6)
+        // whose gradient sits 2.0 above the column minimum.
+        let x = [0.6, 0.4 - 1e-8, 1e-8];
+        let g = [1.05, 0.95, 3.0];
+        let r = stationarity_residual(&x, &g);
+        assert!((r - 0.05).abs() < 1e-15, "spread dominates: {r}");
+        // Widen the collapsed coordinate's gap until its complementarity
+        // x·(g − g_min) = 1e-8·(1e7 − 0.95) dominates the spread.
+        let g = [1.05, 0.95, 1e7];
+        let r = stationarity_residual(&x, &g);
+        assert!(
+            (r - 1e-8 * (1e7 - 0.95)).abs() < 1e-12,
+            "complementarity: {r}"
+        );
+        // A stationary column: equal active gradients, and a collapsed
+        // coordinate at the minimum gradient.
+        assert_eq!(
+            stationarity_residual(&[0.5, 0.5, 0.0], &[2.0, 2.0, 2.0]),
+            0.0
+        );
+        // NaN never reads as stationary.
+        assert!(stationarity_residual(&[0.5, 0.5], &[f64::NAN, 1.0]).is_nan());
     }
 }

@@ -1,11 +1,14 @@
 //! Proves the PGD inner loop performs zero heap allocations per
-//! iteration after warm-up.
+//! iteration — and per rejected Armijo trial — after warm-up.
 //!
 //! A counting global allocator measures two solves of the same instance
 //! that differ only in iteration count (tol = 0 pins the count exactly).
 //! Workspace warm-up — sizing `PgdWorkspace`, the iterate, the final
 //! solution — costs the same number of allocations in both runs, so the
-//! 300 extra iterations of the longer run must add exactly zero.
+//! 300 extra iterations of the longer run must add exactly zero. A first
+//! mirror-descent step far too long for the instance makes the longer
+//! run backtrack more often than the shorter one
+//! (`optim.solve.backtracks`), so those extra trials are covered too.
 //!
 //! This lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide; running it next to unrelated
@@ -50,16 +53,17 @@ fn test_problem() -> MatchingProblem {
     MatchingProblem::new(times, rel, 0.8)
 }
 
-/// Allocations consumed by one full solve at `max_iters` (tol = 0 so the
-/// loop never exits early and the iteration count is exact).
-fn allocations_for(max_iters: usize, projection: ProjectionKind) -> u64 {
+/// Allocations consumed by one full solve at `max_iters` with first
+/// step `lr` (tol = 0 so the loop never exits early and the iteration
+/// count is exact).
+fn allocations_for(max_iters: usize, projection: ProjectionKind, lr: f64) -> u64 {
     let problem = test_problem();
     let params = RelaxationParams::default();
     let opts = SolverOptions {
         max_iters,
         tol: 0.0,
         projection,
-        ..SolverOptions::default()
+        lr,
     };
     let x0 = uniform_init(problem.clusters(), problem.tasks());
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -73,22 +77,40 @@ fn allocations_for(max_iters: usize, projection: ProjectionKind) -> u64 {
     after - before
 }
 
+/// Rejected Armijo trials recorded so far.
+fn backtracks() -> u64 {
+    mfcp_obs::counter("optim.solve.backtracks").get()
+}
+
 #[test]
 fn pgd_iterations_allocate_nothing_after_warmup() {
-    for projection in [
-        ProjectionKind::MirrorDescent,
-        ProjectionKind::SoftmaxPaper,
-        ProjectionKind::Euclidean,
+    let default_lr = SolverOptions::default().lr;
+    for (projection, lr) in [
+        (ProjectionKind::MirrorDescent, default_lr),
+        (ProjectionKind::MirrorDescent, 50.0),
+        (ProjectionKind::SoftmaxPaper, default_lr),
+        (ProjectionKind::Euclidean, default_lr),
     ] {
         // Warm up process-wide lazy state (observability registry,
         // allocator internals) so it cannot skew the measured runs.
-        allocations_for(10, projection);
-        let short = allocations_for(100, projection);
-        let long = allocations_for(400, projection);
+        allocations_for(10, projection, lr);
+        let before = backtracks();
+        let short = allocations_for(100, projection, lr);
+        let short_backtracks = backtracks() - before;
+        let before = backtracks();
+        let long = allocations_for(400, projection, lr);
+        let long_backtracks = backtracks() - before;
         assert_eq!(
             long, short,
-            "{projection:?}: 300 extra PGD iterations must allocate nothing \
+            "{projection:?} lr {lr}: 300 extra PGD iterations must allocate nothing \
              (short solve: {short} allocations, long solve: {long})"
         );
+        if projection == ProjectionKind::MirrorDescent && lr > default_lr {
+            assert!(
+                long_backtracks > short_backtracks && short_backtracks > 0,
+                "the long first step must keep the line search busy \
+                 ({short_backtracks} vs {long_backtracks} rejected trials)"
+            );
+        }
     }
 }

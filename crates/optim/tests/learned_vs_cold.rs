@@ -54,13 +54,12 @@ fn test_params() -> RelaxationParams {
 
 /// A solver tight enough that cold and seeded runs both land within
 /// ~1e-10 of the unique optimum (see `tests/warm_vs_cold.rs` for the
-/// lr/stall rationale).
+/// stall rationale).
 fn tight_solver(params: RelaxationParams) -> RobustSolver {
     let mut solver = RobustSolver::new(params);
     solver.solver_opts = SolverOptions {
         max_iters: 20_000,
         tol: 1e-12,
-        lr: 0.1,
         ..Default::default()
     };
     solver.policy.stall_checks = usize::MAX;

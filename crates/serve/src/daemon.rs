@@ -15,6 +15,9 @@
 //!   [`WarmStartCache`] under the new problem fingerprint before the
 //!   solve (the fingerprint is structural, so it shifts only when the
 //!   task count changes — exactly when the seed must be re-mapped).
+//!   The resolve after a cluster recovers runs cold instead: the
+//!   outage starved that cluster's column entries to the numerical
+//!   floor, where mirror descent regrows them only slowly.
 //! * A per-resolve [`Budget`] deadline cooperatively cancels the
 //!   optimizing rungs mid-iteration when the request blows its latency
 //!   budget; the greedy rung still runs, so every resolve produces a
@@ -225,11 +228,7 @@ pub struct ExchangeDaemon {
 impl ExchangeDaemon {
     /// A fresh daemon with empty state.
     pub fn new(config: DaemonConfig, source: MatrixSource) -> Self {
-        let mut solver = RobustSolver::new(config.params);
-        // The default lr is tuned for offline training batches; the
-        // online loop favors the conservative step that converges
-        // monotonically on small streaming instances.
-        solver.solver_opts.lr = 0.3;
+        let solver = RobustSolver::new(config.params);
         let ops = config.metrics_addr.as_deref().and_then(LiveOps::start);
         ExchangeDaemon {
             config,
@@ -345,7 +344,12 @@ impl ExchangeDaemon {
             ExchangeEvent::ClusterUp { cluster } => {
                 mfcp_obs::trace::instant("serve.cluster_up", Some(*cluster as u64));
                 self.state.down.remove(cluster);
-                self.resolve();
+                // The outage starved the recovering cluster's coordinates
+                // to the numerical floor, and mirror descent regrows a
+                // starved coordinate only at its stable step: a warm seed
+                // would leave the cluster idle for many resolves. Re-solve
+                // from the cold start instead.
+                self.resolve_with(false);
             }
         }
         // Levels, not counts: published once per event after the queues
@@ -362,8 +366,17 @@ impl ExchangeDaemon {
         }
     }
 
-    /// Drains pending into active and re-solves the matching.
+    /// Drains pending into active and re-solves the matching,
+    /// warm-started from the previous one.
     fn resolve(&mut self) {
+        self.resolve_with(true);
+    }
+
+    /// [`Self::resolve`], warm-started from the previous matching when
+    /// `warm` is set; otherwise the ladder runs from the cold start
+    /// without consulting the cache (the next warm resolve plants its
+    /// seed from this answer).
+    fn resolve_with(&mut self, warm: bool) {
         let backlog = self.state.pending.len();
         let degraded = backlog >= self.config.degrade_watermark;
         while let Some((id, spec)) = self.state.pending.pop_front() {
@@ -386,7 +399,9 @@ impl ExchangeDaemon {
         }
         let problem = MatchingProblem::new(t, a, self.config.gamma);
 
-        self.plant_warm_seed(&problem, &ids);
+        if warm {
+            self.plant_warm_seed(&problem, &ids);
+        }
 
         let mut solver = match self.config.deadline {
             Some(limit) => self.solver.with_budget(Budget::with_deadline(limit)),
@@ -405,7 +420,11 @@ impl ExchangeDaemon {
         // from predicted duals instead of the uniform simplex point;
         // exact cache hits still take precedence inside the ladder.
         let predictor = self.dual_head.as_ref().map(|h| h as &dyn DualPredictor);
-        let result = solver.solve_with_predictor(&problem, &mut self.cache, predictor);
+        let result = if warm {
+            solver.solve_with_predictor(&problem, &mut self.cache, predictor)
+        } else {
+            solver.solve(&problem)
+        };
         mfcp_obs::trace::end("serve.resolve", Some(self.state.counters.resolves));
         let elapsed = started.elapsed();
         self.h_latency.record_duration(elapsed);

@@ -32,7 +32,9 @@ fn main() {
     let sol = solve_relaxed(&problem, &params, &tight);
     println!(
         "relaxed solve: {} iterations, objective {:.4}, converged={}",
-        sol.iterations, sol.objective, sol.converged
+        sol.iterations,
+        sol.objective,
+        sol.converged()
     );
 
     // A linear probe loss L = <c, X*> and its gradient w.r.t. T.

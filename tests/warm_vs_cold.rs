@@ -65,14 +65,13 @@ fn drifted(problem: &MatchingProblem, seed: u64) -> MatchingProblem {
 }
 
 /// A solver tight enough that cold and warm runs both land within ~1e-10
-/// of the unique optimum; mirror descent is monotone at lr 0.1 on these
-/// instances (the default 0.8 can limit-cycle above the tolerance).
+/// of the unique optimum: production's options except for `tol` and
+/// `max_iters`.
 fn tight_solver(params: RelaxationParams) -> RobustSolver {
     let mut solver = RobustSolver::new(params);
     solver.solver_opts = SolverOptions {
         max_iters: 20_000,
         tol: 1e-12,
-        lr: 0.1,
         ..Default::default()
     };
     // Disable stall aborts: a multiplicatively collapsing coordinate
@@ -190,7 +189,6 @@ proptest! {
         let mut solver = RobustSolver::new(RelaxationParams::default());
         solver.solver_opts = SolverOptions {
             max_iters: 150,
-            lr: 0.3,
             ..Default::default()
         };
         let run = |parallel: &ParallelConfig| -> Vec<(u64, Vec<usize>, String)> {
