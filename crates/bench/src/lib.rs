@@ -8,7 +8,9 @@
 //! rounds against the exact branch-and-bound optimum, and (4) aggregate
 //! mean ± std across seeds.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the one `unsafe` block in this crate is the
+// thread-CPU clock in `perfgate::thread_cpu_secs`, allowed locally.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

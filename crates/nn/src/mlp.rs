@@ -138,13 +138,24 @@ impl Mlp {
         }
     }
 
-    /// Convenience: runs the network on a plain matrix without keeping the
-    /// graph (inference only).
+    /// Runs the network on a plain matrix (inference only): bitwise the
+    /// output of [`Mlp::forward`], without recording a graph.
     pub fn predict(&self, x: &Matrix) -> Matrix {
-        let mut g = Graph::new();
-        let xi = g.input(x.clone());
-        let pass = self.forward(&mut g, xi);
-        g.value(pass.output).clone()
+        // The recorded forward pass's arithmetic (product, row-broadcast
+        // bias, elementwise activation) without a tape or weight copies.
+        let mut h = x.matmul(&self.layers[0].weight).expect("input width");
+        for (k, layer) in self.layers.iter().enumerate() {
+            if k > 0 {
+                h = h.matmul(&layer.weight).expect("layer width");
+            }
+            let bias = layer.bias.row(0);
+            for r in 0..h.rows() {
+                for (v, &b) in h.row_mut(r).iter_mut().zip(bias) {
+                    *v = layer.activation.eval(*v + b);
+                }
+            }
+        }
+        h
     }
 
     /// Extracts parameter gradients recorded on `g` for `pass`, in
@@ -234,6 +245,29 @@ mod tests {
         assert_eq!(mlp.num_params(), 2 * 4 + 4 + 4 + 1);
         let y = mlp.predict(&Matrix::from_rows(&[&[0.1, 0.2], &[0.3, 0.4]]));
         assert_eq!(y.shape(), (2, 1));
+    }
+
+    #[test]
+    fn predict_is_bitwise_the_recorded_forward_pass() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let x = Matrix::from_fn(5, 3, |i, j| (i as f64 - 2.0) * 0.7 + j as f64 * 0.3);
+        for (hidden, output) in [
+            (Activation::Tanh, Activation::Identity),
+            (Activation::Relu, Activation::Sigmoid),
+            (Activation::LeakyRelu(0.1), Activation::SoftplusScaled(2.0)),
+        ] {
+            let mlp = Mlp::new(&[3, 6, 4, 2], hidden, output, &mut rng);
+            let mut g = Graph::new();
+            let xi = g.input(x.clone());
+            let pass = mlp.forward(&mut g, xi);
+            let recorded = g.value(pass.output);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&mlp.predict(&x)),
+                bits(recorded),
+                "{hidden:?}/{output:?}"
+            );
+        }
     }
 
     #[test]

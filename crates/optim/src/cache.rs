@@ -190,7 +190,12 @@ pub struct WarmStartEntry {
     /// At an interior optimum of the entropic relaxation the gradient is
     /// constant across the support of each column, so the column minimum
     /// recovers the stationarity multiplier of the simplex constraint.
+    /// Empty for a planted seed that is no solve's optimum.
     pub duals: Vec<f64>,
+    /// The solve's final prices ([`crate::solver::RelaxedSolution::prices`]);
+    /// the next solve of this fingerprint starts its price state from
+    /// them. Empty when the solve kept none.
+    pub prices: Vec<f64>,
     /// Symbolic KKT structure; present only when the problem was convex
     /// (the only setting the Newton/KKT path accepts).
     pub kkt: Option<KktStructure>,
@@ -201,20 +206,24 @@ pub struct WarmStartEntry {
 }
 
 impl WarmStartEntry {
-    /// Builds an entry from a solved optimum `x` of `problem`.
+    /// Builds an entry from an assignment `x` of `problem` with its
+    /// objective, its per-task duals (a solve's
+    /// [`crate::RobustSolution::duals`]; empty for a seed that has none)
+    /// and the prices its solve ended at (empty when it kept none).
     pub fn from_solution(
         problem: &MatchingProblem,
-        params: &RelaxationParams,
         x: &Matrix,
         objective: f64,
+        duals: Vec<f64>,
+        prices: Vec<f64>,
     ) -> Self {
         let (m, n) = (problem.clusters(), problem.tasks());
-        let duals = crate::learned::column_duals(problem, params, x);
         let convex = problem.speedup.iter().all(|c| c.is_trivial());
         WarmStartEntry {
             x: x.clone(),
             objective,
             duals,
+            prices,
             kkt: convex.then(|| KktStructure::for_shape(m, n)),
             stored_at: 0,
         }
@@ -408,22 +417,30 @@ impl WarmStartCache {
 
     /// Looks up the entry under `key` for an `m × n` problem.
     ///
-    /// Returns the outcome plus the cached assignment on a hit. An entry
-    /// that fails validation — wrong shape, non-finite values, columns
-    /// off the simplex, mis-sized, non-finite, or out-of-scale duals
-    /// (the [`crate::learned::duals_admissible`] gate shared with the
-    /// prediction repair kernel), mismatched KKT structure, or age
-    /// beyond the staleness bound — is evicted and reported as
-    /// [`CacheOutcome::Stale`].
-    pub fn lookup(&mut self, key: u64, m: usize, n: usize) -> (CacheOutcome, Option<Matrix>) {
+    /// Returns the outcome plus the cached assignment and prices on a
+    /// hit. An entry that fails validation — wrong shape, non-finite
+    /// values, columns off the simplex, non-empty duals that are
+    /// mis-sized, non-finite, or out of scale (the
+    /// [`crate::learned::duals_admissible`] gate shared with the
+    /// prediction repair kernel), prices that are not
+    /// finite, out of scale, or fit no `m`-cluster price layout,
+    /// mismatched KKT structure, or age beyond the staleness bound — is
+    /// evicted and reported as [`CacheOutcome::Stale`].
+    pub fn lookup(
+        &mut self,
+        key: u64,
+        m: usize,
+        n: usize,
+    ) -> (CacheOutcome, Option<(Matrix, Vec<f64>)>) {
         let verdict = self.entries.get(&key).map(|entry| {
             let age = self.generation.saturating_sub(entry.stored_at);
             let valid = age <= self.config.max_age
                 && validate_warm(&entry.x, m, n)
                 && entry.objective.is_finite()
-                && crate::learned::duals_admissible(&entry.duals, n)
+                && (entry.duals.is_empty() || crate::learned::duals_admissible(&entry.duals, n))
+                && prices_admissible(&entry.prices, m)
                 && entry.kkt.as_ref().is_none_or(|k| k.matches(m, n));
-            valid.then(|| entry.x.clone())
+            valid.then(|| (entry.x.clone(), entry.prices.clone()))
         });
         match verdict {
             None => {
@@ -436,11 +453,11 @@ impl WarmStartCache {
                 self.note_stale(key);
                 (CacheOutcome::Stale, None)
             }
-            Some(Some(x)) => {
+            Some(Some(warm)) => {
                 self.stats.hits += 1;
                 mfcp_obs::counter("cache.hit").inc();
                 mfcp_obs::trace::instant("cache.hit", Some(key));
-                (CacheOutcome::Hit, Some(x))
+                (CacheOutcome::Hit, Some(warm))
             }
         }
     }
@@ -512,6 +529,19 @@ impl WarmStartCache {
     }
 }
 
+/// Whether `prices` can seed an `m`-cluster solve: none at all, or
+/// finite values within [`crate::learned::DUAL_ABS_BOUND`] (prices are
+/// gradient components of the same scale as duals) in one of the
+/// [`crate::objective::price_dim`] layouts (`m + 1` without capacity
+/// constraints, `2m + 1` with them).
+pub(crate) fn prices_admissible(prices: &[f64], m: usize) -> bool {
+    prices.is_empty()
+        || ((prices.len() == m + 1 || prices.len() == 2 * m + 1)
+            && prices
+                .iter()
+                .all(|v| v.abs() <= crate::learned::DUAL_ABS_BOUND))
+}
+
 /// Whether `x` is usable as a warm start for an `m × n` problem: right
 /// shape, every entry finite, and columns on the simplex within the
 /// shared tolerance.
@@ -551,7 +581,8 @@ mod tests {
     fn entry_for(p: &MatchingProblem, params: &RelaxationParams) -> WarmStartEntry {
         let x = crate::solver::uniform_init(p.clusters(), p.tasks());
         let obj = objective::value(p, params, &x);
-        WarmStartEntry::from_solution(p, params, &x, obj)
+        let duals = crate::learned::column_duals(p, params, &x);
+        WarmStartEntry::from_solution(p, &x, obj, duals, Vec::new())
     }
 
     #[test]
@@ -589,7 +620,7 @@ mod tests {
         cache.store(key, entry_for(&p, &params));
         let (outcome, x) = cache.lookup(key, 2, 3);
         assert_eq!(outcome, CacheOutcome::Hit);
-        assert_eq!(x.expect("hit returns the assignment").shape(), (2, 3));
+        assert_eq!(x.expect("hit returns the assignment").0.shape(), (2, 3));
         assert_eq!(
             cache.stats(),
             CacheStats {
@@ -650,6 +681,26 @@ mod tests {
         cache.store(key, entry_for(&p, &params));
         cache.entry_mut(key).unwrap().x[(0, 0)] = f64::NAN;
         assert_eq!(cache.lookup(key, 2, 3).0, CacheOutcome::Stale);
+
+        // Prices: a non-finite or out-of-scale one, or a length that
+        // fits no 2-cluster price layout. A well-formed set comes back
+        // with the hit.
+        for prices in [
+            vec![0.5, f64::NAN, -0.1],
+            vec![0.5, 1e6, -0.1],
+            vec![0.5, 0.5],
+        ] {
+            let mut cache = WarmStartCache::new();
+            cache.store(key, entry_for(&p, &params));
+            cache.entry_mut(key).unwrap().prices = prices;
+            assert_eq!(cache.lookup(key, 2, 3).0, CacheOutcome::Stale);
+        }
+        let mut cache = WarmStartCache::new();
+        cache.store(key, entry_for(&p, &params));
+        cache.entry_mut(key).unwrap().prices = vec![0.5, 0.5, -0.1];
+        let (outcome, warm) = cache.lookup(key, 2, 3);
+        assert_eq!(outcome, CacheOutcome::Hit);
+        assert_eq!(warm.expect("hit").1, vec![0.5, 0.5, -0.1]);
 
         // Columns off the simplex.
         let mut cache = WarmStartCache::new();

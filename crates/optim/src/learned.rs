@@ -32,7 +32,12 @@
 //! * [`LearnedDualHead`] — an [`mfcp_nn::DualHead`] regression model
 //!   over the features, trained online from the duals of measured solves
 //!   ([`LearnedDualHead::observe`]) and served through [`DualPredictor`]
-//!   once enough observations have accumulated.
+//!   once enough observations have accumulated. A second, instance-level
+//!   head maps the [`instance_features`] to the optimum's prices
+//!   ([`crate::objective::prices`]): a solve that takes price trials
+//!   starts from them directly ([`DualPredictor::predict_prices`]), at
+//!   the cost of one feature row through the network instead of one
+//!   row per task.
 //!
 //! Fallback semantics are owned by [`crate::recovery::RobustSolver`]:
 //! exact cache hits beat predictions, predictions beat cold starts, and
@@ -112,27 +117,73 @@ pub fn feature_dim(m: usize) -> usize {
 /// statistic (`0` without constraints, else `1/(1+mean limit)`). All
 /// deterministic and finite for any valid problem.
 pub fn features(problem: &MatchingProblem, params: &RelaxationParams) -> Matrix {
-    let (m, n) = (problem.clusters(), problem.tasks());
-    let trivial = if m == 0 {
-        1.0
-    } else {
-        problem.speedup.iter().filter(|c| c.is_trivial()).count() as f64 / m as f64
-    };
-    let cap_stat = match &problem.capacity {
-        None => 0.0,
-        Some(cap) => {
-            let mean = cap.limits.iter().sum::<f64>() / cap.limits.len().max(1) as f64;
-            1.0 / (1.0 + mean)
+    let ctx = FeatureContext::new(problem);
+    Matrix::from_fn(problem.tasks(), feature_dim(problem.clusters()), |j, k| {
+        ctx.value(problem, params, j, k)
+    })
+}
+
+/// Instance-level features of `problem`: the mean of its [`features`]
+/// rows (`1 × feature_dim(m)`), the input of the price head.
+pub fn instance_features(problem: &MatchingProblem, params: &RelaxationParams) -> Matrix {
+    let ctx = FeatureContext::new(problem);
+    let n = problem.tasks();
+    Matrix::from_fn(1, feature_dim(problem.clusters()), |_, k| {
+        (0..n)
+            .map(|j| ctx.value(problem, params, j, k))
+            .sum::<f64>()
+            / n.max(1) as f64
+    })
+}
+
+/// The per-problem statistics behind [`features`]: each column's mean
+/// time, the fraction of trivial speedup curves and the capacity
+/// statistic.
+struct FeatureContext {
+    col_mean: Vec<f64>,
+    trivial: f64,
+    cap_stat: f64,
+}
+
+impl FeatureContext {
+    fn new(problem: &MatchingProblem) -> Self {
+        let (m, n) = (problem.clusters(), problem.tasks());
+        let trivial = if m == 0 {
+            1.0
+        } else {
+            problem.speedup.iter().filter(|c| c.is_trivial()).count() as f64 / m as f64
+        };
+        let cap_stat = match &problem.capacity {
+            None => 0.0,
+            Some(cap) => {
+                let mean = cap.limits.iter().sum::<f64>() / cap.limits.len().max(1) as f64;
+                1.0 / (1.0 + mean)
+            }
+        };
+        let col_mean = (0..n)
+            .map(|j| {
+                let sum: f64 = (0..m).map(|i| problem.times[(i, j)]).sum();
+                (sum / m.max(1) as f64).max(1e-12)
+            })
+            .collect();
+        FeatureContext {
+            col_mean,
+            trivial,
+            cap_stat,
         }
-    };
-    let mut col_mean = vec![0.0; n];
-    for (j, mean) in col_mean.iter_mut().enumerate() {
-        let sum: f64 = (0..m).map(|i| problem.times[(i, j)]).sum();
-        *mean = (sum / m.max(1) as f64).max(1e-12);
     }
-    Matrix::from_fn(n, feature_dim(m), |j, k| {
+
+    /// Feature `k` of task column `j`.
+    fn value(
+        &self,
+        problem: &MatchingProblem,
+        params: &RelaxationParams,
+        j: usize,
+        k: usize,
+    ) -> f64 {
+        let (m, n) = (problem.clusters(), problem.tasks());
         if k < m {
-            problem.times[(k, j)] / col_mean[j]
+            problem.times[(k, j)] / self.col_mean[j]
         } else if k < 2 * m {
             problem.reliability[(k - m, j)]
         } else {
@@ -142,12 +193,19 @@ pub fn features(problem: &MatchingProblem, params: &RelaxationParams) -> Matrix 
                 2 => params.beta / 10.0,
                 3 => params.lambda,
                 4 => (1.0 + n as f64).ln() / 4.0,
-                5 => (1.0 + col_mean[j]).ln(),
-                6 => trivial,
-                _ => cap_stat,
+                5 => (1.0 + self.col_mean[j]).ln(),
+                6 => self.trivial,
+                _ => self.cap_stat,
             }
         }
-    })
+    }
+}
+
+/// Whether `problem`'s solves keep prices in the layout the price head
+/// predicts: loads enter `F` linearly (no speedup curve) and there are
+/// no capacity constraints, so `θ` has `m + 1` entries.
+fn priced_layout(problem: &MatchingProblem) -> bool {
+    problem.capacity.is_none() && problem.speedup.iter().all(|c| c.is_trivial())
 }
 
 /// Regression targets for training a dual head from a solved optimum:
@@ -167,8 +225,13 @@ pub fn targets(x: &Matrix, duals: &[f64]) -> Matrix {
 /// same estimate [`crate::cache::WarmStartEntry::from_solution`]
 /// stores).
 pub fn column_duals(problem: &MatchingProblem, params: &RelaxationParams, x: &Matrix) -> Vec<f64> {
-    let (m, n) = (problem.clusters(), problem.tasks());
-    let grad = objective::grad_x(problem, params, x);
+    column_minima(&objective::grad_x(problem, params, x))
+}
+
+/// Each column's minimum of an `m × n` gradient: the per-task duals of
+/// the point it was taken at (see [`column_duals`]).
+pub(crate) fn column_minima(grad: &Matrix) -> Vec<f64> {
+    let (m, n) = grad.shape();
     (0..n)
         .map(|j| (0..m).map(|i| grad[(i, j)]).fold(f64::INFINITY, f64::min))
         .collect()
@@ -211,6 +274,10 @@ pub enum RepairError {
     /// A dual magnitude exceeds [`DUAL_ABS_BOUND`] — an out-of-scale
     /// (e.g. ×1e6) prediction.
     DualOutOfScale,
+    /// Predicted prices ([`DualPredictor::predict_prices`]) have the
+    /// wrong length for the problem, or an entry that is not finite or
+    /// exceeds [`DUAL_ABS_BOUND`].
+    Prices,
 }
 
 impl fmt::Display for RepairError {
@@ -221,6 +288,7 @@ impl fmt::Display for RepairError {
             RepairError::NonFinitePrimal => "predicted assignment contains non-finite entries",
             RepairError::NonFiniteDual => "predicted duals contain non-finite entries",
             RepairError::DualOutOfScale => "predicted dual magnitude exceeds the sanity bound",
+            RepairError::Prices => "predicted prices are mis-sized, non-finite, or out of scale",
         })
     }
 }
@@ -312,6 +380,19 @@ pub trait DualPredictor {
         problem: &MatchingProblem,
         params: &RelaxationParams,
     ) -> Option<DualPrediction>;
+
+    /// Predicts the final prices ([`crate::objective::prices`] layout)
+    /// of a solve of `problem`, or `None` (the default) if this
+    /// predictor has none. The consumer checks them against the same
+    /// scale bound as duals and starts a price-path solve from them; a
+    /// solve that takes no price trials never asks.
+    fn predict_prices(
+        &self,
+        _problem: &MatchingProblem,
+        _params: &RelaxationParams,
+    ) -> Option<Vec<f64>> {
+        None
+    }
 }
 
 /// Default number of observed solves before a [`LearnedDualHead`] starts
@@ -324,22 +405,31 @@ const HIDDEN_WIDTH: usize = 32;
 /// Adam learning rate for online head training.
 const HEAD_LR: f64 = 5e-3;
 
+/// Mixed into the head's seed to initialize the price head apart from
+/// the column head.
+const PRICE_HEAD_SEED: u64 = 0x5052_4943_4553;
+
 /// A learned dual predictor for `m`-cluster problems: an
 /// [`mfcp_nn::DualHead`] regression model mapping [`features`] rows to
 /// per-column `(x_col, dual)` targets, trained online from the duals of
-/// measured solves.
+/// measured solves, and a price head mapping [`instance_features`] to
+/// the optimum's `m + 1` prices, trained from the same solves.
 ///
-/// The head is column-wise, so one model covers any task count `n`; the
-/// cluster count `m` is fixed at construction (it sets the feature and
-/// target dimensions). Until [`LearnedDualHead::ready`] — fewer than
-/// `min_observations` successful updates — the predictor abstains
-/// (`predict_duals` returns `None`) rather than serve noise.
+/// The column head is column-wise, so one model covers any task count
+/// `n`; the cluster count `m` is fixed at construction (it sets the
+/// feature and target dimensions). Until [`LearnedDualHead::ready`] —
+/// fewer than `min_observations` successful updates — the predictor
+/// abstains (`predict_duals` returns `None`) rather than serve noise;
+/// the price head abstains likewise until it has seen as many
+/// instances with trivial speedups and no capacity constraints.
 #[derive(Debug, Clone)]
 pub struct LearnedDualHead {
     head: DualHead,
+    price_head: DualHead,
     m: usize,
     min_observations: u64,
     observations: u64,
+    price_observations: u64,
 }
 
 impl LearnedDualHead {
@@ -352,9 +442,17 @@ impl LearnedDualHead {
         assert!(m > 0, "need at least one cluster");
         LearnedDualHead {
             head: DualHead::new(feature_dim(m), m + 1, &[HIDDEN_WIDTH], HEAD_LR, seed),
+            price_head: DualHead::new(
+                feature_dim(m),
+                m + 1,
+                &[HIDDEN_WIDTH],
+                HEAD_LR,
+                seed ^ PRICE_HEAD_SEED,
+            ),
             m,
             min_observations: DEFAULT_MIN_OBSERVATIONS,
             observations: 0,
+            price_observations: 0,
         }
     }
 
@@ -380,13 +478,21 @@ impl LearnedDualHead {
         self.observations >= self.min_observations
     }
 
+    /// Whether the price head has seen enough instances to serve
+    /// price predictions.
+    pub fn prices_ready(&self) -> bool {
+        self.price_observations >= self.min_observations
+    }
+
     /// Trains on one measured solve: extracts duals from the optimum
     /// `x_star` of `problem`, and takes one gradient step toward
     /// predicting `(x_star, duals)` from the problem features. Returns
     /// the pre-step loss, or `None` if the observation was rejected
     /// (shape mismatch, empty problem, or inadmissible duals — e.g. a
     /// degenerate solve whose gradient blew up) — rejected observations
-    /// leave the model untouched.
+    /// leave the model untouched. An accepted observation of an
+    /// instance in the price head's layout also takes one step of the
+    /// price head toward the optimum's prices.
     pub fn observe(
         &mut self,
         problem: &MatchingProblem,
@@ -407,11 +513,24 @@ impl LearnedDualHead {
             mfcp_obs::counter("optim.learned.observe_rejected").inc();
             return None;
         }
-        let loss = self
-            .head
-            .fit_step(&features(problem, params), &targets(x_star, &duals));
+        let per_task = features(problem, params);
+        let loss = self.head.fit_step(&per_task, &targets(x_star, &duals));
         match loss {
             Some(l) => {
+                if priced_layout(problem) {
+                    let prices = objective::prices(problem, params, x_star);
+                    if prices.iter().all(|p| p.abs() <= DUAL_ABS_BOUND)
+                        && self
+                            .price_head
+                            .fit_step(
+                                &instance_features(problem, params),
+                                &Matrix::from_rows(&[&prices]),
+                            )
+                            .is_some()
+                    {
+                        self.price_observations += 1;
+                    }
+                }
                 self.observations += 1;
                 mfcp_obs::counter("optim.learned.observed").inc();
                 mfcp_obs::histogram("optim.learned.fit_loss").record(l);
@@ -439,6 +558,22 @@ impl DualPredictor for LearnedDualHead {
         let x = Matrix::from_fn(m, n, |i, j| out[(j, i)]);
         let duals = (0..n).map(|j| out[(j, m)]).collect();
         Some(DualPrediction { x, duals })
+    }
+
+    fn predict_prices(
+        &self,
+        problem: &MatchingProblem,
+        params: &RelaxationParams,
+    ) -> Option<Vec<f64>> {
+        if problem.clusters() != self.m
+            || problem.tasks() == 0
+            || !self.prices_ready()
+            || !priced_layout(problem)
+        {
+            return None;
+        }
+        let out = self.price_head.predict(&instance_features(problem, params));
+        Some(out.row(0).to_vec())
     }
 }
 
@@ -614,6 +749,38 @@ mod tests {
         x[(0, 0)] = f64::NAN;
         assert!(head.observe(&p, &params, &x).is_none());
         assert_eq!(head.observations(), 0);
+    }
+
+    #[test]
+    fn price_head_learns_an_optimums_prices_and_abstains_off_layout() {
+        let params = RelaxationParams::default();
+        let p = problem(2, 3);
+        let mut head = LearnedDualHead::new(2, 5).with_min_observations(2);
+        let x = crate::solver::solve_relaxed(&p, &params, &Default::default()).x;
+        let target = objective::prices(&p, &params, &x);
+        assert_eq!(target.len(), 3);
+        head.observe(&p, &params, &x).expect("clean observation");
+        assert!(!head.prices_ready() && head.predict_prices(&p, &params).is_none());
+        for _ in 0..300 {
+            head.observe(&p, &params, &x).expect("clean observation");
+        }
+        let predicted = head.predict_prices(&p, &params).expect("ready");
+        for (a, b) in predicted.iter().zip(&target) {
+            assert!((a - b).abs() < 0.05, "price far from target: {a} vs {b}");
+        }
+        // Capacity constraints or a speedup curve change the price
+        // layout: the price head neither predicts nor trains there.
+        let mut capped = p.clone();
+        capped.capacity = Some(crate::problem::CapacityConstraint {
+            usage: Matrix::filled(2, 3, 1.0),
+            limits: vec![3.0, 3.0],
+        });
+        assert!(head.predict_prices(&capped, &params).is_none());
+        let mut fresh = LearnedDualHead::new(2, 5).with_min_observations(1);
+        fresh
+            .observe(&capped, &params, &x)
+            .expect("clean observation");
+        assert!(fresh.ready() && !fresh.prices_ready());
     }
 
     #[test]

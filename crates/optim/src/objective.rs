@@ -235,6 +235,15 @@ pub fn barrier_derivative(params: &RelaxationParams, g: f64) -> f64 {
     }
 }
 
+/// Barrier curvature `d²φ_λ/dg²`: `λ/g²` on the log branch, `0` on its
+/// linear extension and for the other barrier kinds.
+pub fn barrier_curvature(params: &RelaxationParams, g: f64) -> f64 {
+    match params.barrier {
+        BarrierKind::Log { eps } if g >= eps => params.lambda / (g * g),
+        _ => 0.0,
+    }
+}
+
 /// Entropy regularizer `ρ Σ x log x` (`0 log 0 := 0`).
 pub fn entropy_value(params: &RelaxationParams, x: &Matrix) -> f64 {
     if params.rho == 0.0 {
@@ -582,6 +591,104 @@ impl TransposedEval {
             }
         }
     }
+}
+
+impl IterStats {
+    /// `∇Φ` of these per-cluster sums in price layout (see
+    /// [`price_dim`]): on a trivial-speedup instance
+    /// `∂F/∂x_ij = θ·f_ij + ρ(1 + ln x_ij)` with `θ` these prices.
+    /// Writes the first `price_dim` entries of `out`.
+    pub fn prices_into(
+        &self,
+        problem: &MatchingProblem,
+        params: &RelaxationParams,
+        out: &mut [f64],
+    ) {
+        let m = problem.clusters();
+        match params.cost {
+            CostKind::SmoothMax => {
+                for (o, &l) in out[..m].iter_mut().zip(&self.load) {
+                    *o = params.beta * l;
+                }
+                vector::softmax_inplace(&mut out[..m]);
+            }
+            CostKind::LinearSum => out[..m].fill(1.0),
+        }
+        let n = problem.tasks().max(1) as f64;
+        out[m] = barrier_derivative(params, TransposedEval::slack(problem, self)) / n;
+        if let Some(cap) = &problem.capacity {
+            for i in 0..m {
+                let slack = (cap.limits[i] - self.cap_used[i]) / cap.limits[i];
+                out[m + 1 + i] = -barrier_derivative(params, slack) / cap.limits[i];
+            }
+        }
+    }
+
+    /// The Hessian `H_Φ` of `Φ` at these sums, dense `r×r` row-major in
+    /// price layout: the smooth max's `β(diag w − wwᵀ)` over the loads
+    /// (`w` the first `M` entries of `prices`, from
+    /// [`Self::prices_into`]) and the barriers' curvature on the
+    /// reliability mass and capacity uses.
+    pub fn price_hessian_into(
+        &self,
+        problem: &MatchingProblem,
+        params: &RelaxationParams,
+        prices: &[f64],
+        out: &mut [f64],
+    ) {
+        let m = problem.clusters();
+        let r = price_dim(problem);
+        out[..r * r].fill(0.0);
+        if params.cost == CostKind::SmoothMax {
+            for a in 0..m {
+                for b in 0..m {
+                    out[a * r + b] = -params.beta * prices[a] * prices[b];
+                }
+                out[a * r + a] += params.beta * prices[a];
+            }
+        }
+        let n = problem.tasks().max(1) as f64;
+        out[m * r + m] = barrier_curvature(params, TransposedEval::slack(problem, self)) / (n * n);
+        if let Some(cap) = &problem.capacity {
+            for i in 0..m {
+                let slack = (cap.limits[i] - self.cap_used[i]) / cap.limits[i];
+                let k = m + 1 + i;
+                out[k * r + k] = barrier_curvature(params, slack) / (cap.limits[i] * cap.limits[i]);
+            }
+        }
+    }
+}
+
+/// The prices `∇Φ(A·x)` of an assignment `x` (`M×N`) in [`price_dim`]
+/// layout. At the optimum of a trivial-speedup instance they are the
+/// optimum's own prices, whose softmax is the optimum.
+pub fn prices(problem: &MatchingProblem, params: &RelaxationParams, x: &Matrix) -> Vec<f64> {
+    let (m, n) = (problem.clusters(), problem.tasks());
+    let mut te = TransposedEval::default();
+    te.prepare(problem);
+    let mut stats = IterStats::default();
+    stats.reset(m);
+    // The logs feed only the entropy sum, which no price reads.
+    let (mut row, logs) = (vec![0.0; m], vec![0.0; m]);
+    for j in 0..n {
+        for (i, v) in row.iter_mut().enumerate() {
+            *v = x[(i, j)];
+        }
+        stats.add_row(&te, j, &row, &logs);
+    }
+    let mut out = vec![0.0; price_dim(problem)];
+    stats.prices_into(problem, params, &mut out);
+    out
+}
+
+/// Length of a problem's price vector `θ`: one price per cluster load,
+/// one for the reliability mass, and one per cluster capacity use when
+/// the problem has capacity constraints. Task `j`'s feature on cluster
+/// `i`, `f_ij`, carries `t_ij` in load slot `i`, `a_ij` in slot `M`,
+/// and `u_ij` in capacity slot `M + 1 + i`.
+pub fn price_dim(problem: &MatchingProblem) -> usize {
+    let m = problem.clusters();
+    m + 1 + if problem.capacity.is_some() { m } else { 0 }
 }
 
 #[cfg(test)]

@@ -47,14 +47,17 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use crate::budget::Budget;
-use crate::cache::{fingerprint, warm_init, CacheOutcome, WarmStartCache, WarmStartEntry};
+use crate::cache::{
+    fingerprint, prices_admissible, warm_init, CacheOutcome, WarmStartCache, WarmStartEntry,
+};
 use crate::kkt::KktWorkspace;
 use crate::learned::{repair, DualPredictor, RepairError};
-use crate::objective::{self, BarrierKind, RelaxationParams};
+use crate::objective::{self, price_dim, BarrierKind, RelaxationParams};
 use crate::problem::{Assignment, MatchingProblem};
 use crate::solver::{
-    is_column_stochastic, solve_relaxed_from_guarded, solve_relaxed_newton_guarded, uniform_init,
-    NewtonOptions, PgdWorkspace, ProjectionKind, RelaxedSolution, SolverOptions, StopReason,
+    is_column_stochastic, solve_relaxed_from_guarded, solve_relaxed_newton_guarded,
+    takes_price_trials, uniform_init, NewtonOptions, PgdWorkspace, ProjectionKind, RelaxedSolution,
+    SolverOptions, StopReason,
 };
 use mfcp_linalg::Matrix;
 
@@ -496,6 +499,13 @@ pub struct RobustSolution {
     /// conservative backed-off parameters so it stays finite even when
     /// the caller's parameters are degenerate).
     pub objective: f64,
+    /// Per-task simplex duals at `x` ([`RelaxedSolution::duals`]);
+    /// empty when the producing rung computes none (greedy rounding).
+    pub duals: Vec<f64>,
+    /// The solve's final prices ([`RelaxedSolution::prices`]); empty
+    /// when the producing rung keeps none (greedy rounding, Newton, or
+    /// an instance that takes no price trials).
+    pub prices: Vec<f64>,
     /// The rung that produced the result.
     pub stage: FallbackStage,
     /// Discrete assignment, present when the greedy rung produced the
@@ -513,6 +523,10 @@ enum SeedKind {
     /// A repaired learned-dual prediction.
     Predicted,
 }
+
+/// A non-uniform primary seed: the iterate, its prices (possibly
+/// empty), and where it came from.
+type Seed = (Matrix, Vec<f64>, SeedKind);
 
 /// The default rung order: primary, backed-off retries, Newton, mirror
 /// descent, Euclidean PGD, greedy rounding.
@@ -650,30 +664,15 @@ impl RobustSolver {
         let (m, n) = (problem.clusters(), problem.tasks());
         let key = fingerprint(problem, &self.params);
         let (outcome, warm) = cache.lookup(key, m, n);
-        let mut seed = warm.map(|x| (x, SeedKind::Warm));
+        let mut seed = warm.map(|(x, prices)| (x, prices, SeedKind::Warm));
         let mut prediction = None;
         if seed.is_none() {
             if let Some(predictor) = predictor {
-                let _span = mfcp_obs::span("learned.predict");
-                if let Some(raw) = predictor.predict_duals(problem, &self.params) {
-                    mfcp_obs::counter("optim.learned.predict").inc();
-                    match repair(&raw, m, n) {
-                        Ok(fixed) => {
-                            mfcp_obs::counter("optim.learned.repaired").inc();
-                            prediction = Some(PredictionOutcome::Seeded);
-                            seed = Some((fixed.x, SeedKind::Predicted));
-                        }
-                        Err(err) => {
-                            mfcp_obs::counter("optim.learned.rejected").inc();
-                            mfcp_obs::trace::instant("learned.rejected", Some(key));
-                            prediction = Some(PredictionOutcome::Rejected(err));
-                        }
-                    }
-                }
+                (seed, prediction) = self.predicted_seed(problem, predictor, key);
             }
         }
-        let warm_used = matches!(seed, Some((_, SeedKind::Warm)));
-        let predicted = matches!(seed, Some((_, SeedKind::Predicted)));
+        let warm_used = matches!(seed, Some((_, _, SeedKind::Warm)));
+        let predicted = matches!(seed, Some((_, _, SeedKind::Predicted)));
         // Reuse the previous solve's factorization buffers for this
         // fingerprint, when the entry carries them.
         let mut kkt_ws = cache.take_kkt_workspace(key).unwrap_or_default();
@@ -700,7 +699,13 @@ impl RobustSolver {
                 if sol.stage != FallbackStage::GreedyRounding {
                     cache.store(
                         key,
-                        WarmStartEntry::from_solution(problem, &self.params, &sol.x, sol.objective),
+                        WarmStartEntry::from_solution(
+                            problem,
+                            &sol.x,
+                            sol.objective,
+                            sol.duals.clone(),
+                            sol.prices.clone(),
+                        ),
                     );
                     cache.restore_kkt_workspace(key, kkt_ws);
                 }
@@ -724,10 +729,54 @@ impl RobustSolver {
         }
     }
 
+    /// A learned seed for `problem` from `predictor`, with its outcome.
+    /// A solve that takes price trials starts from the predicted prices
+    /// alone when the predictor has admissible ones: one small
+    /// prediction, no columns to repair. Otherwise the repaired column
+    /// prediction seeds it; rejected prices or columns seed nothing.
+    fn predicted_seed(
+        &self,
+        problem: &MatchingProblem,
+        predictor: &dyn DualPredictor,
+        key: u64,
+    ) -> (Option<Seed>, Option<PredictionOutcome>) {
+        let _span = mfcp_obs::span("learned.predict");
+        let (m, n) = (problem.clusters(), problem.tasks());
+        let mut outcome = None;
+        if takes_price_trials(problem, &self.params, &self.solver_opts) {
+            if let Some(prices) = predictor.predict_prices(problem, &self.params) {
+                mfcp_obs::counter("optim.learned.predict").inc();
+                if prices.len() == price_dim(problem) && prices_admissible(&prices, m) {
+                    let seed = (uniform_init(m, n), prices, SeedKind::Predicted);
+                    return (Some(seed), Some(PredictionOutcome::Seeded));
+                }
+                mfcp_obs::counter("optim.learned.rejected").inc();
+                mfcp_obs::trace::instant("learned.rejected", Some(key));
+                outcome = Some(PredictionOutcome::Rejected(RepairError::Prices));
+            }
+        }
+        let Some(raw) = predictor.predict_duals(problem, &self.params) else {
+            return (None, outcome);
+        };
+        mfcp_obs::counter("optim.learned.predict").inc();
+        match repair(&raw, m, n) {
+            Ok(fixed) => {
+                mfcp_obs::counter("optim.learned.repaired").inc();
+                let seed = (fixed.x, Vec::new(), SeedKind::Predicted);
+                (Some(seed), Some(PredictionOutcome::Seeded))
+            }
+            Err(err) => {
+                mfcp_obs::counter("optim.learned.rejected").inc();
+                mfcp_obs::trace::instant("learned.rejected", Some(key));
+                (None, Some(PredictionOutcome::Rejected(err)))
+            }
+        }
+    }
+
     fn solve_inner(
         &self,
         problem: &MatchingProblem,
-        mut seed: Option<(Matrix, SeedKind)>,
+        mut seed: Option<Seed>,
         kkt_ws: &mut KktWorkspace,
     ) -> Result<RobustSolution, SolveError> {
         let _span = mfcp_obs::span("robust_solve");
@@ -787,7 +836,7 @@ impl RobustSolver {
                             &mut pgd_ws,
                         ) {
                             return Ok(self.finish(
-                                (sol.x, sol.objective),
+                                (sol.x, sol.objective, sol.duals, sol.prices),
                                 stage,
                                 None,
                                 attempts,
@@ -808,7 +857,7 @@ impl RobustSolver {
                         &mut pgd_ws,
                     ) {
                         return Ok(self.finish(
-                            (sol.x, sol.objective),
+                            (sol.x, sol.objective, sol.duals, sol.prices),
                             stage,
                             None,
                             attempts,
@@ -836,7 +885,7 @@ impl RobustSolver {
                             &mut pgd_ws,
                         ) {
                             return Ok(self.finish(
-                                (sol.x, sol.objective),
+                                (sol.x, sol.objective, sol.duals, sol.prices),
                                 stage,
                                 None,
                                 attempts,
@@ -865,7 +914,7 @@ impl RobustSolver {
                     }
                     if let Some(sol) = self.try_newton(problem, start, &mut attempts, kkt_ws) {
                         return Ok(self.finish(
-                            (sol.x, sol.objective),
+                            (sol.x, sol.objective, sol.duals, sol.prices),
                             stage,
                             None,
                             attempts,
@@ -894,7 +943,7 @@ impl RobustSolver {
                         &mut pgd_ws,
                     ) {
                         return Ok(self.finish(
-                            (sol.x, sol.objective),
+                            (sol.x, sol.objective, sol.duals, sol.prices),
                             stage,
                             None,
                             attempts,
@@ -928,7 +977,7 @@ impl RobustSolver {
                     mfcp_obs::trace::end(stage_trace_name(stage), None);
                     record_attempt_metrics(attempts.last().expect("just pushed"));
                     return Ok(self.finish(
-                        (x, objective),
+                        (x, objective, Vec::new(), Vec::new()),
                         stage,
                         Some(asg),
                         attempts,
@@ -971,7 +1020,7 @@ impl RobustSolver {
         params: RelaxationParams,
         opts: SolverOptions,
         start: Instant,
-        seed: Option<(Matrix, SeedKind)>,
+        seed: Option<Seed>,
         attempts: &mut Vec<StageAttempt>,
         pgd_ws: &mut PgdWorkspace,
     ) -> Option<RelaxedSolution> {
@@ -983,8 +1032,8 @@ impl RobustSolver {
             mfcp_obs::histogram("optim.robust.barrier_eps").record(eps);
         }
         let mut guard = GuardRunner::new(&self.policy, &self.budget, start, stage);
-        let kind = seed.as_ref().map(|(_, kind)| *kind);
-        let x0 = match seed {
+        let kind = seed.as_ref().map(|(_, _, kind)| *kind);
+        let (x0, prices) = match seed {
             // Both seed kinds are blended toward the interior —
             // projection output can carry exact zeros, which
             // multiplicative mirror-descent updates could never recover
@@ -993,15 +1042,22 @@ impl RobustSolver {
             // learned prediction misplaces mass at the model's error
             // scale and needs a floor mirror descent can grow from
             // (see [`crate::learned::PREDICTED_BLEND`]).
-            Some((x, SeedKind::Warm)) => warm_init(&x),
-            Some((x, SeedKind::Predicted)) => crate::learned::predicted_init(&x),
-            None => uniform_init(problem.clusters(), problem.tasks()),
+            //
+            // A seed's prices (a cached solve's) start the price state;
+            // without them the solver prices the seed itself.
+            Some((x, prices, SeedKind::Warm)) => (warm_init(&x), prices),
+            Some((x, prices, SeedKind::Predicted)) => (crate::learned::predicted_init(&x), prices),
+            None => (
+                uniform_init(problem.clusters(), problem.tasks()),
+                Vec::new(),
+            ),
         };
         let result = solve_relaxed_from_guarded(
             problem,
             &params,
             &opts,
             x0,
+            (!prices.is_empty()).then_some(&prices[..]),
             &mut |it, f, step| guard.check(it, f, step),
             pgd_ws,
         );
@@ -1102,7 +1158,7 @@ impl RobustSolver {
 
     fn finish(
         &self,
-        (x, objective): (Matrix, f64),
+        (x, objective, duals, prices): (Matrix, f64, Vec<f64>, Vec<f64>),
         stage: FallbackStage,
         assignment: Option<Assignment>,
         attempts: Vec<StageAttempt>,
@@ -1118,6 +1174,8 @@ impl RobustSolver {
         RobustSolution {
             x,
             objective,
+            duals,
+            prices,
             stage,
             assignment,
             diagnostics: SolveDiagnostics {
@@ -1702,6 +1760,7 @@ mod tests {
                 x: uniform_init(m, n),
                 objective: 1.0,
                 duals: vec![0.0; n],
+                prices: Vec::new(),
                 kkt: None,
                 stored_at: 0,
             },

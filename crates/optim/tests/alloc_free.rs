@@ -1,33 +1,49 @@
 //! Proves the PGD inner loop performs zero heap allocations per
-//! iteration — and per rejected Armijo trial — after warm-up.
+//! iteration — per rejected Armijo trial, per price trial and per mirror
+//! fallback — after warm-up.
 //!
 //! A counting global allocator measures two solves of the same instance
 //! that differ only in iteration count (tol = 0 pins the count exactly).
 //! Workspace warm-up — sizing `PgdWorkspace`, the iterate, the final
-//! solution — costs the same number of allocations in both runs, so the
-//! 300 extra iterations of the longer run must add exactly zero. A first
-//! mirror-descent step far too long for the instance makes the longer
-//! run backtrack more often than the shorter one
-//! (`optim.solve.backtracks`), so those extra trials are covered too.
+//! solution and its prices — costs the same number of allocations in
+//! both runs, so the extra iterations of the longer run must add exactly
+//! zero. On the mirror-only instance a first step far too long makes
+//! the longer run backtrack more often than the shorter one
+//! (`optim.solve.backtracks`); on the trivial-speedup instance the
+//! longer run takes more price trials and more mirror fallbacks
+//! (`optim.solve.price_steps`, `optim.solve.mirror_fallbacks`), so
+//! those trials are covered too. The two tests share the counters, so
+//! they hold a lock while measuring.
 //!
 //! This lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide; running it next to unrelated
 //! tests would make the counts racy.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::Mutex;
 
 use mfcp_linalg::Matrix;
 use mfcp_optim::solver::{solve_relaxed_from, uniform_init, SolverOptions};
-use mfcp_optim::{MatchingProblem, ProjectionKind, RelaxationParams};
+use mfcp_optim::{MatchingProblem, ProjectionKind, RelaxationParams, SpeedupCurve};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread, so the test harness's own allocations on other
+    // threads never land in a measured window.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|c| c.set(c.get() + 1));
         System.alloc(layout)
     }
 
@@ -36,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|c| c.set(c.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -44,20 +60,45 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-fn test_problem() -> MatchingProblem {
+/// The trial counters are process-wide; the tests take this lock so
+/// they never read each other's trials.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Deterministic, non-uniform data so the solver does real work. The
+/// fixed-step projections never take price trials, so they run on it
+/// as is; mirror descent runs on it with the paper's speedup curve,
+/// which keeps price trials off and every iteration a mirror trial.
+fn test_problem(mirror_only: bool) -> MatchingProblem {
     let m = 4;
     let n = 9;
-    // Deterministic, non-uniform data so the solver does real work.
     let times = Matrix::from_fn(m, n, |i, j| 0.5 + ((i * 7 + j * 3) % 11) as f64 * 0.2);
     let rel = Matrix::from_fn(m, n, |i, j| 0.85 + ((i * 5 + j) % 7) as f64 * 0.02);
-    MatchingProblem::new(times, rel, 0.8)
+    let mut problem = MatchingProblem::new(times, rel, 0.8);
+    if mirror_only {
+        problem.speedup = vec![SpeedupCurve::paper_parallel(); m];
+    }
+    problem
 }
 
-/// Allocations consumed by one full solve at `max_iters` with first
-/// step `lr` (tol = 0 so the loop never exits early and the iteration
-/// count is exact).
-fn allocations_for(max_iters: usize, projection: ProjectionKind, lr: f64) -> u64 {
-    let problem = test_problem();
+/// A trivial-speedup instance whose solve takes price trials and, part
+/// way, mirror fallbacks (the random 3×6 instance of the solver's
+/// reference tests).
+fn price_problem() -> MatchingProblem {
+    let mut rng = StdRng::seed_from_u64(21);
+    let t = Matrix::from_fn(3, 6, |_, _| rng.gen_range(0.5..3.0));
+    let a = Matrix::from_fn(3, 6, |_, _| rng.gen_range(0.7..1.0));
+    MatchingProblem::new(t, a, 0.75)
+}
+
+/// Allocations consumed by one full solve of `problem` at `max_iters`
+/// with first step `lr` (tol = 0 so the loop never exits early and the
+/// iteration count is exact).
+fn allocations_for(
+    problem: &MatchingProblem,
+    max_iters: usize,
+    projection: ProjectionKind,
+    lr: f64,
+) -> u64 {
     let params = RelaxationParams::default();
     let opts = SolverOptions {
         max_iters,
@@ -66,9 +107,9 @@ fn allocations_for(max_iters: usize, projection: ProjectionKind, lr: f64) -> u64
         lr,
     };
     let x0 = uniform_init(problem.clusters(), problem.tasks());
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let sol = solve_relaxed_from(&problem, &params, &opts, x0);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
+    let sol = solve_relaxed_from(problem, &params, &opts, x0);
+    let after = allocations();
     assert_eq!(
         sol.iterations, max_iters,
         "tol = 0 must run every iteration"
@@ -77,13 +118,28 @@ fn allocations_for(max_iters: usize, projection: ProjectionKind, lr: f64) -> u64
     after - before
 }
 
-/// Rejected Armijo trials recorded so far.
-fn backtracks() -> u64 {
-    mfcp_obs::counter("optim.solve.backtracks").get()
+/// Rejected trials, accepted price trials and mirror fallbacks recorded
+/// so far.
+fn trials() -> [u64; 3] {
+    [
+        "optim.solve.backtracks",
+        "optim.solve.price_steps",
+        "optim.solve.mirror_fallbacks",
+    ]
+    .map(|name| mfcp_obs::counter(name).get())
+}
+
+/// Runs `solve` and returns its trial tallies.
+fn tally(solve: impl FnOnce() -> u64) -> (u64, [u64; 3]) {
+    let before = trials();
+    let allocations = solve();
+    let after = trials();
+    (allocations, [0, 1, 2].map(|k| after[k] - before[k]))
 }
 
 #[test]
 fn pgd_iterations_allocate_nothing_after_warmup() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let default_lr = SolverOptions::default().lr;
     for (projection, lr) in [
         (ProjectionKind::MirrorDescent, default_lr),
@@ -91,15 +147,14 @@ fn pgd_iterations_allocate_nothing_after_warmup() {
         (ProjectionKind::SoftmaxPaper, default_lr),
         (ProjectionKind::Euclidean, default_lr),
     ] {
+        let problem = test_problem(projection == ProjectionKind::MirrorDescent);
         // Warm up process-wide lazy state (observability registry,
         // allocator internals) so it cannot skew the measured runs.
-        allocations_for(10, projection, lr);
-        let before = backtracks();
-        let short = allocations_for(100, projection, lr);
-        let short_backtracks = backtracks() - before;
-        let before = backtracks();
-        let long = allocations_for(400, projection, lr);
-        let long_backtracks = backtracks() - before;
+        allocations_for(&problem, 10, projection, lr);
+        let (short, [short_backtracks, ..]) =
+            tally(|| allocations_for(&problem, 100, projection, lr));
+        let (long, [long_backtracks, ..]) =
+            tally(|| allocations_for(&problem, 400, projection, lr));
         assert_eq!(
             long, short,
             "{projection:?} lr {lr}: 300 extra PGD iterations must allocate nothing \
@@ -113,4 +168,27 @@ fn pgd_iterations_allocate_nothing_after_warmup() {
             );
         }
     }
+}
+
+#[test]
+fn price_trials_and_mirror_fallbacks_allocate_nothing_after_warmup() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let problem = price_problem();
+    let lr = SolverOptions::default().lr;
+    let kind = ProjectionKind::MirrorDescent;
+    allocations_for(&problem, 10, kind, lr);
+    let (short, short_trials) = tally(|| allocations_for(&problem, 2, kind, lr));
+    let (long, long_trials) = tally(|| allocations_for(&problem, 40, kind, lr));
+    assert_eq!(
+        long, short,
+        "38 extra iterations must allocate nothing \
+         (short solve: {short} allocations, long solve: {long})"
+    );
+    let [_, short_price, short_mirror] = short_trials;
+    let [long_backtracks, long_price, long_mirror] = long_trials;
+    assert!(
+        long_price > short_price && long_mirror > short_mirror && long_backtracks > 0,
+        "the extra iterations must take price trials, rejected trials and mirror \
+         fallbacks (short {short_trials:?}, long {long_trials:?})"
+    );
 }

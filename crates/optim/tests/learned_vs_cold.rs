@@ -13,6 +13,10 @@
 //!    kernel before any solver work: the solve is bit-for-bit the cold
 //!    solve, with a typed [`PredictionOutcome::Rejected`] in the
 //!    diagnostics — never a panic, never a degraded answer.
+//!    Both hold for price predictions too (a solve that takes price
+//!    trials starts from admissible predicted prices alone; mis-sized,
+//!    non-finite or out-of-scale prices are rejected with
+//!    [`RepairError::Prices`]).
 //! 3. Exact cache hits take precedence: a predictor is never consulted
 //!    when a valid cached optimum exists.
 //! 4. A repaired prediction whose attempt fails falls through the
@@ -25,7 +29,7 @@
 
 use mfcp_linalg::Matrix;
 use mfcp_optim::cache::{CacheOutcome, WarmStartCache};
-use mfcp_optim::learned::{DualPrediction, DualPredictor, LearnedDualHead};
+use mfcp_optim::learned::{DualPrediction, DualPredictor, LearnedDualHead, RepairError};
 use mfcp_optim::recovery::{PredictionOutcome, RobustSolver, StageOutcome};
 use mfcp_optim::rounding::round_argmax;
 use mfcp_optim::solver::SolverOptions;
@@ -77,6 +81,29 @@ impl DualPredictor for Mock {
         _params: &RelaxationParams,
     ) -> Option<DualPrediction> {
         self.0.clone()
+    }
+}
+
+/// A mock predictor with fixed raw prices and no column prediction —
+/// the handle the price start and its admissibility gate are tested
+/// through.
+struct PriceMock(Vec<f64>);
+
+impl DualPredictor for PriceMock {
+    fn predict_duals(
+        &self,
+        _problem: &MatchingProblem,
+        _params: &RelaxationParams,
+    ) -> Option<DualPrediction> {
+        None
+    }
+
+    fn predict_prices(
+        &self,
+        _problem: &MatchingProblem,
+        _params: &RelaxationParams,
+    ) -> Option<Vec<f64>> {
+        Some(self.0.clone())
     }
 }
 
@@ -198,6 +225,75 @@ proptest! {
                 "poison {}: expected a typed rejection, got {:?}",
                 k,
                 sol.diagnostics.prediction
+            );
+            prop_assert!(!sol.diagnostics.attempts[0].predicted);
+            prop_assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
+            prop_assert_eq!(sol.x.as_slice(), cold.x.as_slice());
+        }
+    }
+
+    /// Invariant 1 for price predictions: any admissible prices start
+    /// a solve (from their softmax, no columns involved) that agrees
+    /// with the cold solve like a column prediction does.
+    #[test]
+    fn prop_predicted_prices_agree_with_cold(
+        seed in 0u64..1_000_000,
+        m in 2usize..4,
+        n in 2usize..6,
+    ) {
+        let problem = convex_problem(seed, m, n);
+        let solver = tight_solver(test_params());
+        let cold = solver.solve(&problem).expect("cold solve");
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5052);
+        let prices: Vec<f64> = (0..=m).map(|_| rng.gen_range(-1.0..1.0)).collect();
+
+        let mut cache = WarmStartCache::new();
+        let sol = solver
+            .solve_with_predictor(&problem, &mut cache, Some(&PriceMock(prices)))
+            .expect("price-seeded solve");
+        prop_assert_eq!(sol.diagnostics.cache, Some(CacheOutcome::Predicted));
+        prop_assert_eq!(sol.diagnostics.prediction, Some(PredictionOutcome::Seeded));
+        prop_assert!(sol.diagnostics.attempts[0].predicted);
+        prop_assert!(
+            (cold.objective - sol.objective).abs() <= 1e-8,
+            "objective drift {} vs {}",
+            cold.objective,
+            sol.objective
+        );
+        prop_assert_eq!(round_argmax(&sol.x), round_argmax(&cold.x));
+    }
+
+    /// Invariant 2 for price predictions: mis-sized, non-finite or
+    /// out-of-scale prices are rejected with a typed event, and with no
+    /// column prediction behind them the solve is bit-for-bit cold.
+    #[test]
+    fn prop_inadmissible_prices_fall_back_to_cold(
+        seed in 0u64..1_000_000,
+        m in 2usize..4,
+        n in 2usize..6,
+    ) {
+        let problem = convex_problem(seed, m, n);
+        let solver = tight_solver(test_params());
+        let cold = solver.solve(&problem).expect("cold solve");
+        for (k, prices) in [
+            vec![0.5; m],
+            vec![f64::NAN; m + 1],
+            vec![f64::INFINITY; m + 1],
+            vec![1.0e6; m + 1],
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut cache = WarmStartCache::new();
+            let sol = solver
+                .solve_with_predictor(&problem, &mut cache, Some(&PriceMock(prices)))
+                .expect("rejected prices must not fail the solve");
+            prop_assert_eq!(sol.diagnostics.cache, Some(CacheOutcome::Miss), "poison {}", k);
+            prop_assert_eq!(
+                sol.diagnostics.prediction,
+                Some(PredictionOutcome::Rejected(RepairError::Prices)),
+                "poison {}",
+                k
             );
             prop_assert!(!sol.diagnostics.attempts[0].predicted);
             prop_assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());

@@ -9,15 +9,15 @@
 //! * **Departures** and **cluster outage events** change the structure
 //!   of the matching and trigger an immediate re-solve; arrivals batch
 //!   up to [`DaemonConfig::resolve_batch`] before triggering one.
-//! * **Resolves** run [`RobustSolver::solve_with_cache`], warm-started
-//!   from the previous assignment: surviving tasks keep their columns,
-//!   new tasks start uniform, and the seed is planted in the
+//! * **Resolves** run [`RobustSolver::solve_with_predictor`],
+//!   warm-started from the previous solve's prices, planted in the
 //!   [`WarmStartCache`] under the new problem fingerprint before the
-//!   solve (the fingerprint is structural, so it shifts only when the
-//!   task count changes — exactly when the seed must be re-mapped).
-//!   The resolve after a cluster recovers runs cold instead: the
-//!   outage starved that cluster's column entries to the numerical
-//!   floor, where mirror descent regrows them only slowly.
+//!   solve. Prices are per cluster, so they carry over any change of
+//!   the task set without remapping; the solve starts at their softmax,
+//!   which also regrows a cluster back from an outage in one step. A
+//!   previous resolve without prices (a greedy one) seeds the next from
+//!   its assignment instead: surviving tasks keep their columns, new
+//!   tasks start uniform (or predicted by the dual head).
 //! * A per-resolve [`Budget`] deadline cooperatively cancels the
 //!   optimizing rungs mid-iteration when the request blows its latency
 //!   budget; the greedy rung still runs, so every resolve produces a
@@ -31,11 +31,12 @@
 //! the same solves in the same order, which is what makes the
 //! kill/resume differential test meaningful.
 //!
-//! Cluster outages are modeled as a multiplicative slowdown on the
-//! downed cluster's row of the time matrix rather than removing the
-//! row: the problem keeps its shape (and therefore its structural
-//! cache fingerprint), and the optimizer routes around the penalized
-//! cluster on its own.
+//! Cluster outages are modeled as a mask: a resolve solves over the
+//! clusters that are up and commits zero rows for the downed ones, so
+//! the served matching keeps the full pool's shape. (A slowdown on the
+//! downed row would leave the idle cluster looking free to the smooth
+//! max.) Only when every cluster is down does the resolve fall back to
+//! [`DaemonConfig::outage_slowdown`] on the full pool.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -45,9 +46,11 @@ use mfcp_core::predictor::ClusterPredictor;
 use mfcp_linalg::Matrix;
 use mfcp_optim::cache::{fingerprint, validate_warm};
 use mfcp_optim::learned::repair;
+use mfcp_optim::solver::uniform_init;
 use mfcp_optim::{
     Budget, DualPredictor, FallbackStage, LearnedDualHead, MatchingProblem, RelaxationParams,
-    RobustSolver, SkipReason, SolveError, StageOutcome, WarmStartCache, WarmStartEntry,
+    RobustSolver, SkipReason, SolveDiagnostics, SolveError, StageOutcome, WarmStartCache,
+    WarmStartEntry,
 };
 use mfcp_platform::prelude::{FeatureEmbedder, PerfModel};
 use mfcp_platform::stream::ExchangeEvent;
@@ -132,7 +135,10 @@ pub struct DaemonConfig {
     /// required for bit-for-bit differential tests, since wall time is
     /// inherently nondeterministic.
     pub deadline: Option<Duration>,
-    /// Multiplier applied to a downed cluster's execution times.
+    /// Multiplier applied to every cluster's execution times when all
+    /// clusters are down (otherwise downed clusters are masked out of
+    /// the solve); scorers read it to price a matching that still uses
+    /// a downed cluster.
     pub outage_slowdown: f64,
     /// Bind address for the live ops surface (`mfcp_obs::http`), e.g.
     /// `127.0.0.1:9184`; `None` (the default) disables it. The server
@@ -210,6 +216,9 @@ pub struct ExchangeDaemon {
     // restored daemon with the same head replays bit-identically.
     dual_head: Option<LearnedDualHead>,
     state: ExchangeState,
+    // How the last resolve's ladder ran; observability only, never
+    // snapshotted.
+    last_resolve: Option<SolveDiagnostics>,
     // Obs handles resolved once; per-event cost is an atomic op.
     c_admitted: mfcp_obs::Counter,
     c_shed: mfcp_obs::Counter,
@@ -237,6 +246,7 @@ impl ExchangeDaemon {
             cache: WarmStartCache::new(),
             dual_head: None,
             state: ExchangeState::default(),
+            last_resolve: None,
             c_admitted: mfcp_obs::counter("serve.admitted"),
             c_shed: mfcp_obs::counter("serve.shed"),
             c_deadline_miss: mfcp_obs::counter("serve.deadline_miss"),
@@ -288,6 +298,12 @@ impl ExchangeDaemon {
     /// The current matching, if one has been solved.
     pub fn last_solution(&self) -> Option<&LastSolution> {
         self.state.last.as_ref()
+    }
+
+    /// How the last resolve's solve ran (rungs, stop reasons,
+    /// residuals); `None` before the first resolve and after a restore.
+    pub fn last_resolve(&self) -> Option<&SolveDiagnostics> {
+        self.last_resolve.as_ref()
     }
 
     /// Live warm-start cache statistics (`entries`, `hits`, `stale`,
@@ -344,12 +360,7 @@ impl ExchangeDaemon {
             ExchangeEvent::ClusterUp { cluster } => {
                 mfcp_obs::trace::instant("serve.cluster_up", Some(*cluster as u64));
                 self.state.down.remove(cluster);
-                // The outage starved the recovering cluster's coordinates
-                // to the numerical floor, and mirror descent regrows a
-                // starved coordinate only at its stable step: a warm seed
-                // would leave the cluster idle for many resolves. Re-solve
-                // from the cold start instead.
-                self.resolve_with(false);
+                self.resolve();
             }
         }
         // Levels, not counts: published once per event after the queues
@@ -369,14 +380,6 @@ impl ExchangeDaemon {
     /// Drains pending into active and re-solves the matching,
     /// warm-started from the previous one.
     fn resolve(&mut self) {
-        self.resolve_with(true);
-    }
-
-    /// [`Self::resolve`], warm-started from the previous matching when
-    /// `warm` is set; otherwise the ladder runs from the cold start
-    /// without consulting the cache (the next warm resolve plants its
-    /// seed from this answer).
-    fn resolve_with(&mut self, warm: bool) {
         let backlog = self.state.pending.len();
         let degraded = backlog >= self.config.degrade_watermark;
         while let Some((id, spec)) = self.state.pending.pop_front() {
@@ -390,18 +393,29 @@ impl ExchangeDaemon {
         let ids: Vec<u64> = self.state.active.keys().copied().collect();
         let specs: Vec<TaskSpec> = self.state.active.values().cloned().collect();
         let (mut t, a) = self.source.matrices(&specs);
-        for &cluster in &self.state.down {
-            if cluster < t.rows() {
-                for j in 0..t.cols() {
-                    t[(cluster, j)] *= self.config.outage_slowdown;
-                }
-            }
-        }
-        let problem = MatchingProblem::new(t, a, self.config.gamma);
+        // The solve runs over the clusters that are up; downed ones get
+        // zero rows on commit. With every cluster down there is nothing
+        // to mask to, and the slowdown keeps the full pool solvable.
+        let up: Vec<usize> = (0..t.rows())
+            .filter(|i| !self.state.down.contains(i))
+            .collect();
+        let problem = if up.is_empty() {
+            let slowdown = self.config.outage_slowdown;
+            t.map_inplace(|v| v * slowdown);
+            MatchingProblem::new(t, a, self.config.gamma)
+        } else if up.len() < t.rows() {
+            let rows = |src: &Matrix| Matrix::from_fn(up.len(), src.cols(), |k, j| src[(up[k], j)]);
+            MatchingProblem::new(rows(&t), rows(&a), self.config.gamma)
+        } else {
+            MatchingProblem::new(t, a, self.config.gamma)
+        };
+        let up = if up.is_empty() {
+            (0..problem.clusters()).collect()
+        } else {
+            up
+        };
 
-        if warm {
-            self.plant_warm_seed(&problem, &ids);
-        }
+        self.plant_warm_seed(&problem, &ids, &up);
 
         let mut solver = match self.config.deadline {
             Some(limit) => self.solver.with_budget(Budget::with_deadline(limit)),
@@ -420,11 +434,7 @@ impl ExchangeDaemon {
         // from predicted duals instead of the uniform simplex point;
         // exact cache hits still take precedence inside the ladder.
         let predictor = self.dual_head.as_ref().map(|h| h as &dyn DualPredictor);
-        let result = if warm {
-            solver.solve_with_predictor(&problem, &mut self.cache, predictor)
-        } else {
-            solver.solve(&problem)
-        };
+        let result = solver.solve_with_predictor(&problem, &mut self.cache, predictor);
         mfcp_obs::trace::end("serve.resolve", Some(self.state.counters.resolves));
         let elapsed = started.elapsed();
         self.h_latency.record_duration(elapsed);
@@ -450,11 +460,14 @@ impl ExchangeDaemon {
                     self.c_deadline_miss.inc();
                     mfcp_obs::trace::instant("serve.deadline_miss", None);
                 }
+                let (x, prices) = self.commit_rows(sol.x, sol.prices, &up);
                 self.state.last = Some(LastSolution {
                     ids,
-                    x: sol.x,
+                    x,
                     objective: sol.objective,
+                    prices,
                 });
+                self.last_resolve = Some(sol.diagnostics);
             }
             Err(e) => {
                 // The greedy rung is infallible, so this is a config
@@ -462,23 +475,73 @@ impl ExchangeDaemon {
                 // matching rather than serving nothing.
                 mfcp_obs::counter("serve.solve_error").inc();
                 mfcp_obs::trace::instant("serve.solve_error", None);
+                self.last_resolve = None;
                 debug_assert!(false, "resolve failed: {e}");
             }
         }
     }
 
-    /// Maps the previous assignment onto the current task set and
-    /// plants it in the cache under the current problem fingerprint, so
-    /// the ladder's cached-warm-start path picks it up. Surviving tasks
-    /// keep their columns; new tasks take predicted-dual columns when a
-    /// dual head is attached (repaired onto the simplex, uniform on
-    /// rejection) and uniform `1/m` otherwise.
-    fn plant_warm_seed(&mut self, problem: &MatchingProblem, ids: &[u64]) {
+    /// Expands a solve over the clusters `up` to the full pool: downed
+    /// clusters get zero rows in `x` and a zero load price (an idle
+    /// cluster costs nothing at the margin), the reliability price is
+    /// kept. Prices stay empty when the solve kept none.
+    fn commit_rows(&self, x: Matrix, prices: Vec<f64>, up: &[usize]) -> (Matrix, Vec<f64>) {
+        let m = self.source.clusters();
+        if up.len() == m {
+            return (x, prices);
+        }
+        let mut full = Matrix::zeros(m, x.cols());
+        for (k, &i) in up.iter().enumerate() {
+            full.row_mut(i).copy_from_slice(x.row(k));
+        }
+        let mut full_prices = Vec::new();
+        if prices.len() == up.len() + 1 {
+            full_prices.resize(m + 1, 0.0);
+            for (k, &i) in up.iter().enumerate() {
+                full_prices[i] = prices[k];
+            }
+            full_prices[m] = prices[up.len()];
+        }
+        (full, full_prices)
+    }
+
+    /// Plants the start of the next solve in the cache under the
+    /// current problem fingerprint, where the ladder's cached-warm-start
+    /// path picks it up. The previous solve's prices are the whole
+    /// start when it kept them: they are per cluster, so they need no
+    /// column remapping, and the solve begins at their softmax over the
+    /// current tasks (the planted matrix is a uniform placeholder).
+    /// Without them (the previous resolve ended greedy, or its solve
+    /// takes no price trials), the previous assignment is mapped onto
+    /// the current task set and the clusters `up` (the problem's rows):
+    /// surviving tasks keep their columns (renormalized over the up
+    /// clusters); new tasks take predicted-dual columns when a dual head
+    /// is attached (repaired onto the simplex, uniform on rejection) and
+    /// uniform `1/m` otherwise.
+    fn plant_warm_seed(&mut self, problem: &MatchingProblem, ids: &[u64], up: &[usize]) {
         let Some(last) = &self.state.last else {
             return;
         };
         let (m, n) = (problem.clusters(), problem.tasks());
-        if last.x.rows() != m {
+        let pool = self.source.clusters();
+        if last.x.rows() != pool || up.len() != m {
+            return;
+        }
+        let key = fingerprint(problem, &self.solver.params);
+        if last.prices.len() == pool + 1 {
+            let prices = up
+                .iter()
+                .map(|&i| last.prices[i])
+                .chain([last.prices[pool]])
+                .collect();
+            let entry = WarmStartEntry::from_solution(
+                problem,
+                &uniform_init(m, n),
+                last.objective,
+                Vec::new(),
+                prices,
+            );
+            self.cache.store(key, entry);
             return;
         }
         let old_col: BTreeMap<u64, usize> = last
@@ -497,22 +560,33 @@ impl ExchangeDaemon {
             mfcp_obs::counter("serve.predicted_seed_cols").add(newcomers as u64);
         }
         let uniform = 1.0 / m as f64;
-        let seed = Matrix::from_fn(m, n, |i, j| match old_col.get(&ids[j]) {
-            Some(&jj) => last.x[(i, jj)],
+        let mut seed = Matrix::from_fn(m, n, |k, j| match old_col.get(&ids[j]) {
+            Some(&jj) => last.x[(up[k], jj)],
             None => match &predicted {
-                Some(px) => px[(i, j)],
+                Some(px) => px[(k, j)],
                 None => uniform,
             },
         });
+        if m < pool {
+            // A cluster went down under a survivor: renormalize over the
+            // clusters still up (uniform when it held all the mass).
+            for j in 0..n {
+                let sum: f64 = (0..m).map(|k| seed[(k, j)]).sum();
+                for k in 0..m {
+                    seed[(k, j)] = if sum > 0.0 {
+                        seed[(k, j)] / sum
+                    } else {
+                        uniform
+                    };
+                }
+            }
+        }
         if !validate_warm(&seed, m, n) {
             return;
         }
-        let key = fingerprint(problem, &self.solver.params);
-        let objective = last.objective;
-        self.cache.store(
-            key,
-            WarmStartEntry::from_solution(problem, &self.solver.params, &seed, objective),
-        );
+        let entry =
+            WarmStartEntry::from_solution(problem, &seed, last.objective, Vec::new(), Vec::new());
+        self.cache.store(key, entry);
     }
 
     /// A repaired predicted primal for the current problem, used to

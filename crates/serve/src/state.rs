@@ -3,7 +3,9 @@
 //! The daemon's entire mutable state — trace cursor, active and pending
 //! task sets, cluster outage mask, last assignment, warm-start cache,
 //! and SLO counters — round-trips through a line-oriented text document
-//! with a versioned header (`mfcp-serve-snapshot v1`), in the same
+//! with a versioned header (`mfcp-serve-snapshot v2`; v2 added the
+//! solves' prices, and a v1 document still restores, with none), in
+//! the same
 //! dependency-free style as the `mfcp-nn` checkpoint format. Floats are
 //! written with `{:e}` round-trip precision, so a restored daemon
 //! resumes with bit-identical numeric state; writes go through
@@ -25,7 +27,11 @@ use mfcp_optim::{KktStructure, WarmStartCache, WarmStartEntry};
 use mfcp_platform::task::{Corpus, TaskFamily, TaskSpec};
 
 /// Versioned first line of every snapshot document.
-pub const SNAPSHOT_HEADER: &str = "mfcp-serve-snapshot v1";
+pub const SNAPSHOT_HEADER: &str = "mfcp-serve-snapshot v2";
+
+/// Header of the previous format, which [`from_document`] still reads:
+/// it has no `prices` lines, so its solutions restore with none.
+const SNAPSHOT_HEADER_V1: &str = "mfcp-serve-snapshot v1";
 
 /// File name of the snapshot document inside a snapshot directory.
 pub const SNAPSHOT_FILE: &str = "state.snap";
@@ -92,6 +98,11 @@ pub struct LastSolution {
     pub x: Matrix,
     /// Objective at `x`.
     pub objective: f64,
+    /// The solve's final prices over the full pool (one load price per
+    /// cluster, zero for downed ones, then the reliability price);
+    /// empty when the solve kept none. The next resolve starts from
+    /// them.
+    pub prices: Vec<f64>,
 }
 
 /// Everything the daemon must persist to resume deterministically.
@@ -183,6 +194,36 @@ fn push_matrix(out: &mut String, tag: &str, x: &Matrix) {
         out.push(' ');
         out.push_str(&row.join(" "));
         out.push('\n');
+    }
+}
+
+fn push_floats(out: &mut String, tag: &str, values: &[f64]) {
+    let values: Vec<String> = values.iter().map(|v| format!("{v:e}")).collect();
+    out.push_str(&format!("{tag} {}\n", values.join(" ")));
+}
+
+/// Parses the next line as `tag <floats>`.
+fn next_floats<'a>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    tag: &str,
+) -> Result<Vec<f64>, SnapshotError> {
+    let line = lines.next().ok_or_else(|| err(format!("missing {tag}")))?;
+    parse_floats(
+        line.strip_prefix(tag)
+            .ok_or_else(|| err(format!("expected `{tag} ...`")))?,
+    )
+}
+
+/// Parses the next `prices` line, or none (empty prices) in a document
+/// of the format before prices were kept.
+fn next_prices<'a>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    has_prices: bool,
+) -> Result<Vec<f64>, SnapshotError> {
+    if has_prices {
+        next_floats(lines, "prices")
+    } else {
+        Ok(Vec::new())
     }
 }
 
@@ -281,6 +322,7 @@ pub fn to_document(
             let ids: Vec<String> = last.ids.iter().map(|i| i.to_string()).collect();
             out.push_str(&format!("ids {}\n", ids.join(" ")));
             push_matrix(&mut out, "xrow", &last.x);
+            push_floats(&mut out, "prices", &last.prices);
         }
     }
     let entries = cache.entries_sorted();
@@ -294,8 +336,8 @@ pub fn to_document(
             if entry.kkt.is_some() { 1 } else { 0 }
         ));
         push_matrix(&mut out, "xrow", &entry.x);
-        let duals: Vec<String> = entry.duals.iter().map(|v| format!("{v:e}")).collect();
-        out.push_str(&format!("duals {}\n", duals.join(" ")));
+        push_floats(&mut out, "duals", &entry.duals);
+        push_floats(&mut out, "prices", &entry.prices);
     }
     out.push_str(&format!("predictors {predictor_count}\n"));
     out.push_str("end\n");
@@ -312,9 +354,11 @@ pub fn from_document(
 ) -> Result<(ExchangeState, WarmStartCache, usize), SnapshotError> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let header = lines.next().ok_or_else(|| err("empty document"))?;
-    if header.trim() != SNAPSHOT_HEADER {
-        return Err(err(format!("bad header {header:?}")));
-    }
+    let has_prices = match header.trim() {
+        SNAPSHOT_HEADER => true,
+        SNAPSHOT_HEADER_V1 => false,
+        _ => return Err(err(format!("bad header {header:?}"))),
+    };
 
     let cursor_parts = next_field(&mut lines, "cursor")?;
     let cursor: u64 = cursor_parts
@@ -403,7 +447,13 @@ pub fn from_document(
                 return Err(err("ids length does not match assignment columns"));
             }
             let x = parse_matrix(&mut lines, "xrow", m, n)?;
-            Some(LastSolution { ids, x, objective })
+            let prices = next_prices(&mut lines, has_prices)?;
+            Some(LastSolution {
+                ids,
+                x,
+                objective,
+                prices,
+            })
         }
         None => return Err(err("missing last value")),
     };
@@ -428,21 +478,18 @@ pub fn from_document(
         let objective: f64 = e[4].parse().map_err(|_| err("bad entry objective"))?;
         let has_kkt = e[5] == "1";
         let x = parse_matrix(&mut lines, "xrow", m, n)?;
-        let duals_line = lines.next().ok_or_else(|| err("missing duals"))?;
-        let duals = parse_floats(
-            duals_line
-                .strip_prefix("duals")
-                .ok_or_else(|| err("expected `duals ...`"))?,
-        )?;
-        if duals.len() != n {
+        let duals = next_floats(&mut lines, "duals")?;
+        if !duals.is_empty() && duals.len() != n {
             return Err(err("duals length does not match entry columns"));
         }
+        let prices = next_prices(&mut lines, has_prices)?;
         cache.insert_preserving_age(
             key,
             WarmStartEntry {
                 x,
                 objective,
                 duals,
+                prices,
                 kkt: has_kkt.then(|| KktStructure::for_shape(m, n)),
                 stored_at,
             },
@@ -533,6 +580,7 @@ mod tests {
                 ids: vec![3, 7],
                 x,
                 objective: 1.5e-3,
+                prices: vec![0.0, 0.75, -2.5e-3],
             }),
             counters: ServeCounters {
                 admitted: 10,
@@ -556,6 +604,7 @@ mod tests {
                 x: Matrix::from_rows(&[&[0.1, 0.9], &[0.9, 0.1]]),
                 objective: -2.5,
                 duals: vec![0.5, -0.5],
+                prices: vec![0.25, 0.75, -1e-2],
                 kkt: Some(KktStructure::for_shape(2, 2)),
                 stored_at: 4,
             },
@@ -572,8 +621,53 @@ mod tests {
         assert_eq!(entry.stored_at, 4);
         assert_eq!(entry.objective.to_bits(), (-2.5f64).to_bits());
         assert!(entry.kkt.is_some());
+        assert_eq!(entry.prices, vec![0.25, 0.75, -1e-2]);
         // Serialization is itself deterministic.
         assert_eq!(doc, to_document(&back, &back_cache, preds));
+    }
+
+    #[test]
+    fn reads_v1_documents_without_prices() {
+        let mut state = sample_state();
+        let mut cache = WarmStartCache::new();
+        cache.insert_preserving_age(
+            5,
+            WarmStartEntry {
+                x: Matrix::from_rows(&[&[0.5, 0.5], &[0.5, 0.5]]),
+                objective: 0.5,
+                duals: Vec::new(),
+                prices: vec![0.5, 0.5, -1e-2],
+                kkt: None,
+                stored_at: 0,
+            },
+        );
+        let v2 = to_document(&state, &cache, 0);
+        let v1: Vec<&str> = v2
+            .lines()
+            .filter(|l| !l.starts_with("prices"))
+            .map(|l| {
+                if l == SNAPSHOT_HEADER {
+                    SNAPSHOT_HEADER_V1
+                } else {
+                    l
+                }
+            })
+            .collect();
+        let (back, back_cache, _) = from_document(&v1.join("\n"), &WarmStartCache::new()).unwrap();
+        state.last.as_mut().unwrap().prices.clear();
+        assert_eq!(back, state);
+        let entries = back_cache.entries_sorted();
+        assert!(entries[0].1.prices.is_empty());
+        assert!(
+            entries[0].1.duals.is_empty(),
+            "a planted seed keeps no duals"
+        );
+        // The v2 document restores its prices.
+        let (_, back_cache, _) = from_document(&v2, &WarmStartCache::new()).unwrap();
+        assert_eq!(
+            back_cache.entries_sorted()[0].1.prices,
+            vec![0.5, 0.5, -1e-2]
+        );
     }
 
     #[test]

@@ -71,6 +71,11 @@ fn kill_resume_is_bit_identical() {
     let bits_a: Vec<u64> = a.x.as_slice().iter().map(|v| v.to_bits()).collect();
     let bits_b: Vec<u64> = b.x.as_slice().iter().map(|v| v.to_bits()).collect();
     assert_eq!(bits_a, bits_b, "assignments must agree bit-for-bit");
+    // The prices the next resolve starts from ride in the snapshot too.
+    assert!(!a.prices.is_empty(), "ground-truth resolves keep prices");
+    let prices_a: Vec<u64> = a.prices.iter().map(|v| v.to_bits()).collect();
+    let prices_b: Vec<u64> = b.prices.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(prices_a, prices_b, "prices must agree bit-for-bit");
 }
 
 #[test]
@@ -246,6 +251,10 @@ fn learned_predictors_round_trip_through_snapshot() {
             .map(|v| v.to_bits())
             .collect::<Vec<_>>()
     );
+    assert_eq!(
+        a.prices.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        b.prices.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    );
 }
 
 #[test]
@@ -360,11 +369,14 @@ fn untrained_dual_head_is_inert_bit_for_bit() {
 }
 
 #[test]
-fn trained_dual_head_seeds_newcomer_columns() {
+fn trained_dual_head_seeds_resolves_without_previous_prices() {
     // Train a head offline on solved instances of the serving shape,
-    // attach it frozen, and replay: newcomer columns must be seeded
-    // from repaired predictions (counted per column), and the final
-    // matching must stay a valid, finite solution.
+    // attach it frozen, and replay with a degrade watermark of 2 so
+    // most resolves run greedily. A resolve after a priced solve starts
+    // from its prices and never asks the head; a resolve after a greedy
+    // one (which keeps no prices) seeds its newcomer columns from
+    // repaired predictions (counted per column). The final matching
+    // must stay a valid, finite solution.
     let params = RelaxationParams::default();
     let solver = RobustSolver::new(params);
     let mut head = LearnedDualHead::new(3, 71);
@@ -378,19 +390,27 @@ fn trained_dual_head_seeds_newcomer_columns() {
         head.observe(&problem, &params, &sol.x);
     }
     assert!(head.ready(), "10 clean observations clear the bar");
+    assert!(head.prices_ready(), "and the price head's");
 
     let before = mfcp_obs::counter("serve.predicted_seed_cols").get();
     let rejected_before = mfcp_obs::counter("serve.predicted_seed_rejected").get();
     let trace = test_trace();
-    let mut daemon =
-        ExchangeDaemon::new(DaemonConfig::default(), ground_truth()).with_dual_head(head);
+    let config = DaemonConfig {
+        degrade_watermark: 2,
+        ..DaemonConfig::default()
+    };
+    let mut daemon = ExchangeDaemon::new(config, ground_truth()).with_dual_head(head);
     let outcome = replay(&mut daemon, &trace);
     let seeded_cols = mfcp_obs::counter("serve.predicted_seed_cols").get() - before;
     let rejected = mfcp_obs::counter("serve.predicted_seed_rejected").get() - rejected_before;
 
     assert!(
+        outcome.counters.degraded > 0,
+        "the watermark must degrade resolves"
+    );
+    assert!(
         seeded_cols > 0,
-        "a ready head must seed at least one newcomer column over a 2h trace"
+        "a ready head must seed newcomer columns after a greedy resolve over a 2h trace"
     );
     assert_eq!(rejected, 0, "repair must accept every in-family prediction");
     let last = outcome.last.expect("trace ends with a matching");
