@@ -1,7 +1,9 @@
 //! Continuous benchmark gate behind the `perfgate` binary.
 //!
 //! Runs a fixed suite of tier-1 workloads — an MFCP-AD solve, an MFCP-FG
-//! solve, one guarded training round, a fault-injected replay, the
+//! solve, the MFCP-FG solve with the paper's speedup curve on every
+//! cluster (`solve_fg_parallel`), one guarded training round, a
+//! fault-injected replay, the
 //! warm-started MFCP-AD solve (`solve_warm`), a batched relaxed-solve
 //! fan-out (`batch_solve`), a head-to-head of the structured vs dense
 //! implicit-gradient paths (`kkt_grad`), an online-serving trace replay
@@ -48,7 +50,7 @@ use mfcp_optim::kkt::{self, KktWorkspace};
 use mfcp_optim::zeroth::ZerothOrderOptions;
 use mfcp_optim::{
     CacheOutcome, LearnedDualHead, MatchingProblem, RelaxationParams, RobustSolver, SolverOptions,
-    WarmStartCache,
+    SpeedupCurve, WarmStartCache,
 };
 use mfcp_parallel::ParallelConfig;
 use mfcp_platform::dataset::{NoiseConfig, PlatformDataset};
@@ -234,18 +236,36 @@ fn suite_solve_ad(cfg: &PerfgateConfig) {
 /// multiplies the solve count by the perturbation sample count.
 fn suite_solve_fg(cfg: &PerfgateConfig) {
     let data = tiny_dataset(cfg, 13);
+    let train_cfg = solve_fg_cfg(cfg);
+    let _ = train_mfcp(&data, &train_cfg, cfg.seed.wrapping_add(2));
+}
+
+/// `solve_fg`'s rounds with the paper's speedup curve on every cluster
+/// (paper §4.5), the setting MFCP-FG exists for: every solve carries
+/// count prices, and its `optim.solve.cap_hits`,
+/// `optim.solve.price_steps` and `optim.solve.model_fallbacks` counters
+/// show whether the price trials still carry it past the curve's kink
+/// at one task.
+fn suite_solve_fg_parallel(cfg: &PerfgateConfig) {
+    let data = tiny_dataset(cfg, 13);
+    let mut train_cfg = solve_fg_cfg(cfg);
+    train_cfg.speedup = vec![SpeedupCurve::paper_parallel(); data.clusters()];
+    let _ = train_mfcp(&data, &train_cfg, cfg.seed.wrapping_add(2));
+}
+
+fn solve_fg_cfg(cfg: &PerfgateConfig) -> MfcpTrainConfig {
     let zeroth = ZerothOrderOptions {
         delta: 0.05,
         samples: 4,
         parallel: ParallelConfig::default(),
     };
     let mut train_cfg = solve_train_cfg(cfg, GradientMode::ForwardGradient(zeroth));
-    // FG multiplies the solve count by ~2·samples per cluster; keep this
-    // suite at the smaller round shape so it tracks the FG machinery's
+    // FG multiplies the solve count by ~2·samples per cluster; keep these
+    // suites at the smaller round shape so they track the FG machinery's
     // cost without dominating the gate's wall time.
     train_cfg.rounds = cfg.rounds.max(1);
     train_cfg.round_size = 4;
-    let _ = train_mfcp(&data, &train_cfg, cfg.seed.wrapping_add(2));
+    train_cfg
 }
 
 /// One guarded training round with a poisoned sample and a checkpoint —
@@ -852,14 +872,16 @@ type SuiteFn = fn(&PerfgateConfig);
 
 /// Suite table: `(name, inner_reps, workload)`. `inner_reps` is the
 /// batched-repetition count: each timed run executes the workload that
-/// many times and divides the elapsed wall by it, so sub-millisecond
-/// suites (`fault_replay`) gate on a stable
-/// multi-millisecond measurement window instead of scheduler noise.
+/// many times and divides the elapsed wall by it, so short suites
+/// (`fault_replay` at ~0.1 ms, `solve_fg_parallel` at ~5 ms) gate on a
+/// stable multi-millisecond measurement window instead of scheduler
+/// noise.
 /// Counters in those suites accumulate across the inner reps; the
 /// baseline is recorded the same way, so comparisons stay consistent.
-const SUITES: [(&str, usize, SuiteFn); 12] = [
+const SUITES: [(&str, usize, SuiteFn); 13] = [
     ("solve_ad", 1, suite_solve_ad),
     ("solve_fg", 1, suite_solve_fg),
+    ("solve_fg_parallel", 8, suite_solve_fg_parallel),
     ("train_round", 1, suite_train_round),
     ("fault_replay", 16, suite_fault_replay),
     ("solve_warm", 1, suite_solve_warm),
@@ -1330,14 +1352,27 @@ mod tests {
         };
         let mut trace = String::new();
         let report = run_perfgate(&cfg, Some(&mut trace));
-        assert_eq!(report.suites.len(), 12);
+        assert_eq!(report.suites.len(), SUITES.len());
         for s in &report.suites {
             assert!(s.median_wall_secs.is_finite() && s.median_wall_secs >= 0.0);
             assert!(!s.metrics.is_empty(), "suite {} has no metrics", s.name);
         }
+        let suite = |name: &str| {
+            report
+                .suites
+                .iter()
+                .find(|s| s.name == name)
+                .unwrap_or_else(|| panic!("suite {name} missing"))
+        };
         assert!(
-            report.suites[2].metrics.contains_key("train.rounds"),
+            suite("train_round").metrics.contains_key("train.rounds"),
             "train_round suite records training counters"
+        );
+        assert!(
+            suite("solve_fg_parallel")
+                .metrics
+                .contains_key("optim.solve.price_steps"),
+            "solve_fg_parallel's solves take price trials"
         );
         let doc = json::parse(&report.to_json()).expect("report JSON is valid");
         assert!(PerfgateReport::from_json(&doc).is_ok());

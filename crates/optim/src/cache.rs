@@ -532,11 +532,11 @@ impl WarmStartCache {
 /// Whether `prices` can seed an `m`-cluster solve: none at all, or
 /// finite values within [`crate::learned::DUAL_ABS_BOUND`] (prices are
 /// gradient components of the same scale as duals) in one of the
-/// [`crate::objective::price_dim`] layouts (`m + 1` without capacity
-/// constraints, `2m + 1` with them).
+/// [`crate::objective::price_dim`] layouts (`m + 1`, plus `m` for
+/// capacity constraints and `m` for speedup curves' count prices).
 pub(crate) fn prices_admissible(prices: &[f64], m: usize) -> bool {
     prices.is_empty()
-        || ((prices.len() == m + 1 || prices.len() == 2 * m + 1)
+        || ([m + 1, 2 * m + 1, 3 * m + 1].contains(&prices.len())
             && prices
                 .iter()
                 .all(|v| v.abs() <= crate::learned::DUAL_ABS_BOUND))

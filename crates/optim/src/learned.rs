@@ -202,8 +202,8 @@ impl FeatureContext {
 }
 
 /// Whether `problem`'s solves keep prices in the layout the price head
-/// predicts: loads enter `F` linearly (no speedup curve) and there are
-/// no capacity constraints, so `θ` has `m + 1` entries.
+/// predicts: no speedup curve (whose count prices widen `θ`) and no
+/// capacity constraints, so `θ` has `m + 1` entries.
 fn priced_layout(problem: &MatchingProblem) -> bool {
     problem.capacity.is_none() && problem.speedup.iter().all(|c| c.is_trivial())
 }

@@ -425,6 +425,8 @@ pub(crate) struct TransposedEval {
     pub at: Matrix,
     /// Capacity usage transposed to `N×M` (when constrained).
     pub ut: Option<Matrix>,
+    /// First count slot of the price layout ([`count_slots`]).
+    pub count_at: Option<usize>,
     weights: Vec<f64>,
     zeta: Vec<f64>,
     dzeta: Vec<f64>,
@@ -437,6 +439,7 @@ impl Default for TransposedEval {
             tt: Matrix::zeros(0, 0),
             at: Matrix::zeros(0, 0),
             ut: None,
+            count_at: None,
             weights: Vec::new(),
             zeta: Vec::new(),
             dzeta: Vec::new(),
@@ -471,6 +474,7 @@ impl TransposedEval {
             }
             None => self.ut = None,
         }
+        self.count_at = count_slots(problem);
         for buf in [
             &mut self.weights,
             &mut self.zeta,
@@ -595,9 +599,11 @@ impl TransposedEval {
 
 impl IterStats {
     /// `∇Φ` of these per-cluster sums in price layout (see
-    /// [`price_dim`]): on a trivial-speedup instance
-    /// `∂F/∂x_ij = θ·f_ij + ρ(1 + ln x_ij)` with `θ` these prices.
-    /// Writes the first `price_dim` entries of `out`.
+    /// [`price_dim`]): `∂F/∂x_ij = θ·f_ij + ρ(1 + ln x_ij)` with `θ`
+    /// these prices. Load slot `i` holds `w_i·ζ_i(n_i)` and, when the
+    /// layout has count slots, count slot `i` holds `w_i·ζ_i'(n_i)·ℓ_i`
+    /// (the two terms of [`grad_x`]'s smooth-max part). Writes the first
+    /// `price_dim` entries of `out`.
     pub fn prices_into(
         &self,
         problem: &MatchingProblem,
@@ -605,14 +611,26 @@ impl IterStats {
         out: &mut [f64],
     ) {
         let m = problem.clusters();
+        let curves = &problem.speedup;
+        let count_at = count_slots(problem);
         match params.cost {
             CostKind::SmoothMax => {
-                for (o, &l) in out[..m].iter_mut().zip(&self.load) {
-                    *o = params.beta * l;
+                for (i, o) in out[..m].iter_mut().enumerate() {
+                    *o = match count_at {
+                        None => params.beta * self.load[i],
+                        Some(_) => params.beta * (curves[i].eval(self.count[i]) * self.load[i]),
+                    };
                 }
                 vector::softmax_inplace(&mut out[..m]);
             }
             CostKind::LinearSum => out[..m].fill(1.0),
+        }
+        if let Some(c) = count_at {
+            // `out[..m]` holds the weights `w` here.
+            for i in 0..m {
+                out[c + i] = out[i] * curves[i].derivative(self.count[i]) * self.load[i];
+                out[i] *= curves[i].eval(self.count[i]);
+            }
         }
         let n = problem.tasks().max(1) as f64;
         out[m] = barrier_derivative(params, TransposedEval::slack(problem, self)) / n;
@@ -624,11 +642,18 @@ impl IterStats {
         }
     }
 
-    /// The Hessian `H_Φ` of `Φ` at these sums, dense `r×r` row-major in
-    /// price layout: the smooth max's `β(diag w − wwᵀ)` over the loads
-    /// (`w` the first `M` entries of `prices`, from
-    /// [`Self::prices_into`]) and the barriers' curvature on the
-    /// reliability mass and capacity uses.
+    /// A positive semidefinite model `H_Φ` of the Hessian of `Φ` at these
+    /// sums, dense `r×r` row-major in price layout, with `prices` from
+    /// [`Self::prices_into`]. The smooth max contributes
+    /// `β(Σ_i w_i g_i g_iᵀ − ppᵀ)`, its `β(diag w − wwᵀ)` carried through
+    /// each cluster's `g_i = ∇s_i` (`ζ_i` on load slot `i`, `ζ_i'ℓ_i` on
+    /// count slot `i`), where `p = Σ_i w_i g_i` are the load and count
+    /// prices; on a trivial-speedup instance that is `β(diag w − wwᵀ)`
+    /// over the loads. The barriers add their curvature on the
+    /// reliability mass and capacity uses. The curves' own curvature
+    /// `Σ_i w_i ∇²s_i` ([`Self::add_curve_hessian`]) is left out: its
+    /// count–load block `[[ζ''ℓ, ζ'], [ζ', 0]]` has determinant
+    /// `−ζ'² < 0`, and without it `I + H_Φ·C/ρ` keeps eigenvalues ≥ 1.
     pub fn price_hessian_into(
         &self,
         problem: &MatchingProblem,
@@ -640,11 +665,40 @@ impl IterStats {
         let r = price_dim(problem);
         out[..r * r].fill(0.0);
         if params.cost == CostKind::SmoothMax {
+            let count_at = count_slots(problem);
             for a in 0..m {
                 for b in 0..m {
                     out[a * r + b] = -params.beta * prices[a] * prices[b];
                 }
-                out[a * r + a] += params.beta * prices[a];
+            }
+            if let Some(c) = count_at {
+                // The `−β·ppᵀ` blocks between load and count slots.
+                for a in 0..m {
+                    for b in c..c + m {
+                        out[a * r + b] = -params.beta * prices[a] * prices[b];
+                        out[b * r + a] = -params.beta * prices[b] * prices[a];
+                    }
+                }
+                for a in c..c + m {
+                    for b in c..c + m {
+                        out[a * r + b] = -params.beta * prices[a] * prices[b];
+                    }
+                }
+            }
+            for i in 0..m {
+                let Some(c) = count_at else {
+                    out[i * r + i] += params.beta * prices[i];
+                    continue;
+                };
+                let curve = problem.speedup[i];
+                out[i * r + i] += params.beta * (prices[i] * curve.eval(self.count[i]));
+                let k = c + i;
+                let dzeta_load = curve.derivative(self.count[i]) * self.load[i];
+                // w_i·ζ_i·ζ_i'ℓ_i, from either price.
+                let cross = params.beta * (prices[i] * dzeta_load);
+                out[i * r + k] += cross;
+                out[k * r + i] += cross;
+                out[k * r + k] += params.beta * (prices[k] * dzeta_load);
             }
         }
         let n = problem.tasks().max(1) as f64;
@@ -657,11 +711,34 @@ impl IterStats {
             }
         }
     }
+
+    /// Adds the curves' own curvature `Σ_i w_i ∇²s_i`, the term
+    /// [`Self::price_hessian_into`] leaves out, to `out` (`prices` from
+    /// [`Self::prices_into`]): `w_i ζ_i'` on the count–load pair of
+    /// cluster `i` and `w_i ζ_i'' ℓ_i` on its count. Together they form
+    /// the exact Hessian of `Φ`. A no-op when the layout has no count
+    /// slots.
+    pub fn add_curve_hessian(&self, problem: &MatchingProblem, prices: &[f64], out: &mut [f64]) {
+        let Some(c) = count_slots(problem) else {
+            return;
+        };
+        let r = price_dim(problem);
+        for (i, curve) in problem.speedup.iter().enumerate() {
+            let n = self.count[i];
+            // Load price `w_i·ζ_i`, and `ζ_i ≥ floor > 0`.
+            let w = prices[i] / curve.eval(n);
+            let k = c + i;
+            let cross = w * curve.derivative(n);
+            out[i * r + k] += cross;
+            out[k * r + i] += cross;
+            out[k * r + k] += w * curve.second_derivative(n) * self.load[i];
+        }
+    }
 }
 
 /// The prices `∇Φ(A·x)` of an assignment `x` (`M×N`) in [`price_dim`]
-/// layout. At the optimum of a trivial-speedup instance they are the
-/// optimum's own prices, whose softmax is the optimum.
+/// layout. At an optimum they are the optimum's own prices, whose
+/// softmax is the optimum.
 pub fn prices(problem: &MatchingProblem, params: &RelaxationParams, x: &Matrix) -> Vec<f64> {
     let (m, n) = (problem.clusters(), problem.tasks());
     let mut te = TransposedEval::default();
@@ -682,13 +759,27 @@ pub fn prices(problem: &MatchingProblem, params: &RelaxationParams, x: &Matrix) 
 }
 
 /// Length of a problem's price vector `θ`: one price per cluster load,
-/// one for the reliability mass, and one per cluster capacity use when
-/// the problem has capacity constraints. Task `j`'s feature on cluster
-/// `i`, `f_ij`, carries `t_ij` in load slot `i`, `a_ij` in slot `M`,
-/// and `u_ij` in capacity slot `M + 1 + i`.
+/// one for the reliability mass, one per cluster capacity use when the
+/// problem has capacity constraints, and one per cluster task count when
+/// any cluster has a non-trivial speedup curve (after all the others). Task
+/// `j`'s feature on cluster `i`, `f_ij`, carries `t_ij` in load slot
+/// `i`, `a_ij` in slot `M`, `u_ij` in capacity slot `M + 1 + i`, and `1`
+/// in count slot `i`.
 pub fn price_dim(problem: &MatchingProblem) -> usize {
     let m = problem.clusters();
-    m + 1 + if problem.capacity.is_some() { m } else { 0 }
+    let per_cluster = |present: bool| if present { m } else { 0 };
+    m + 1 + per_cluster(problem.capacity.is_some()) + per_cluster(count_slots(problem).is_some())
+}
+
+/// Where the count slots start in [`price_dim`]'s layout, after the
+/// load, reliability and capacity slots: `None` when every speedup curve
+/// is trivial, so such a problem keeps the `M + 1` (plus capacity)
+/// layout. A common shift of all count prices moves every logit of a
+/// task by the same amount, so it leaves `x(θ)` unchanged.
+pub(crate) fn count_slots(problem: &MatchingProblem) -> Option<usize> {
+    let m = problem.clusters();
+    let cap = if problem.capacity.is_some() { m } else { 0 };
+    (!problem.speedup.iter().all(|c| c.is_trivial())).then_some(m + 1 + cap)
 }
 
 #[cfg(test)]

@@ -743,7 +743,7 @@ impl RobustSolver {
         let _span = mfcp_obs::span("learned.predict");
         let (m, n) = (problem.clusters(), problem.tasks());
         let mut outcome = None;
-        if takes_price_trials(problem, &self.params, &self.solver_opts) {
+        if takes_price_trials(&self.params, &self.solver_opts) {
             if let Some(prices) = predictor.predict_prices(problem, &self.params) {
                 mfcp_obs::counter("optim.learned.predict").inc();
                 if prices.len() == price_dim(problem) && prices_admissible(&prices, m) {

@@ -62,6 +62,21 @@ impl SpeedupCurve {
         }
     }
 
+    /// Second derivative `d²ζ/dn²` (one-sided at the kink `n = 1`, like
+    /// [`Self::derivative`]).
+    pub fn second_derivative(self, n: f64) -> f64 {
+        match self {
+            SpeedupCurve::None => 0.0,
+            SpeedupCurve::ExpDecay { floor, rate } => {
+                if n <= 1.0 {
+                    0.0
+                } else {
+                    rate * rate * (1.0 - floor) * (-rate * (n - 1.0)).exp()
+                }
+            }
+        }
+    }
+
     /// Whether the curve is identically one (the convex case).
     pub fn is_trivial(self) -> bool {
         matches!(self, SpeedupCurve::None)

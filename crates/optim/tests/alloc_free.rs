@@ -1,19 +1,21 @@
 //! Proves the PGD inner loop performs zero heap allocations per
 //! iteration — per rejected Armijo trial, per price trial and per mirror
-//! fallback — after warm-up.
+//! fallback — after warm-up, and that a solve of a shape its thread has
+//! solved before allocates only its returned solution.
 //!
 //! A counting global allocator measures two solves of the same instance
 //! that differ only in iteration count (tol = 0 pins the count exactly).
 //! Workspace warm-up — sizing `PgdWorkspace`, the iterate, the final
 //! solution and its prices — costs the same number of allocations in
 //! both runs, so the extra iterations of the longer run must add exactly
-//! zero. On the mirror-only instance a first step far too long makes
-//! the longer run backtrack more often than the shorter one
-//! (`optim.solve.backtracks`); on the trivial-speedup instance the
-//! longer run takes more price trials and more mirror fallbacks
+//! zero. On the mirror-only instance (`ρ = 0`, which takes no price
+//! trials) a first step far too long makes the longer run backtrack
+//! more often than the shorter one (`optim.solve.backtracks`); on the
+//! price instances, with and without speedup curves, the longer run
+//! takes more price trials and more mirror fallbacks
 //! (`optim.solve.price_steps`, `optim.solve.mirror_fallbacks`), so
-//! those trials are covered too. The two tests share the counters, so
-//! they hold a lock while measuring.
+//! those trials are covered too. The tests share the counters, so they
+//! hold a lock while measuring.
 //!
 //! This lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide; running it next to unrelated
@@ -64,30 +66,44 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// they never read each other's trials.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Deterministic, non-uniform data so the solver does real work. The
-/// fixed-step projections never take price trials, so they run on it
-/// as is; mirror descent runs on it with the paper's speedup curve,
-/// which keeps price trials off and every iteration a mirror trial.
-fn test_problem(mirror_only: bool) -> MatchingProblem {
+/// Deterministic, non-uniform data with the paper's speedup curve, so
+/// the solver does real work. The fixed-step projections never take
+/// price trials; mirror descent takes none at `ρ = 0` ([`params_for`]),
+/// so every iteration is a mirror trial.
+fn test_problem() -> MatchingProblem {
     let m = 4;
     let n = 9;
     let times = Matrix::from_fn(m, n, |i, j| 0.5 + ((i * 7 + j * 3) % 11) as f64 * 0.2);
     let rel = Matrix::from_fn(m, n, |i, j| 0.85 + ((i * 5 + j) % 7) as f64 * 0.02);
     let mut problem = MatchingProblem::new(times, rel, 0.8);
-    if mirror_only {
-        problem.speedup = vec![SpeedupCurve::paper_parallel(); m];
-    }
+    problem.speedup = vec![SpeedupCurve::paper_parallel(); m];
     problem
 }
 
-/// A trivial-speedup instance whose solve takes price trials and, part
-/// way, mirror fallbacks (the random 3×6 instance of the solver's
-/// reference tests).
-fn price_problem() -> MatchingProblem {
+/// The relaxation `test_problem` is solved under: no entropy term for
+/// mirror descent, which keeps it off the price path.
+fn params_for(projection: ProjectionKind) -> RelaxationParams {
+    match projection {
+        ProjectionKind::MirrorDescent => RelaxationParams {
+            rho: 0.0,
+            ..Default::default()
+        },
+        _ => RelaxationParams::default(),
+    }
+}
+
+/// Instances whose solves take price trials and, part way, mirror
+/// fallbacks (the random 3×6 instance of the solver's reference tests),
+/// with trivial speedups and with the paper's speedup curve, whose
+/// solves carry count prices.
+fn price_problems() -> [MatchingProblem; 2] {
     let mut rng = StdRng::seed_from_u64(21);
     let t = Matrix::from_fn(3, 6, |_, _| rng.gen_range(0.5..3.0));
     let a = Matrix::from_fn(3, 6, |_, _| rng.gen_range(0.7..1.0));
-    MatchingProblem::new(t, a, 0.75)
+    let trivial = MatchingProblem::new(t, a, 0.75);
+    let mut curved = trivial.clone();
+    curved.speedup = vec![SpeedupCurve::paper_parallel(); 3];
+    [trivial, curved]
 }
 
 /// Allocations consumed by one full solve of `problem` at `max_iters`
@@ -95,11 +111,11 @@ fn price_problem() -> MatchingProblem {
 /// iteration count is exact).
 fn allocations_for(
     problem: &MatchingProblem,
+    params: &RelaxationParams,
     max_iters: usize,
     projection: ProjectionKind,
     lr: f64,
 ) -> u64 {
-    let params = RelaxationParams::default();
     let opts = SolverOptions {
         max_iters,
         tol: 0.0,
@@ -108,7 +124,7 @@ fn allocations_for(
     };
     let x0 = uniform_init(problem.clusters(), problem.tasks());
     let before = allocations();
-    let sol = solve_relaxed_from(problem, &params, &opts, x0);
+    let sol = solve_relaxed_from(problem, params, &opts, x0);
     let after = allocations();
     assert_eq!(
         sol.iterations, max_iters,
@@ -147,14 +163,15 @@ fn pgd_iterations_allocate_nothing_after_warmup() {
         (ProjectionKind::SoftmaxPaper, default_lr),
         (ProjectionKind::Euclidean, default_lr),
     ] {
-        let problem = test_problem(projection == ProjectionKind::MirrorDescent);
+        let problem = test_problem();
+        let params = params_for(projection);
         // Warm up process-wide lazy state (observability registry,
         // allocator internals) so it cannot skew the measured runs.
-        allocations_for(&problem, 10, projection, lr);
+        allocations_for(&problem, &params, 10, projection, lr);
         let (short, [short_backtracks, ..]) =
-            tally(|| allocations_for(&problem, 100, projection, lr));
+            tally(|| allocations_for(&problem, &params, 100, projection, lr));
         let (long, [long_backtracks, ..]) =
-            tally(|| allocations_for(&problem, 400, projection, lr));
+            tally(|| allocations_for(&problem, &params, 400, projection, lr));
         assert_eq!(
             long, short,
             "{projection:?} lr {lr}: 300 extra PGD iterations must allocate nothing \
@@ -173,22 +190,51 @@ fn pgd_iterations_allocate_nothing_after_warmup() {
 #[test]
 fn price_trials_and_mirror_fallbacks_allocate_nothing_after_warmup() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let problem = price_problem();
+    let params = RelaxationParams::default();
     let lr = SolverOptions::default().lr;
     let kind = ProjectionKind::MirrorDescent;
-    allocations_for(&problem, 10, kind, lr);
-    let (short, short_trials) = tally(|| allocations_for(&problem, 2, kind, lr));
-    let (long, long_trials) = tally(|| allocations_for(&problem, 40, kind, lr));
-    assert_eq!(
-        long, short,
-        "38 extra iterations must allocate nothing \
-         (short solve: {short} allocations, long solve: {long})"
-    );
-    let [_, short_price, short_mirror] = short_trials;
-    let [long_backtracks, long_price, long_mirror] = long_trials;
-    assert!(
-        long_price > short_price && long_mirror > short_mirror && long_backtracks > 0,
-        "the extra iterations must take price trials, rejected trials and mirror \
-         fallbacks (short {short_trials:?}, long {long_trials:?})"
-    );
+    for (k, problem) in price_problems().iter().enumerate() {
+        allocations_for(problem, &params, 10, kind, lr);
+        let (short, short_trials) = tally(|| allocations_for(problem, &params, 2, kind, lr));
+        let (long, long_trials) = tally(|| allocations_for(problem, &params, 40, kind, lr));
+        assert_eq!(
+            long, short,
+            "problem {k}: 38 extra iterations must allocate nothing \
+             (short solve: {short} allocations, long solve: {long})"
+        );
+        let [_, short_price, short_mirror] = short_trials;
+        let [long_backtracks, long_price, long_mirror] = long_trials;
+        assert!(
+            long_price > short_price && long_mirror > short_mirror && long_backtracks > 0,
+            "problem {k}: the extra iterations must take price trials, rejected trials \
+             and mirror fallbacks (short {short_trials:?}, long {long_trials:?})"
+        );
+    }
+}
+
+/// `solve_relaxed_from` keeps its loop buffers in a per-thread
+/// workspace: once the thread has solved a shape, a second solve of that
+/// shape allocates only the returned solution's `duals` and `prices`.
+#[test]
+fn repeat_solve_on_a_thread_allocates_only_its_solution() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let params = RelaxationParams::default();
+    let opts = SolverOptions::default();
+    for (k, problem) in price_problems().iter().enumerate() {
+        let solve = || {
+            let x0 = uniform_init(problem.clusters(), problem.tasks());
+            let before = allocations();
+            let sol = solve_relaxed_from(problem, &params, &opts, x0);
+            let after = allocations();
+            assert!(!sol.prices.is_empty() && !sol.duals.is_empty());
+            after - before
+        };
+        let first = solve();
+        let second = solve();
+        assert_eq!(
+            second, 2,
+            "problem {k}: a repeat solve must allocate only its duals and prices \
+             (first solve: {first} allocations, second: {second})"
+        );
+    }
 }
