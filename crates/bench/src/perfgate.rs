@@ -1154,9 +1154,9 @@ impl PerfgateReport {
     ///
     /// * `median_wall_secs` fails when it grew more than the tolerance.
     /// * Counter metrics fail on relative *increase* beyond the
-    ///   tolerance; a baseline value of zero cannot gate relatively and
-    ///   is skipped. `hist.*` and `gauge.*` metrics are informational
-    ///   only.
+    ///   tolerance. Over a baseline of zero (cap hits, panics) any
+    ///   increase fails, and a non-finite current value always fails.
+    ///   `hist.*` and `gauge.*` metrics are informational only.
     /// * Tolerance per metric: `baseline.thresholds["<suite>.<metric>"]`
     ///   when present, else `default_tolerance`.
     /// * A suite present in the baseline but missing here is a violation
@@ -1183,10 +1183,16 @@ impl PerfgateReport {
                 continue;
             };
             let mut gate = |metric: &str, base_v: f64, cur_v: f64| {
-                if base_v <= 0.0 || !base_v.is_finite() || !cur_v.is_finite() {
+                if base_v < 0.0 || !base_v.is_finite() {
                     return;
                 }
-                let rel = (cur_v - base_v) / base_v;
+                let rel = if !cur_v.is_finite() || (base_v == 0.0 && cur_v > 0.0) {
+                    f64::INFINITY
+                } else if base_v == 0.0 {
+                    0.0
+                } else {
+                    (cur_v - base_v) / base_v
+                };
                 let tol = tol_for(&base.name, metric);
                 if rel > tol {
                     violations.push(Violation {
@@ -1291,6 +1297,45 @@ mod tests {
         let violations = cur.compare(&base, DEFAULT_TOLERANCE);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].metric, "optim.robust.attempts");
+    }
+
+    #[test]
+    fn any_rise_over_a_zero_baseline_fails() {
+        let mut base = small_report();
+        base.suites[0]
+            .metrics
+            .insert("optim.solve.cap_hits".to_string(), 0.0);
+        let mut cur = base.clone();
+        assert!(cur.compare(&base, DEFAULT_TOLERANCE).is_empty());
+        *cur.suites[0]
+            .metrics
+            .get_mut("optim.solve.cap_hits")
+            .unwrap() = 1.0;
+        // No relative tolerance can excuse a counter leaving zero.
+        let violations = cur.compare(&base, 1e9);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].metric, "optim.solve.cap_hits");
+        assert_eq!(violations[0].rel_change, f64::INFINITY);
+    }
+
+    #[test]
+    fn non_finite_current_values_fail() {
+        let base = small_report();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut cur = base.clone();
+            *cur.suites[0]
+                .metrics
+                .get_mut("optim.robust.attempts")
+                .unwrap() = bad;
+            cur.suites[0].median_wall_secs = bad;
+            let violations = cur.compare(&base, DEFAULT_TOLERANCE);
+            let metrics: Vec<&str> = violations.iter().map(|v| v.metric.as_str()).collect();
+            assert_eq!(
+                metrics,
+                ["median_wall_secs", "optim.robust.attempts"],
+                "{bad}"
+            );
+        }
     }
 
     #[test]

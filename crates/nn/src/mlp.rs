@@ -271,6 +271,48 @@ mod tests {
     }
 
     #[test]
+    fn predict_rows_are_independent_of_the_batch() {
+        // A 1-row prediction equals the same row of a batch bit for bit,
+        // below and past the row count where `matmul` splits the output
+        // into panels: the serve daemon predicts each task once, alone,
+        // and must match the whole-set prediction.
+        let mut rng = StdRng::seed_from_u64(9);
+        let activations = [
+            Activation::Identity,
+            Activation::Relu,
+            Activation::LeakyRelu(0.1),
+            Activation::Tanh,
+            Activation::Sigmoid,
+            Activation::SoftplusScaled(2.0),
+        ];
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for rows in [7, 64, 130] {
+            // Every fifth input is an exact zero, the product's skip case.
+            let x = Matrix::from_fn(rows, 5, |i, j| {
+                if (i + j) % 5 == 0 {
+                    0.0
+                } else {
+                    ((i * 7 + j * 3) % 11) as f64 * 0.37 - 1.8
+                }
+            });
+            for &hidden in &activations {
+                for &output in &activations {
+                    let mlp = Mlp::new(&[5, 9, 6, 2], hidden, output, &mut rng);
+                    let batch = mlp.predict(&x);
+                    for r in 0..rows {
+                        let one = mlp.predict(&Matrix::from_rows(&[x.row(r)]));
+                        assert_eq!(
+                            bits(&one),
+                            bits(&Matrix::from_rows(&[batch.row(r)])),
+                            "{hidden:?}/{output:?}, row {r} of {rows}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn forward_deterministic() {
         let mlp = tiny_mlp(1);
         let x = Matrix::from_rows(&[&[0.5, -0.5]]);

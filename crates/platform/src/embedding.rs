@@ -173,13 +173,20 @@ mod tests {
 
     #[test]
     fn batch_matches_single() {
-        let e = FeatureEmbedder::default_platform();
+        // Bit for bit: the serve daemon embeds each task once, alone,
+        // and must match the whole-set batch.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut rng = StdRng::seed_from_u64(8);
-        let tasks = TaskGenerator::default().sample_many(5, &mut rng);
-        let batch = e.embed_batch(&tasks);
-        assert_eq!(batch.shape(), (5, e.dim()));
-        for (r, t) in tasks.iter().enumerate() {
-            assert_eq!(batch.row(r), e.embed(t).as_slice());
+        let tasks = TaskGenerator::default().sample_many(70, &mut rng);
+        for e in [
+            FeatureEmbedder::default_platform(),
+            FeatureEmbedder::bottlenecked_platform(),
+        ] {
+            let batch = e.embed_batch(&tasks);
+            assert_eq!(batch.shape(), (tasks.len(), e.dim()));
+            for (r, t) in tasks.iter().enumerate() {
+                assert_eq!(bits(batch.row(r)), bits(&e.embed(t)));
+            }
         }
     }
 }

@@ -9,6 +9,12 @@
 //! * **Departures** and **cluster outage events** change the structure
 //!   of the matching and trigger an immediate re-solve; arrivals batch
 //!   up to [`DaemonConfig::resolve_batch`] before triggering one.
+//! * **Matrices** come from a per-task column store: a task's times and
+//!   reliabilities on every cluster are computed once, on the first
+//!   resolve that sees the task, and dropped when it departs; each
+//!   resolve gathers its matrices from the store. The store is derived
+//!   from the active set and the frozen [`MatrixSource`], so snapshots
+//!   leave it out and a restored daemon refills it on its first resolve.
 //! * **Resolves** run [`RobustSolver::solve_with_predictor`],
 //!   warm-started from the previous solve's prices, planted in the
 //!   [`WarmStartCache`] under the new problem fingerprint before the
@@ -48,20 +54,26 @@ use mfcp_optim::cache::{fingerprint, validate_warm};
 use mfcp_optim::learned::repair;
 use mfcp_optim::solver::uniform_init;
 use mfcp_optim::{
-    Budget, DualPredictor, FallbackStage, LearnedDualHead, MatchingProblem, RelaxationParams,
-    RobustSolver, SkipReason, SolveDiagnostics, SolveError, StageOutcome, WarmStartCache,
-    WarmStartEntry,
+    Budget, CacheOutcome, DualPredictor, FallbackStage, LearnedDualHead, MatchingProblem,
+    RelaxationParams, RobustSolver, SkipReason, SolveDiagnostics, SolveError, StageOutcome,
+    WarmStartCache, WarmStartEntry,
 };
 use mfcp_platform::prelude::{FeatureEmbedder, PerfModel};
 use mfcp_platform::stream::ExchangeEvent;
 use mfcp_platform::task::TaskSpec;
 
+use crate::columns::ColumnStore;
 use crate::state::{
     read_snapshot, write_snapshot, ExchangeState, LastSolution, ServeCounters, SnapshotError,
     PREDICTOR_DIR,
 };
 
 /// Where the daemon gets its time/reliability matrices.
+///
+/// Both sources compute a task's column from that task alone, so the
+/// daemon computes each column once, on the first resolve that sees the
+/// task, and keeps it until the task departs (DESIGN.md, "Per-task
+/// matrix columns").
 pub enum MatrixSource {
     /// The platform's ground-truth performance model (simulation mode).
     GroundTruth(PerfModel),
@@ -84,8 +96,12 @@ impl MatrixSource {
         }
     }
 
-    /// Builds the `(time, reliability)` matrices for `specs`.
-    fn matrices(&self, specs: &[TaskSpec]) -> (Matrix, Matrix) {
+    /// Builds the `(time, reliability)` matrices for `specs`, one column
+    /// per task: learned times clamped to at least `1e-6` and learned
+    /// reliabilities to `[0, 1]`. The daemon calls it on the tasks that
+    /// have no column yet; over a whole active set it is the reference
+    /// the gathered matrices are pinned to bit for bit.
+    pub(crate) fn matrices(&self, specs: &[TaskSpec]) -> (Matrix, Matrix) {
         match self {
             MatrixSource::GroundTruth(model) => {
                 (model.time_matrix(specs), model.reliability_matrix(specs))
@@ -216,6 +232,9 @@ pub struct ExchangeDaemon {
     // restored daemon with the same head replays bit-identically.
     dual_head: Option<LearnedDualHead>,
     state: ExchangeState,
+    // One matrix column per active task; derived from `state.active`
+    // and `source`, so never snapshotted.
+    columns: ColumnStore,
     // How the last resolve's ladder ran; observability only, never
     // snapshotted.
     last_resolve: Option<SolveDiagnostics>,
@@ -225,10 +244,14 @@ pub struct ExchangeDaemon {
     c_deadline_miss: mfcp_obs::Counter,
     c_resolves: mfcp_obs::Counter,
     c_degraded: mfcp_obs::Counter,
+    c_columns_computed: mfcp_obs::Counter,
+    c_planted_hits: mfcp_obs::Counter,
+    c_stored_hits: mfcp_obs::Counter,
     h_latency: mfcp_obs::Histogram,
     h_batch: mfcp_obs::Histogram,
     g_pending: mfcp_obs::Gauge,
     g_active: mfcp_obs::Gauge,
+    g_columns: mfcp_obs::Gauge,
     g_cache_entries: mfcp_obs::Gauge,
     g_cache_evictions: mfcp_obs::Gauge,
     ops: Option<LiveOps>,
@@ -246,16 +269,21 @@ impl ExchangeDaemon {
             cache: WarmStartCache::new(),
             dual_head: None,
             state: ExchangeState::default(),
+            columns: ColumnStore::default(),
             last_resolve: None,
             c_admitted: mfcp_obs::counter("serve.admitted"),
             c_shed: mfcp_obs::counter("serve.shed"),
             c_deadline_miss: mfcp_obs::counter("serve.deadline_miss"),
             c_resolves: mfcp_obs::counter("serve.resolves"),
             c_degraded: mfcp_obs::counter("serve.degraded"),
+            c_columns_computed: mfcp_obs::counter("serve.columns.computed"),
+            c_planted_hits: mfcp_obs::counter("serve.cache.planted_hits"),
+            c_stored_hits: mfcp_obs::counter("serve.cache.stored_hits"),
             h_latency: mfcp_obs::histogram("serve.match_latency_secs"),
             h_batch: mfcp_obs::histogram("serve.resolve_batch_size"),
             g_pending: mfcp_obs::gauge("serve.queue.pending"),
             g_active: mfcp_obs::gauge("serve.active_tasks"),
+            g_columns: mfcp_obs::gauge("serve.columns.entries"),
             g_cache_entries: mfcp_obs::gauge("serve.cache.entries"),
             g_cache_evictions: mfcp_obs::gauge("serve.cache.evictions"),
             ops,
@@ -346,6 +374,7 @@ impl ExchangeDaemon {
             ExchangeEvent::Departure { task_id } => {
                 mfcp_obs::trace::instant("serve.departure", Some(*task_id));
                 let was_active = self.state.active.remove(task_id).is_some();
+                self.columns.remove(*task_id);
                 self.state.pending.retain(|(id, _)| id != task_id);
                 if was_active {
                     // The freed slot changes the optimum; rebalance now.
@@ -367,6 +396,7 @@ impl ExchangeDaemon {
         // settle, so the sampler's rings see consistent depths.
         self.g_pending.set(self.state.pending.len() as f64);
         self.g_active.set(self.state.active.len() as f64);
+        self.g_columns.set(self.columns.len() as f64);
     }
 
     /// Flushes any buffered arrivals with a final resolve. Call at end
@@ -374,15 +404,21 @@ impl ExchangeDaemon {
     pub fn finish(&mut self) {
         if !self.state.pending.is_empty() {
             self.resolve();
+            self.g_columns.set(self.columns.len() as f64);
         }
     }
 
     /// Drains pending into active and re-solves the matching,
-    /// warm-started from the previous one.
+    /// warm-started from the previous one. The matrices are gathered
+    /// from the per-task column store after computing, in one batch, the
+    /// columns of the tasks that have none yet (the newly admitted ones,
+    /// or every active task on the first resolve after a restore).
     fn resolve(&mut self) {
         let backlog = self.state.pending.len();
         let degraded = backlog >= self.config.degrade_watermark;
         while let Some((id, spec)) = self.state.pending.pop_front() {
+            // A re-admitted id may carry a new spec: recompute its column.
+            self.columns.remove(id);
             self.state.active.insert(id, spec);
         }
         if self.state.active.is_empty() {
@@ -391,8 +427,14 @@ impl ExchangeDaemon {
         }
 
         let ids: Vec<u64> = self.state.active.keys().copied().collect();
-        let specs: Vec<TaskSpec> = self.state.active.values().cloned().collect();
-        let (mut t, a) = self.source.matrices(&specs);
+        let (mut t, a) = {
+            let _span = mfcp_obs::span("serve.matrices");
+            let computed = self.columns.fill(&self.source, &self.state.active);
+            self.c_columns_computed.add(computed as u64);
+            self.columns
+                .gather(self.source.clusters(), &self.state.active)
+                .expect("the fill leaves a column for every active task")
+        };
         // The solve runs over the clusters that are up; downed ones get
         // zero rows on commit. With every cluster down there is nothing
         // to mask to, and the slowdown keeps the full pool solvable.
@@ -415,7 +457,7 @@ impl ExchangeDaemon {
             up
         };
 
-        self.plant_warm_seed(&problem, &ids, &up);
+        let planted = self.plant_warm_seed(&problem, &ids, &up);
 
         let mut solver = match self.config.deadline {
             Some(limit) => self.solver.with_budget(Budget::with_deadline(limit)),
@@ -448,6 +490,21 @@ impl ExchangeDaemon {
 
         match result {
             Ok(sol) => {
+                if sol.diagnostics.cache == Some(CacheOutcome::Hit) {
+                    // Read-only attribution: the entry this resolve
+                    // planted, or one an earlier solve stored under the
+                    // same fingerprint (DESIGN.md, "Which cache entries
+                    // a resolve reads").
+                    if planted {
+                        self.c_planted_hits.inc();
+                    } else {
+                        self.c_stored_hits.inc();
+                        mfcp_obs::trace::instant(
+                            "serve.cache.stored_hit",
+                            Some(self.state.counters.resolves),
+                        );
+                    }
+                }
                 let missed = sol.diagnostics.attempts.iter().any(|att| {
                     matches!(
                         att.outcome,
@@ -517,15 +574,15 @@ impl ExchangeDaemon {
     /// surviving tasks keep their columns (renormalized over the up
     /// clusters); new tasks take predicted-dual columns when a dual head
     /// is attached (repaired onto the simplex, uniform on rejection) and
-    /// uniform `1/m` otherwise.
-    fn plant_warm_seed(&mut self, problem: &MatchingProblem, ids: &[u64], up: &[usize]) {
+    /// uniform `1/m` otherwise. Returns whether it planted an entry.
+    fn plant_warm_seed(&mut self, problem: &MatchingProblem, ids: &[u64], up: &[usize]) -> bool {
         let Some(last) = &self.state.last else {
-            return;
+            return false;
         };
         let (m, n) = (problem.clusters(), problem.tasks());
         let pool = self.source.clusters();
         if last.x.rows() != pool || up.len() != m {
-            return;
+            return false;
         }
         let key = fingerprint(problem, &self.solver.params);
         if last.prices.len() == pool + 1 {
@@ -542,7 +599,7 @@ impl ExchangeDaemon {
                 prices,
             );
             self.cache.store(key, entry);
-            return;
+            return true;
         }
         let old_col: BTreeMap<u64, usize> = last
             .ids
@@ -582,11 +639,12 @@ impl ExchangeDaemon {
             }
         }
         if !validate_warm(&seed, m, n) {
-            return;
+            return false;
         }
         let entry =
             WarmStartEntry::from_solution(problem, &seed, last.objective, Vec::new(), Vec::new());
         self.cache.store(key, entry);
+        true
     }
 
     /// A repaired predicted primal for the current problem, used to
@@ -628,7 +686,9 @@ impl ExchangeDaemon {
     /// model or embedder); when the snapshot carries a predictor
     /// checkpoint, the predictors inside `source` are replaced by the
     /// checkpointed ones, so the restored daemon predicts with exactly
-    /// the weights it was killed with.
+    /// the weights it was killed with. Its per-task column store starts
+    /// empty, and the first resolve computes every active task's column
+    /// from those weights.
     pub fn restore(
         dir: &Path,
         config: DaemonConfig,
@@ -662,5 +722,165 @@ impl ExchangeDaemon {
         mfcp_obs::counter("serve.restores").inc();
         mfcp_obs::trace::instant("serve.restore", Some(daemon.state.cursor));
         Ok(daemon)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The per-task column store against the whole-set build. After
+    //! every event of a replay with arrivals, departures, outages, a
+    //! re-admitted id and a kill/restore, the gathered matrices must
+    //! equal [`MatrixSource::matrices`] over the whole active set bit
+    //! for bit, and the entry gauge must read the active-set size. The
+    //! gauge is process-wide, so this is the only test in the crate's
+    //! unit-test binary that drives a daemon.
+
+    use super::*;
+    use mfcp_platform::prelude::{ClusterPool, Setting};
+    use mfcp_platform::stream::{generate_trace, TraceConfig};
+    use mfcp_platform::task::{Corpus, TaskFamily};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn ground_truth() -> MatrixSource {
+        MatrixSource::GroundTruth(ClusterPool::standard().setting(Setting::A))
+    }
+
+    fn learned() -> MatrixSource {
+        let embedder = FeatureEmbedder::default_platform();
+        let mut rng = StdRng::seed_from_u64(23);
+        let predictors = (0..3)
+            .map(|_| ClusterPredictor::new(embedder.dim(), &[8], &mut rng))
+            .collect();
+        MatrixSource::Learned {
+            predictors,
+            embedder,
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Checks the store against the whole-set oracle; returns whether
+    /// the store covered the active set (it does not between a restore
+    /// and the first resolve after it).
+    fn check(daemon: &ExchangeDaemon, at: usize) -> bool {
+        let active = &daemon.state.active;
+        let Some((t, a)) = daemon.columns.gather(daemon.source.clusters(), active) else {
+            return false;
+        };
+        let specs: Vec<TaskSpec> = active.values().cloned().collect();
+        let (want_t, want_a) = daemon.source.matrices(&specs);
+        assert_eq!(bits(&t), bits(&want_t), "times differ after event {at}");
+        assert_eq!(
+            bits(&a),
+            bits(&want_a),
+            "reliabilities differ after event {at}"
+        );
+        assert_eq!(
+            mfcp_obs::gauge("serve.columns.entries").get(),
+            active.len() as f64,
+            "one column per active task after event {at}"
+        );
+        true
+    }
+
+    #[test]
+    fn gathered_columns_match_the_whole_set_build() {
+        let events: Vec<ExchangeEvent> = generate_trace(&TraceConfig {
+            seed: 31,
+            duration_secs: 3.0 * 3600.0,
+            mean_interarrival_secs: 60.0,
+            mean_service_secs: 1800.0,
+            clusters: 3,
+            outages: 3,
+            mean_outage_secs: 1500.0,
+        })
+        .into_iter()
+        .map(|e| e.event)
+        .collect();
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, ExchangeEvent::ClusterDown { .. })),
+            "the trace must take a cluster down"
+        );
+        let kill = 2 * events.len() / 3;
+
+        for (tag, make_source) in [
+            ("ground_truth", ground_truth as fn() -> MatrixSource),
+            ("learned", learned),
+        ] {
+            let config = DaemonConfig::default();
+            let computed = mfcp_obs::counter("serve.columns.computed");
+            let computed_before = computed.get();
+            let mut daemon = ExchangeDaemon::new(config.clone(), make_source());
+            let mut covered = 0usize;
+            let readmit_at = kill / 2;
+            for (at, event) in events[..kill].iter().enumerate() {
+                if at == readmit_at {
+                    // Re-admit an active id with another spec: its
+                    // column must follow the new spec.
+                    let task_id = *daemon.state.active.keys().next().expect("busy exchange");
+                    daemon.apply(&ExchangeEvent::Arrival {
+                        task_id,
+                        spec: TaskSpec {
+                            family: TaskFamily::Transformer,
+                            corpus: Corpus::Europarl,
+                            depth: 24,
+                            width: 1024,
+                            batch_size: 16,
+                        },
+                    });
+                }
+                daemon.apply(event);
+                covered += usize::from(check(&daemon, at));
+            }
+            assert!(covered > kill / 2, "{tag}: the store covers the active set");
+            // Each admitted task is predicted once, not once per resolve.
+            let admitted = daemon.counters().admitted;
+            assert!(
+                computed.get() - computed_before <= admitted,
+                "{tag}: {} columns computed for {admitted} admitted tasks",
+                computed.get() - computed_before
+            );
+
+            let dir =
+                std::env::temp_dir().join(format!("mfcp_columns_{tag}_{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            daemon.snapshot(&dir).expect("snapshot");
+            let active_at_kill = daemon.state.active.len();
+            drop(daemon);
+            let mut daemon = ExchangeDaemon::restore(&dir, config, make_source()).expect("restore");
+            std::fs::remove_dir_all(&dir).ok();
+            assert!(
+                active_at_kill > 0,
+                "{tag}: the kill lands on a busy exchange"
+            );
+            assert_eq!(
+                daemon.columns.len(),
+                0,
+                "{tag}: a restored daemon starts with an empty store"
+            );
+            let computed_before = computed.get();
+            let admitted_before = daemon.counters().admitted;
+            let mut refilled = false;
+            for (at, event) in events.iter().enumerate().skip(kill) {
+                daemon.apply(event);
+                refilled |= check(&daemon, at);
+            }
+            daemon.finish();
+            assert!(
+                check(&daemon, events.len()),
+                "{tag}: the final resolve covers"
+            );
+            assert!(refilled, "{tag}: the first resolve after a restore refills");
+            let admitted = daemon.counters().admitted - admitted_before;
+            assert!(
+                computed.get() - computed_before <= admitted + active_at_kill as u64,
+                "{tag}: a restore recomputes the active set once"
+            );
+        }
     }
 }

@@ -7,8 +7,9 @@
 //! all of it. This crate is that serving layer, hardened end to end:
 //!
 //! * [`daemon`] — the event loop: admission control with a bounded
-//!   pending queue and load shedding, incremental warm-started
-//!   re-solves through `RobustSolver::solve_with_cache`, per-resolve
+//!   pending queue and load shedding, matrices gathered from per-task
+//!   columns computed once per task, incremental warm-started
+//!   re-solves through `RobustSolver::solve_with_predictor`, per-resolve
 //!   deadline budgets with cooperative cancellation, and degraded
 //!   greedy-only mode under overload.
 //! * [`state`] — crash-consistent snapshot/restore: the full exchange
@@ -27,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod columns;
 pub mod daemon;
 pub mod replay;
 pub mod state;

@@ -258,6 +258,46 @@ fn learned_predictors_round_trip_through_snapshot() {
 }
 
 #[test]
+fn learned_kill_resume_is_bit_identical() {
+    // Learned predictors over the whole trace, outages included, killed
+    // at every 1/4 mark: each restored daemon starts with no per-task
+    // columns and recomputes them from the checkpointed predictors, so
+    // its matrices, and with them the final matching, must not move.
+    let embedder = FeatureEmbedder::default_platform();
+    let make_source = || {
+        let mut rng = StdRng::seed_from_u64(29);
+        let predictors = (0..3)
+            .map(|_| mfcp_core::predictor::ClusterPredictor::new(embedder.dim(), &[8], &mut rng))
+            .collect();
+        MatrixSource::Learned {
+            predictors,
+            embedder: FeatureEmbedder::default_platform(),
+        }
+    };
+    let trace = test_trace();
+    let config = DaemonConfig::default();
+
+    let mut straight_daemon = ExchangeDaemon::new(config.clone(), make_source());
+    let straight = replay(&mut straight_daemon, &trace);
+
+    let dir = temp_dir("learned_quarters");
+    let kills: Vec<usize> = (1..4).map(|q| q * trace.len() / 4).collect();
+    let killed = replay_with_kills(&trace, &config, make_source, &dir, &kills)
+        .expect("learned chaos replay survives kill/restore");
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert_eq!(straight.events, killed.events);
+    assert_eq!(straight.counters, killed.counters);
+    let a = straight.last.expect("straight run ends with a matching");
+    let b = killed.last.expect("killed run ends with a matching");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(a.ids, b.ids);
+    assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+    assert_eq!(bits(a.x.as_slice()), bits(b.x.as_slice()));
+    assert_eq!(bits(&a.prices), bits(&b.prices));
+}
+
+#[test]
 fn ops_server_enabled_stays_bit_identical() {
     // The live ops surface must be strictly read-only against solver
     // state: the same trace replayed with and without the HTTP server +
