@@ -1,12 +1,12 @@
 //! Criterion benchmarks for the two gradient paths through the matching
-//! layer: implicit KKT differentiation (MFCP-AD) vs zeroth-order forward
-//! gradients (MFCP-FG) — the compute side of the Theorem 3 trade-off
-//! (`O(K₁MN)` per re-solve, `S·K₂` re-solves per estimate vs one dense
-//! `(3MN+N)`-ish KKT solve).
+//! layer: implicit differentiation (MFCP-AD, one `r×r` price-system
+//! adjoint plus an `O(MN·r)` sweep) vs zeroth-order forward gradients
+//! (MFCP-FG, `S` re-solves per estimate) — the compute side of the
+//! Theorem 3 trade-off.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mfcp_linalg::Matrix;
-use mfcp_optim::kkt::implicit_gradients;
+use mfcp_optim::kkt::{implicit_gradients_with, KktWorkspace};
 use mfcp_optim::solver::{solve_relaxed, SolverOptions};
 use mfcp_optim::zeroth::{estimate_gradient, ZerothOrderOptions};
 use mfcp_optim::{MatchingProblem, RelaxationParams};
@@ -26,14 +26,17 @@ fn setup(m: usize, n: usize) -> (MatchingProblem, RelaxationParams, Matrix, Matr
     (problem, params, sol.x, dl_dx)
 }
 
-fn bench_kkt(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kkt_implicit_gradients");
+fn bench_adjoint(c: &mut Criterion) {
+    let mut group = c.benchmark_group("price_adjoint_gradients");
     for &(m, n) in &[(3usize, 5usize), (3, 15), (3, 25), (5, 20)] {
         let (problem, params, x, dl_dx) = setup(m, n);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("M{m}xN{n}")),
             &(problem, params, x, dl_dx),
-            |b, (p, prm, x, g)| b.iter(|| black_box(implicit_gradients(p, prm, x, g).unwrap())),
+            |b, (p, prm, x, g)| {
+                let mut ws = KktWorkspace::new();
+                b.iter(|| black_box(implicit_gradients_with(p, prm, x, g, &mut ws).unwrap()))
+            },
         );
     }
     group.finish();
@@ -66,6 +69,6 @@ fn bench_zeroth_order_samples(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
-    targets = bench_kkt, bench_zeroth_order_samples
+    targets = bench_adjoint, bench_zeroth_order_samples
 }
 criterion_main!(benches);

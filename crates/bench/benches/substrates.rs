@@ -1,14 +1,10 @@
 //! Criterion benchmarks for the substrate crates: blocked/parallel
-//! matmul, LU factorization + solve, MLP forward/backward, and the
-//! KKT implicit-gradient paths (dense saddle LU vs structured
-//! Woodbury/Schur elimination) at training-round sizes.
+//! matmul and MLP forward/backward.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mfcp_autodiff::Graph;
-use mfcp_linalg::{lu::Lu, MatmulOptions, Matrix};
+use mfcp_linalg::{MatmulOptions, Matrix};
 use mfcp_nn::{Activation, Mlp};
-use mfcp_optim::kkt::{self, KktWorkspace};
-use mfcp_optim::{MatchingProblem, RelaxationParams};
 use mfcp_parallel::ParallelConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,19 +38,6 @@ fn bench_matmul(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_lu(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lu_factor_solve");
-    let mut rng = StdRng::seed_from_u64(2);
-    for &n in &[20usize, 50, 100] {
-        let a = random_matrix(&mut rng, n, n);
-        let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &(&a, &b), |bch, (a, b)| {
-            bch.iter(|| black_box(Lu::factor(a).unwrap().solve(b).unwrap()))
-        });
-    }
-    group.finish();
-}
-
 fn bench_mlp(c: &mut Criterion) {
     let mut group = c.benchmark_group("mlp_forward_backward");
     let mut rng = StdRng::seed_from_u64(3);
@@ -83,60 +66,9 @@ fn bench_mlp(c: &mut Criterion) {
     group.finish();
 }
 
-/// One interior instance at cluster count `m`, task count `n`: a
-/// column-stochastic iterate and a random upstream gradient.
-fn kkt_instance(rng: &mut StdRng, m: usize, n: usize) -> (MatchingProblem, Matrix, Matrix) {
-    let times = Matrix::from_fn(m, n, |_, _| rng.gen_range(0.5..3.0));
-    let rel = Matrix::from_fn(m, n, |_, _| rng.gen_range(0.8..0.999));
-    let problem = MatchingProblem::new(times, rel, 0.5);
-    let mut x = Matrix::from_fn(m, n, |_, _| rng.gen_range(0.1..1.0));
-    for j in 0..n {
-        let col: f64 = (0..m).map(|i| x[(i, j)]).sum();
-        for i in 0..m {
-            x[(i, j)] /= col;
-        }
-    }
-    let dl_dx = Matrix::from_fn(m, n, |_, _| rng.gen_range(-1.0..1.0));
-    (problem, x, dl_dx)
-}
-
-fn bench_kkt_gradients(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kkt_gradients");
-    let mut rng = StdRng::seed_from_u64(4);
-    let params = RelaxationParams::default();
-    // (M, N) at paper-experiment sizes; the dense saddle system is
-    // (MN + N) x (MN + N), so the 10 x 100 point is a 1100-dim LU.
-    for &(m, n) in &[(4usize, 24usize), (10, 50), (10, 100)] {
-        let (problem, x, dl_dx) = kkt_instance(&mut rng, m, n);
-        let id = format!("{m}x{n}");
-        group.bench_with_input(
-            BenchmarkId::new("structured", &id),
-            &(&problem, &x, &dl_dx),
-            |b, (problem, x, dl_dx)| {
-                let mut ws = KktWorkspace::new();
-                b.iter(|| {
-                    black_box(
-                        kkt::implicit_gradients_with(problem, &params, x, dl_dx, &mut ws).unwrap(),
-                    )
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("dense", &id),
-            &(&problem, &x, &dl_dx),
-            |b, (problem, x, dl_dx)| {
-                b.iter(|| {
-                    black_box(kkt::implicit_gradients_dense(problem, &params, x, dl_dx).unwrap())
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_matmul, bench_lu, bench_mlp, bench_kkt_gradients
+    targets = bench_matmul, bench_mlp
 }
 criterion_main!(benches);

@@ -5,11 +5,8 @@
 //! cluster (`solve_fg_parallel`), one guarded training round, a
 //! fault-injected replay, the
 //! warm-started MFCP-AD solve (`solve_warm`), a batched relaxed-solve
-//! fan-out (`batch_solve`), a head-to-head of the structured vs dense
-//! implicit-gradient paths (`kkt_grad`), an online-serving trace replay
-//! with one kill/restore cycle (`serve_replay`), the blocked-vs-scalar
-//! Cholesky and LU kernel comparisons (`chol_blocked`, `lu_blocked`),
-//! the live ops surface — endpoint latency over every `mfcp_obs::http`
+//! fan-out (`batch_solve`), an online-serving trace replay with one
+//! kill/restore cycle (`serve_replay`), the live ops surface — endpoint latency over every `mfcp_obs::http`
 //! route plus a serve-replay overhead A/B with the ops server on vs off
 //! (`obs_http`) — and the
 //! learned-duals head-to-head on unseen instances: predict-seeded vs
@@ -43,10 +40,8 @@
 use crate::batch::{build_round_problems, solve_rounds, BatchWorkloadConfig};
 use crate::report::{fault_stage, training_stage, ReportConfig};
 use mfcp_core::train::{train_mfcp, GradientMode, MfcpTrainConfig, TsmTrainConfig};
-use mfcp_linalg::lu::Lu;
-use mfcp_linalg::{Cholesky, Matrix};
+use mfcp_linalg::Matrix;
 use mfcp_obs::json::{self, Json};
-use mfcp_optim::kkt::{self, KktWorkspace};
 use mfcp_optim::zeroth::ZerothOrderOptions;
 use mfcp_optim::{
     CacheOutcome, LearnedDualHead, MatchingProblem, RelaxationParams, RobustSolver, SolverOptions,
@@ -301,61 +296,6 @@ fn suite_batch_solve(cfg: &PerfgateConfig) {
     let _ = solve_rounds(&problems, &ParallelConfig::default());
 }
 
-/// Implicit KKT gradients head-to-head: the structured Woodbury/Schur
-/// elimination against the dense saddle-LU oracle on one deterministic
-/// interior instance. Per-call wall times land in the
-/// `kkt.grad.structured_secs` / `kkt.grad.dense_secs` histograms; the
-/// ratio of their medians is the structured-elimination speedup.
-fn suite_kkt_grad(cfg: &PerfgateConfig) {
-    const M: usize = 10;
-    const STRUCTURED_REPS: usize = 8;
-    const DENSE_REPS: usize = 2;
-    // N scales with the task knob so tiny smoke configs stay cheap in
-    // debug builds; the default config (tasks = 12) lands exactly on the
-    // Table-1 scale M = 10, N = 100 where the dense saddle system is
-    // (MN + N) x (MN + N) = 1100 x 1100.
-    let n = (cfg.tasks * 100).div_ceil(12).min(100);
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(23));
-    let times = Matrix::from_fn(M, n, |_, _| rng.gen_range(0.5..3.0));
-    let rel = Matrix::from_fn(M, n, |_, _| rng.gen_range(0.8..0.999));
-    let problem = MatchingProblem::new(times, rel, 0.5);
-    let mut x = Matrix::from_fn(M, n, |_, _| rng.gen_range(0.1..1.0));
-    for j in 0..n {
-        let col: f64 = (0..M).map(|i| x[(i, j)]).sum();
-        for i in 0..M {
-            x[(i, j)] /= col;
-        }
-    }
-    let dl_dx = Matrix::from_fn(M, n, |_, _| rng.gen_range(-1.0..1.0));
-    let params = RelaxationParams::default();
-    let structured_h = mfcp_obs::histogram("kkt.grad.structured_secs");
-    let dense_h = mfcp_obs::histogram("kkt.grad.dense_secs");
-    let mut ws = KktWorkspace::new();
-    // Size the workspace outside the timed reps so they measure the
-    // steady-state reuse regime training rounds run in.
-    kkt::implicit_gradients_with(&problem, &params, &x, &dl_dx, &mut ws)
-        .expect("interior instance must factor");
-    for _ in 0..STRUCTURED_REPS {
-        let t0 = Instant::now();
-        let grads = kkt::implicit_gradients_with(&problem, &params, &x, &dl_dx, &mut ws)
-            .expect("interior instance must factor");
-        structured_h.record_duration(t0.elapsed());
-        assert!(grads.dl_dt[(0, 0)].is_finite());
-    }
-    assert_eq!(
-        ws.dense_fallbacks(),
-        0,
-        "the structured reps must not silently measure the dense fallback"
-    );
-    for _ in 0..DENSE_REPS {
-        let t0 = Instant::now();
-        let grads = kkt::implicit_gradients_dense(&problem, &params, &x, &dl_dx)
-            .expect("dense oracle must solve");
-        dense_h.record_duration(t0.elapsed());
-        assert!(grads.dl_dt[(0, 0)].is_finite());
-    }
-}
-
 /// Online serving: replay a short synthetic trace through the exchange
 /// daemon, with one snapshot/kill/restore cycle at the halfway mark so
 /// the gate also times crash recovery. Latency percentiles surface as
@@ -379,142 +319,6 @@ fn suite_serve_replay(cfg: &PerfgateConfig) {
     std::fs::remove_dir_all(&dir).ok();
     assert!(outcome.counters.resolves > 0);
     assert!(outcome.last.is_some());
-}
-
-/// Blocked vs scalar Cholesky head-to-head. The default config lands on
-/// the acceptance scale `N = 2000`; smoke configs ramp linearly so the
-/// cubic kernel stays cheap in debug builds. Per-kernel wall times land
-/// in the `chol.blocked_secs` / `chol.scalar_secs` histograms (ratio of
-/// medians = blocked-kernel speedup).
-fn suite_chol_blocked(cfg: &PerfgateConfig) {
-    let n = if cfg.tasks >= 12 {
-        2000
-    } else {
-        32 * cfg.tasks.max(1)
-    };
-    let a = bench_spd(n, 0);
-    let blocked_h = mfcp_obs::histogram("chol.blocked_secs");
-    let scalar_h = mfcp_obs::histogram("chol.scalar_secs");
-    let mut blocked = Cholesky::empty();
-    // Size the factor storage outside the timed reps: the gate measures
-    // the steady-state refactor-reuse regime.
-    blocked.refactor(&a).expect("benchmark matrix is SPD");
-    let mut blocked_best = f64::INFINITY;
-    for _ in 0..2 {
-        let t0 = Instant::now();
-        blocked.refactor(&a).expect("benchmark matrix is SPD");
-        let dt = t0.elapsed().as_secs_f64();
-        blocked_h.record(dt);
-        blocked_best = blocked_best.min(dt);
-    }
-    let mut scalar = Cholesky::empty();
-    scalar.refactor_scalar(&a).expect("benchmark matrix is SPD");
-    let t0 = Instant::now();
-    scalar.refactor_scalar(&a).expect("benchmark matrix is SPD");
-    let scalar_secs = t0.elapsed().as_secs_f64();
-    scalar_h.record(scalar_secs);
-    if n >= 2000 {
-        // Tripwire for the blocked kernel's raison d'être (measured
-        // ~3.8x on the baseline machine; asserted with margin for noisy
-        // runners). Only meaningful at the release-scale config — debug
-        // builds and tiny sizes measure overhead, not the kernel.
-        let ratio = scalar_secs / blocked_best;
-        assert!(
-            ratio >= 2.5,
-            "blocked Cholesky speedup collapsed: {ratio:.2}x at n = {n}"
-        );
-    }
-    // SIMD dispatch delta: re-run the blocked kernel with the scalar
-    // arm pinned and publish the ratio (informational gauge). Both arms
-    // compute bit-identical factors, so this isolates pure kernel
-    // throughput. Under `MFCP_SIMD=scalar` the ratio sits at ~1.
-    mfcp_linalg::simd::force_scalar(true);
-    let t0 = Instant::now();
-    blocked.refactor(&a).expect("benchmark matrix is SPD");
-    let scalar_arm_secs = t0.elapsed().as_secs_f64();
-    mfcp_linalg::simd::force_scalar(false);
-    mfcp_obs::gauge("chol.simd_speedup").set(scalar_arm_secs / blocked_best.max(1e-12));
-}
-
-/// Deterministic, well-conditioned SPD matrix for the Cholesky suite:
-/// off-diagonal amplitude scales as `1/n` so the unit-ish diagonal
-/// dominates at every size.
-fn bench_spd(n: usize, salt: usize) -> Matrix {
-    let amp = 0.5 / n as f64;
-    let mut a = Matrix::from_fn(n, n, |i, j| {
-        ((((i * 31 + j * 17 + salt * 7) % 13) as f64 * 0.05).sin()) * amp
-    });
-    for i in 0..n {
-        for j in 0..i {
-            let s = 0.5 * (a[(i, j)] + a[(j, i)]);
-            a[(i, j)] = s;
-            a[(j, i)] = s;
-        }
-        a[(i, i)] = 2.0 + (i % 5) as f64 * 0.1;
-    }
-    a
-}
-
-/// Deterministic non-symmetric, comfortably non-singular matrix for the
-/// LU suite (diagonally dominant with one symmetry-breaking entry).
-fn bench_general(n: usize, salt: usize) -> Matrix {
-    let mut a = bench_spd(n, salt);
-    if n > 1 {
-        a[(0, n - 1)] += 0.7;
-    }
-    a
-}
-
-/// Blocked vs unblocked LU head-to-head. The default config lands on the
-/// acceptance scale `N = 2000`; smoke configs ramp linearly. Both paths
-/// run the same fused per-element arithmetic and produce bit-identical
-/// factors (pinned by the linalg differential suite), so the ratio
-/// isolates the panel + register-tile blocking win. Per-path wall times
-/// land in `lu.blocked_secs` / `lu.scalar_secs`.
-fn suite_lu_blocked(cfg: &PerfgateConfig) {
-    let n = if cfg.tasks >= 12 {
-        2000
-    } else {
-        32 * cfg.tasks.max(1)
-    };
-    let a = bench_general(n, 0);
-    let blocked_h = mfcp_obs::histogram("lu.blocked_secs");
-    let scalar_h = mfcp_obs::histogram("lu.scalar_secs");
-    let mut blocked = Lu::empty();
-    // Size the factor storage outside the timed reps (steady-state
-    // refactor-reuse regime, same protocol as `chol_blocked`).
-    blocked
-        .refactor(&a)
-        .expect("benchmark matrix is non-singular");
-    let mut blocked_best = f64::INFINITY;
-    for _ in 0..2 {
-        let t0 = Instant::now();
-        blocked
-            .refactor(&a)
-            .expect("benchmark matrix is non-singular");
-        let dt = t0.elapsed().as_secs_f64();
-        blocked_h.record(dt);
-        blocked_best = blocked_best.min(dt);
-    }
-    let mut scalar = Lu::empty();
-    scalar
-        .refactor_scalar(&a)
-        .expect("benchmark matrix is non-singular");
-    let t0 = Instant::now();
-    scalar
-        .refactor_scalar(&a)
-        .expect("benchmark matrix is non-singular");
-    let scalar_secs = t0.elapsed().as_secs_f64();
-    scalar_h.record(scalar_secs);
-    if n >= 2000 {
-        // Tripwire for the blocked elimination (measured ~4x on the
-        // baseline machine; asserted with margin for noisy runners).
-        let ratio = scalar_secs / blocked_best;
-        assert!(
-            ratio >= 2.0,
-            "blocked LU speedup collapsed: {ratio:.2}x at n = {n}"
-        );
-    }
 }
 
 /// Learned-duals warm start head-to-head on *unseen* instances. A
@@ -878,7 +682,7 @@ type SuiteFn = fn(&PerfgateConfig);
 /// noise.
 /// Counters in those suites accumulate across the inner reps; the
 /// baseline is recorded the same way, so comparisons stay consistent.
-const SUITES: [(&str, usize, SuiteFn); 13] = [
+const SUITES: [(&str, usize, SuiteFn); 10] = [
     ("solve_ad", 1, suite_solve_ad),
     ("solve_fg", 1, suite_solve_fg),
     ("solve_fg_parallel", 8, suite_solve_fg_parallel),
@@ -886,10 +690,7 @@ const SUITES: [(&str, usize, SuiteFn); 13] = [
     ("fault_replay", 16, suite_fault_replay),
     ("solve_warm", 1, suite_solve_warm),
     ("batch_solve", 1, suite_batch_solve),
-    ("kkt_grad", 1, suite_kkt_grad),
     ("serve_replay", 1, suite_serve_replay),
-    ("chol_blocked", 1, suite_chol_blocked),
-    ("lu_blocked", 1, suite_lu_blocked),
     ("obs_http", 1, suite_obs_http),
     ("learned_duals", 1, suite_learned_duals),
 ];

@@ -12,7 +12,7 @@ use mfcp_optim::solver::{solve_relaxed, solve_relaxed_from, SolverOptions};
 use mfcp_optim::zeroth::{estimate_gradient, ZerothOrderOptions};
 use mfcp_optim::{
     kkt, CacheStats, LearnedDualHead, MatchingProblem, RelaxationParams, RelaxedSolution,
-    SpeedupCurve,
+    SpeedupCurve, StopReason,
 };
 use mfcp_parallel::{par_map, solve_batch, ParallelConfig};
 use mfcp_platform::dataset::PlatformDataset;
@@ -212,11 +212,22 @@ fn grads_finite(grads: &[Matrix]) -> bool {
 /// they were computed at: `(∂L/∂t̂, ∂L/∂â, t̂, â)`.
 type ClusterGradients = (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>);
 
+/// Why a cluster's decision gradient is missing for a round.
+enum GradientSkip {
+    /// The gradient failed: a refused or singular price system, or a
+    /// panicked batch slot.
+    Failed,
+    /// The MFCP-AD solve stopped short of [`StopReason::Converged`]
+    /// (with its final residual).
+    Uncertified(StopReason, f64),
+}
+
 /// A recovery action taken by the guarded training loop.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecoveryEvent {
-    /// A cluster produced no usable decision gradient this round (singular
-    /// KKT system or non-finite zeroth-order estimate) and was skipped.
+    /// A cluster produced no usable decision gradient this round (a
+    /// refused or singular price system, or a panicked batch slot) and
+    /// was skipped.
     SkippedCluster {
         /// Training round (0-based).
         round: usize,
@@ -267,6 +278,20 @@ pub enum RecoveryEvent {
         /// Training round (0-based).
         round: usize,
     },
+    /// A cluster's MFCP-AD solve stopped short of
+    /// [`StopReason::Converged`], so the implicit gradient's premise — a
+    /// stationary point — was not certified; the cluster was skipped
+    /// for the round like one whose gradient failed.
+    UncertifiedSolve {
+        /// Training round (0-based).
+        round: usize,
+        /// Cluster whose gradient was dropped.
+        cluster: usize,
+        /// Why the solve stopped.
+        stop: StopReason,
+        /// The solve's final stationarity residual.
+        residual: f64,
+    },
 }
 
 impl std::fmt::Display for RecoveryEvent {
@@ -309,6 +334,15 @@ impl std::fmt::Display for RecoveryEvent {
             RecoveryEvent::BadDualSample { round } => write!(
                 f,
                 "round {round}: measured optimum rejected as dual-head sample, head untouched"
+            ),
+            RecoveryEvent::UncertifiedSolve {
+                round,
+                cluster,
+                stop,
+                residual,
+            } => write!(
+                f,
+                "round {round}: cluster {cluster} solve stopped {stop:?} at residual {residual:e}, gradient skipped"
             ),
         }
     }
@@ -1129,17 +1163,24 @@ fn train_mfcp_impl(
 
                     let grads = match &cfg.mode {
                         GradientMode::Analytic => {
-                            // One KKT workspace per worker thread keeps the
-                            // backward pass allocation-free across rounds
-                            // without sharing mutable state between the
-                            // batch closures.
+                            // The implicit function theorem holds at a
+                            // stationary point: a solve that stopped short
+                            // of one certifies no gradient.
+                            if sol.stop != StopReason::Converged {
+                                let skip = GradientSkip::Uncertified(sol.stop, sol.residual);
+                                return (Err(skip), keep_x);
+                            }
+                            // One adjoint workspace per worker thread keeps
+                            // the backward pass allocation-free across
+                            // rounds without sharing mutable state between
+                            // the batch closures.
                             thread_local! {
                                 static KKT_WS: std::cell::RefCell<kkt::KktWorkspace> =
                                     std::cell::RefCell::new(kkt::KktWorkspace::new());
                             }
-                            // A singular KKT system (a fully collapsed vertex
-                            // solution) carries no usable gradient — skip the
-                            // round for this cluster rather than aborting.
+                            // A refused or singular price system carries no
+                            // usable gradient — skip the round for this
+                            // cluster rather than aborting.
                             match KKT_WS.with(|ws| {
                                 kkt::implicit_gradients_with(
                                     &problem_pred,
@@ -1150,7 +1191,7 @@ fn train_mfcp_impl(
                                 )
                             }) {
                                 Ok(g) => (g.dl_dt.row(i).to_vec(), g.dl_da.row(i).to_vec()),
-                                Err(_) => return (None, keep_x),
+                                Err(_) => return (Err(GradientSkip::Failed), keep_x),
                             }
                         }
                         GradientMode::ForwardGradient(zo) => {
@@ -1208,13 +1249,14 @@ fn train_mfcp_impl(
                             (gt, ga)
                         }
                     };
-                    (Some((grads.0, grads.1, t_hat, a_hat)), keep_x)
+                    (Ok((grads.0, grads.1, t_hat, a_hat)), keep_x)
                 },
             )
         };
         // Unpack in slot order: refresh the per-cluster warm state and
         // fold panicked slots into the existing skipped-cluster path.
-        let mut cluster_grads: Vec<Option<ClusterGradients>> = Vec::with_capacity(batch_out.len());
+        let mut cluster_grads: Vec<Result<ClusterGradients, GradientSkip>> =
+            Vec::with_capacity(batch_out.len());
         for (i, slot) in batch_out.into_iter().enumerate() {
             match slot {
                 Ok((grad, new_x)) => {
@@ -1225,18 +1267,31 @@ fn train_mfcp_impl(
                     }
                     cluster_grads.push(grad);
                 }
-                Err(_slot_panic) => cluster_grads.push(None),
+                Err(_slot_panic) => cluster_grads.push(Err(GradientSkip::Failed)),
             }
         }
 
         // ---- sequential optimizer steps ---------------------------------
         for (i, cluster_grad) in cluster_grads.into_iter().enumerate() {
-            let Some((dl_dt_i, dl_da_i, t_hat, a_hat)) = cluster_grad else {
-                mfcp_obs::counter("train.skipped_clusters").inc();
-                report
-                    .recovery
-                    .push(RecoveryEvent::SkippedCluster { round, cluster: i });
-                continue;
+            let (dl_dt_i, dl_da_i, t_hat, a_hat) = match cluster_grad {
+                Ok(grads) => grads,
+                Err(GradientSkip::Uncertified(stop, residual)) => {
+                    mfcp_obs::counter("train.uncertified_solves").inc();
+                    report.recovery.push(RecoveryEvent::UncertifiedSolve {
+                        round,
+                        cluster: i,
+                        stop,
+                        residual,
+                    });
+                    continue;
+                }
+                Err(GradientSkip::Failed) => {
+                    mfcp_obs::counter("train.skipped_clusters").inc();
+                    report
+                        .recovery
+                        .push(RecoveryEvent::SkippedCluster { round, cluster: i });
+                    continue;
+                }
             };
 
             if update_time {
@@ -1526,6 +1581,40 @@ mod tests {
             late <= early + 0.05,
             "accepted regret loss should not blow up: early {early}, late {late}"
         );
+    }
+
+    #[test]
+    fn capped_solves_skip_their_ad_gradients() {
+        // With a zero iteration cap every solve stops at the cap, so no
+        // cluster's implicit gradient is certified: each is skipped with
+        // its stop reason and residual, and none counts as failed.
+        let train = dataset(40, 5);
+        let cfg = MfcpTrainConfig {
+            warm_start: quick_tsm_cfg(),
+            rounds: 2,
+            round_size: 5,
+            mode: GradientMode::Analytic,
+            solver: SolverOptions {
+                max_iters: 0,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let (_, report) = train_mfcp(&train, &cfg, 17);
+        let clusters = train.times.rows();
+        let mut uncertified = 0;
+        for event in &report.recovery {
+            match event {
+                RecoveryEvent::UncertifiedSolve { stop, residual, .. } => {
+                    assert_eq!(*stop, StopReason::IterationCap);
+                    assert!(*residual >= cfg.solver.tol, "residual {residual}");
+                    uncertified += 1;
+                }
+                RecoveryEvent::SkippedCluster { .. } => panic!("a capped solve is not a failure"),
+                _ => {}
+            }
+        }
+        assert_eq!(uncertified, 2 * clusters, "{:?}", report.recovery);
     }
 
     /// End-to-end gradient check of the full MFCP-AD chain:

@@ -24,12 +24,6 @@ pub enum LinalgError {
         /// Pivot column/row where the breakdown occurred.
         pivot: usize,
     },
-    /// Cholesky required a positive-definite matrix but found a
-    /// non-positive diagonal pivot.
-    NotPositiveDefinite {
-        /// Pivot index where positive definiteness failed.
-        pivot: usize,
-    },
 }
 
 impl fmt::Display for LinalgError {
@@ -45,9 +39,6 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::Singular { pivot } => {
                 write!(f, "matrix is singular (zero pivot at {pivot})")
-            }
-            LinalgError::NotPositiveDefinite { pivot } => {
-                write!(f, "matrix is not positive definite (pivot {pivot})")
             }
         }
     }

@@ -41,10 +41,8 @@ impl Qr {
     /// Re-factors `a` into this factorization's storage, reallocating only
     /// when the shape changes.
     ///
-    /// On any error the factorization is reset to the empty (0×0) state —
-    /// the same stale-factor-after-error hazard as [`crate::cholesky::Cholesky`]
-    /// / [`crate::lu::Lu`]: a partially-written factor must never stay
-    /// solvable-looking.
+    /// On any error the factorization is reset to the empty (0×0) state:
+    /// a partially-written factor must never stay solvable-looking.
     ///
     /// Reflectors are computed and applied one column at a time; the
     /// steady-state refactor of a same-shape matrix allocates nothing.
@@ -230,11 +228,12 @@ mod tests {
                 assert_eq!(r[(i, j)], 0.0);
             }
         }
-        // |det R| equals sqrt(det AᵀA).
+        // RᵀR equals AᵀA (Q is orthogonal).
         let ata = a.transpose().matmul(&a).unwrap();
-        let det_ata = crate::lu::Lu::factor(&ata).unwrap().det();
-        let det_r: f64 = (0..5).map(|i| r[(i, i)]).product();
-        assert!((det_r.abs() - det_ata.sqrt()).abs() < 1e-8);
+        let rtr = r.transpose().matmul(&r).unwrap();
+        for (x, y) in rtr.as_slice().iter().zip(ata.as_slice()) {
+            assert!((x - y).abs() < 1e-10, "{x} vs {y}");
+        }
     }
 
     #[test]
@@ -261,8 +260,8 @@ mod tests {
 
     #[test]
     fn failed_refactor_resets_to_empty() {
-        // Same stale-factor-after-error hazard as Cholesky/Lu: a failed
-        // refactor must not leave the previous factor solvable-looking.
+        // A failed refactor must not leave the previous factor
+        // solvable-looking.
         let mut rng = StdRng::seed_from_u64(9);
         let good = Matrix::from_fn(5, 3, |_, _| rng.gen_range(-1.0..1.0));
         let mut f = Qr::empty();

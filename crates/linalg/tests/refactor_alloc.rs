@@ -1,6 +1,6 @@
 //! Proves same-shape `refactor` calls reuse their storage: after the
 //! first factorization sizes the buffers, re-factoring another matrix of
-//! the same shape performs zero heap allocations (Cholesky, LU, and QR).
+//! the same shape performs zero heap allocations (QR).
 //!
 //! The measurement compares K and 3K same-shape refactors of rotating
 //! inputs — the fixed warm-up cost (initial buffer sizing) is identical
@@ -14,8 +14,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mfcp_linalg::cholesky::Cholesky;
-use mfcp_linalg::lu::Lu;
 use mfcp_linalg::qr::Qr;
 use mfcp_linalg::Matrix;
 
@@ -44,9 +42,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const N: usize = 24;
 
-/// Deterministic SPD matrices (diagonally dominant) that vary with `round`
-/// so each refactor does real work on fresh values.
-fn spd(round: usize) -> Matrix {
+/// Deterministic full-rank matrices (diagonally dominant, slightly
+/// asymmetric) that vary with `round` so each refactor does real work on
+/// fresh values.
+fn general(round: usize) -> Matrix {
     let mut a = Matrix::from_fn(N, N, |i, j| {
         (((i * 31 + j * 17 + round * 7) % 13) as f64 * 0.05).sin() * 0.1
     });
@@ -59,40 +58,8 @@ fn spd(round: usize) -> Matrix {
         }
         a[(i, i)] = 2.0 + (round % 5) as f64 * 0.1;
     }
-    a
-}
-
-fn general(round: usize) -> Matrix {
-    let mut a = spd(round);
-    // Break symmetry but keep the matrix comfortably non-singular.
     a[(0, N - 1)] += 0.7;
     a
-}
-
-fn cholesky_allocations(refactors: usize, f: &mut Cholesky, b: &mut [f64]) -> u64 {
-    let mats: Vec<Matrix> = (0..4).map(spd).collect();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for round in 0..refactors {
-        f.refactor(&mats[round % mats.len()]).unwrap();
-        b.fill(1.0);
-        f.solve_in_place(b).unwrap();
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert!(b.iter().all(|v| v.is_finite()));
-    after - before
-}
-
-fn lu_allocations(refactors: usize, f: &mut Lu, x: &mut Vec<f64>) -> u64 {
-    let mats: Vec<Matrix> = (0..4).map(general).collect();
-    let b = vec![1.0; N];
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for round in 0..refactors {
-        f.refactor(&mats[round % mats.len()]).unwrap();
-        f.solve_into(&b, x).unwrap();
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert!(x.iter().all(|v| v.is_finite()));
-    after - before
 }
 
 fn qr_allocations(refactors: usize, f: &mut Qr) -> u64 {
@@ -107,40 +74,6 @@ fn qr_allocations(refactors: usize, f: &mut Qr) -> u64 {
 
 #[test]
 fn same_shape_refactors_allocate_nothing_after_warmup() {
-    // Cholesky (blocked kernel) + in-place solve.
-    let mut chol = Cholesky::empty();
-    let mut b = vec![0.0; N];
-    cholesky_allocations(2, &mut chol, &mut b); // warm-up: sizes L
-    cholesky_allocations(2, &mut chol, &mut b); // and any process-wide lazy state
-    let short = cholesky_allocations(8, &mut chol, &mut b);
-    let long = cholesky_allocations(24, &mut chol, &mut b);
-    assert_eq!(
-        long, short,
-        "cholesky: 16 extra same-shape refactors must allocate nothing \
-         (short: {short}, long: {long})"
-    );
-    assert_eq!(
-        short, 0,
-        "cholesky: warmed-up refactor+solve must be allocation-free"
-    );
-
-    // LU + solve_into (x reused across solves).
-    let mut lu = Lu::empty();
-    let mut x = Vec::new();
-    lu_allocations(2, &mut lu, &mut x);
-    lu_allocations(2, &mut lu, &mut x);
-    let short = lu_allocations(8, &mut lu, &mut x);
-    let long = lu_allocations(24, &mut lu, &mut x);
-    assert_eq!(
-        long, short,
-        "lu: 16 extra same-shape refactors must allocate nothing \
-         (short: {short}, long: {long})"
-    );
-    assert_eq!(
-        short, 0,
-        "lu: warmed-up refactor+solve_into must be allocation-free"
-    );
-
     // QR refactor reuse.
     let mut qr = Qr::empty();
     qr_allocations(2, &mut qr);

@@ -5,8 +5,7 @@
 //! budget, and a solve that blows it must yield the thread *now* and let
 //! the ladder degrade to the greedy rung instead of queueing work
 //! unboundedly behind it. [`Budget`] packages the two mechanisms the
-//! guarded solvers check on every inner iteration (PGD steps and Newton
-//! KKT iterations both run through the same per-iterate guard):
+//! guarded solver checks on every accepted iterate:
 //!
 //! * a **wall-clock deadline** — an absolute [`Instant`] past which the
 //!   solve aborts with [`crate::recovery::SolveError::DeadlineExceeded`];
@@ -14,8 +13,8 @@
 //!   controller, a shutdown path, a chaos harness) can set to stop the
 //!   solve at the next iterate boundary, deterministically.
 //!
-//! Budgets are cooperative: nothing is interrupted mid-factorization, so
-//! expiry latency is one inner iteration. The greedy fallback rung always
+//! Budgets are cooperative: nothing is interrupted mid-step, so expiry
+//! latency is one inner iteration. The greedy fallback rung always
 //! runs regardless of the budget — a request past its deadline still gets
 //! a feasible matching, just not an optimized one.
 

@@ -10,9 +10,8 @@
 //!
 //! [`WarmStartCache`] stores, per problem [`fingerprint`], the last
 //! relaxed assignment, the per-task simplex duals estimated at that
-//! point, and — for the convex KKT path — the symbolic structure of the
-//! factorization ([`KktStructure`]), so [`crate::RobustSolver`] and the
-//! training loop can seed PGD from the previous round's optimum.
+//! point, and the solve's final prices, so [`crate::RobustSolver`] and
+//! the training loop can seed PGD from the previous round's optimum.
 //!
 //! Entries are validated on every lookup (shape, finiteness, column
 //! stochasticity, dual finiteness, and a generation-based staleness
@@ -25,7 +24,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::kkt::KktWorkspace;
 use crate::objective::{BarrierKind, CostKind, RelaxationParams};
 use crate::problem::MatchingProblem;
 use crate::solver::is_column_stochastic;
@@ -124,57 +122,6 @@ impl Fnv {
     }
 }
 
-/// Symbolic shape of the KKT factorization for one problem size, plus
-/// the numeric factorization buffers that go with it.
-///
-/// The "symbolic analysis" of the KKT system in [`crate::kkt`] reduces
-/// to the dimensions; caching them lets a warm entry be pre-validated
-/// against the problem size before any numeric work. The entry also
-/// carries the [`KktWorkspace`] used by the previous solve, so a warm
-/// hit reuses the structured-elimination storage (`Σ⁻¹`, the low-rank
-/// blocks, the Schur Cholesky, and the dense-fallback LU) instead of
-/// reallocating it.
-///
-/// Equality compares the symbolic dimensions only — the numeric buffers
-/// are transient state, not identity.
-#[derive(Debug, Clone)]
-pub struct KktStructure {
-    /// Total system dimension `m·n + n`.
-    pub dim: usize,
-    /// Number of primal variables `m·n`.
-    pub mn: usize,
-    /// Number of per-task simplex constraints `n`.
-    pub n: usize,
-    /// Numeric factorization buffers from the last solve at this shape.
-    pub workspace: KktWorkspace,
-}
-
-impl PartialEq for KktStructure {
-    fn eq(&self, other: &Self) -> bool {
-        self.dim == other.dim && self.mn == other.mn && self.n == other.n
-    }
-}
-
-impl Eq for KktStructure {}
-
-impl KktStructure {
-    /// The symbolic structure for an `m × n` problem, with fresh (empty)
-    /// numeric buffers.
-    pub fn for_shape(m: usize, n: usize) -> Self {
-        KktStructure {
-            dim: m * n + n,
-            mn: m * n,
-            n,
-            workspace: KktWorkspace::default(),
-        }
-    }
-
-    /// Whether this structure matches an `m × n` problem.
-    pub fn matches(&self, m: usize, n: usize) -> bool {
-        self.dim == m * n + n && self.mn == m * n && self.n == n
-    }
-}
-
 /// One cached optimum, keyed by [`fingerprint`] in [`WarmStartCache`].
 ///
 /// Every field is public so tests can inject poisoned state (NaN duals,
@@ -196,9 +143,6 @@ pub struct WarmStartEntry {
     /// the next solve of this fingerprint starts its price state from
     /// them. Empty when the solve kept none.
     pub prices: Vec<f64>,
-    /// Symbolic KKT structure; present only when the problem was convex
-    /// (the only setting the Newton/KKT path accepts).
-    pub kkt: Option<KktStructure>,
     /// Cache generation at which the entry was stored (set by
     /// [`WarmStartCache::store`]; see
     /// [`WarmStartCache::advance_generation`]).
@@ -206,25 +150,16 @@ pub struct WarmStartEntry {
 }
 
 impl WarmStartEntry {
-    /// Builds an entry from an assignment `x` of `problem` with its
+    /// Builds an entry from an assignment `x` with its
     /// objective, its per-task duals (a solve's
     /// [`crate::RobustSolution::duals`]; empty for a seed that has none)
     /// and the prices its solve ended at (empty when it kept none).
-    pub fn from_solution(
-        problem: &MatchingProblem,
-        x: &Matrix,
-        objective: f64,
-        duals: Vec<f64>,
-        prices: Vec<f64>,
-    ) -> Self {
-        let (m, n) = (problem.clusters(), problem.tasks());
-        let convex = problem.speedup.iter().all(|c| c.is_trivial());
+    pub fn from_solution(x: &Matrix, objective: f64, duals: Vec<f64>, prices: Vec<f64>) -> Self {
         WarmStartEntry {
             x: x.clone(),
             objective,
             duals,
             prices,
-            kkt: convex.then(|| KktStructure::for_shape(m, n)),
             stored_at: 0,
         }
     }
@@ -424,7 +359,7 @@ impl WarmStartCache {
     /// [`crate::learned::duals_admissible`] gate shared with the
     /// prediction repair kernel), prices that are not
     /// finite, out of scale, or fit no `m`-cluster price layout,
-    /// mismatched KKT structure, or age beyond the staleness bound — is
+    /// or age beyond the staleness bound — is
     /// evicted and reported as [`CacheOutcome::Stale`].
     pub fn lookup(
         &mut self,
@@ -438,8 +373,7 @@ impl WarmStartCache {
                 && validate_warm(&entry.x, m, n)
                 && entry.objective.is_finite()
                 && (entry.duals.is_empty() || crate::learned::duals_admissible(&entry.duals, n))
-                && prices_admissible(&entry.prices, m)
-                && entry.kkt.as_ref().is_none_or(|k| k.matches(m, n));
+                && prices_admissible(&entry.prices, m);
             valid.then(|| (entry.x.clone(), entry.prices.clone()))
         });
         match verdict {
@@ -502,31 +436,6 @@ impl WarmStartCache {
     pub fn entry_mut(&mut self, key: u64) -> Option<&mut WarmStartEntry> {
         self.entries.get_mut(&key)
     }
-
-    /// Takes the numeric KKT workspace out of the entry under `key`,
-    /// leaving empty buffers behind. The solver threads the workspace
-    /// through the solve and hands it back via
-    /// [`WarmStartCache::restore_kkt_workspace`], so repeated solves of
-    /// the same problem reuse factorization storage across calls.
-    pub fn take_kkt_workspace(&mut self, key: u64) -> Option<KktWorkspace> {
-        self.entries
-            .get_mut(&key)
-            .and_then(|entry| entry.kkt.as_mut())
-            .map(|kkt| std::mem::take(&mut kkt.workspace))
-    }
-
-    /// Moves `workspace` into the entry under `key` (a no-op when the
-    /// entry is gone or carries no KKT structure, e.g. for non-convex
-    /// problems whose solutions skip the structure entirely).
-    pub fn restore_kkt_workspace(&mut self, key: u64, workspace: KktWorkspace) {
-        if let Some(kkt) = self
-            .entries
-            .get_mut(&key)
-            .and_then(|entry| entry.kkt.as_mut())
-        {
-            kkt.workspace = workspace;
-        }
-    }
 }
 
 /// Whether `prices` can seed an `m`-cluster solve: none at all, or
@@ -582,7 +491,7 @@ mod tests {
         let x = crate::solver::uniform_init(p.clusters(), p.tasks());
         let obj = objective::value(p, params, &x);
         let duals = crate::learned::column_duals(p, params, &x);
-        WarmStartEntry::from_solution(p, &x, obj, duals, Vec::new())
+        WarmStartEntry::from_solution(&x, obj, duals, Vec::new())
     }
 
     #[test]
@@ -893,6 +802,5 @@ mod tests {
         let entry = entry_for(&p, &params);
         assert_eq!(entry.duals.len(), 4);
         assert!(entry.duals.iter().all(|d| d.is_finite()));
-        assert_eq!(entry.kkt, Some(KktStructure::for_shape(3, 4)));
     }
 }

@@ -20,13 +20,14 @@
 //!   discrete solutions").
 //! * [`exact`] — a branch-and-bound solver for small instances, used as
 //!   ground truth in tests and benches.
-//! * [`kkt`] — implicit differentiation of the optimum through the KKT
-//!   stationarity system (Eq. 14–15), the MFCP-AD gradient path.
+//! * [`kkt`] — implicit differentiation of the optimum (Eq. 14–15) in the
+//!   solver's price coordinates: one `r×r` adjoint solve per backward
+//!   pass, the MFCP-AD gradient path.
 //! * [`zeroth`] — the zeroth-order forward-gradient estimator of
 //!   Algorithm 2 (lines 5–11), the MFCP-FG gradient path.
 //! * [`recovery`] — fault-tolerant solving: health-guarded solver runs
-//!   with a fallback ladder (backed-off parameters → Newton → PGD
-//!   variants → greedy rounding) and per-stage diagnostics.
+//!   with a fallback ladder (backed-off parameters → PGD variants →
+//!   greedy rounding) and per-stage diagnostics.
 //! * [`cache`] — a fingerprint-keyed warm-start cache: successive solves
 //!   of structurally identical problems seed PGD from the previous
 //!   optimum instead of the uniform simplex point (see DESIGN.md,
@@ -57,9 +58,7 @@ pub mod speedup;
 pub mod zeroth;
 
 pub use budget::{Budget, CancelToken};
-pub use cache::{
-    CacheOutcome, CacheStats, KktStructure, WarmStartCache, WarmStartConfig, WarmStartEntry,
-};
+pub use cache::{CacheOutcome, CacheStats, WarmStartCache, WarmStartConfig, WarmStartEntry};
 pub use kkt::{KktGradients, KktWorkspace};
 pub use learned::{DualPrediction, DualPredictor, LearnedDualHead, RepairError};
 pub use objective::{BarrierKind, CostKind, RelaxationParams};
@@ -68,7 +67,5 @@ pub use recovery::{
     BackoffSchedule, FallbackStage, HealthPolicy, PredictionOutcome, RobustSolution, RobustSolver,
     SkipReason, SolveDiagnostics, SolveError, StageAttempt, StageOutcome,
 };
-pub use solver::{
-    NewtonOptions, PgdWorkspace, ProjectionKind, RelaxedSolution, SolverOptions, StopReason,
-};
+pub use solver::{PgdWorkspace, ProjectionKind, RelaxedSolution, SolverOptions, StopReason};
 pub use speedup::SpeedupCurve;

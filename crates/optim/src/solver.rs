@@ -19,7 +19,7 @@
 //! * [`ProjectionKind::MirrorDescent`] (default) — exponentiated gradient:
 //!   `x_ij ← x_ij · exp(-η ∂F/∂x_ij)` renormalized per column. This is the
 //!   entropic-geometry projected step; it keeps iterates strictly interior
-//!   (which the log barrier and the KKT differentiation both want) and is
+//!   (which the log barrier and the implicit differentiation both want) and is
 //!   what "gradient step then softmax" converges to when `X` is stored as
 //!   logits. Its step is Armijo-safeguarded: the first trial step is
 //!   `η = lr`, an accepted step grows `η` by 1.2, a rejected one halves
@@ -77,12 +77,9 @@
 //! calls no transcendental per entry: an accepted step costs one `exp`
 //! per entry and one `ln` per task.
 
-use crate::kkt::KktWorkspace;
-use crate::objective::{
-    self, price_dim, ClusterStats, IterStats, RelaxationParams, TransposedEval,
-};
+use crate::objective::{self, price_dim, IterStats, RelaxationParams, TransposedEval};
 use crate::problem::MatchingProblem;
-use crate::recovery::{FallbackStage, SolveError};
+use crate::recovery::SolveError;
 use mfcp_linalg::{vector, Matrix};
 
 /// Iterations between two stationarity-residual checks of the PGD loop
@@ -202,8 +199,8 @@ impl PriceWorkspace {
 /// Per-iterate health hook used by the guarded solver entry points in
 /// [`crate::recovery`]: called after every accepted iterate with the
 /// iteration count, the iterate's objective (`NaN` when the iterate is
-/// not finite), and the step magnitude (`max |ΔX|` for PGD, `α·max|Δx|`
-/// for Newton); returning an error aborts the solve.
+/// not finite), and the step magnitude `max |ΔX|`; returning an error
+/// aborts the solve.
 pub(crate) type IterGuard<'a> = &'a mut dyn FnMut(usize, f64, f64) -> Result<(), SolveError>;
 
 /// Simplex-projection flavor used after each gradient step.
@@ -254,7 +251,7 @@ pub enum StopReason {
     /// The iteration cap ended the solve above the tolerance.
     IterationCap,
     /// No trial step decreased the objective: the iterate is stationary
-    /// to numerical resolution (or, for Newton, no step could be formed).
+    /// to numerical resolution.
     NoDescent,
 }
 
@@ -285,8 +282,8 @@ pub struct RelaxedSolution {
     /// solve's final gradient.
     pub duals: Vec<f64>,
     /// Final prices `θ` in [`price_dim`] layout, whose softmax is `x`.
-    /// Empty when the solve cannot take price trials (`ρ = 0`, another
-    /// projection, or the Newton rung). A later solve of a similar
+    /// Empty when the solve cannot take price trials (`ρ = 0` or another
+    /// projection). A later solve of a similar
     /// instance starts from them.
     pub prices: Vec<f64>,
 }
@@ -680,7 +677,12 @@ fn price_step(
 
 /// The feature covariance `C` of the task-major iterate `xt` into `cov`
 /// (full symmetric `r×r`; `mu` is scratch).
-fn covariance_into(teval: &TransposedEval, xt: &Matrix, mu: &mut [f64], cov: &mut [f64]) {
+pub(crate) fn covariance_into(
+    teval: &TransposedEval,
+    xt: &Matrix,
+    mu: &mut [f64],
+    cov: &mut [f64],
+) {
     cov.fill(0.0);
     for j in 0..xt.rows() {
         add_task_cov(teval, j, xt.row(j), mu, cov);
@@ -837,7 +839,7 @@ fn fit_prices(
 /// Solves the `r×r` row-major system `a·x = b` in place (`b` becomes
 /// `x`) by Gaussian elimination with partial pivoting. Returns `false`
 /// on a zero or non-finite pivot or a non-finite solution.
-fn solve_dense_in_place(a: &mut [f64], b: &mut [f64]) -> bool {
+pub(crate) fn solve_dense_in_place(a: &mut [f64], b: &mut [f64]) -> bool {
     let r = b.len();
     for k in 0..r {
         let p = (k..r)
@@ -1150,237 +1152,6 @@ pub(crate) fn solve_relaxed_from_guarded(
     })
 }
 
-/// Options for [`solve_relaxed_newton`].
-#[derive(Debug, Clone, Copy)]
-pub struct NewtonOptions {
-    /// Maximum Newton iterations.
-    pub max_iters: usize,
-    /// Stop when the worst task's [`stationarity_residual`] falls below
-    /// this.
-    pub grad_tol: f64,
-    /// Fraction-to-boundary rule: step length keeps
-    /// `x + αΔx ≥ (1 − fraction) · x`.
-    pub fraction_to_boundary: f64,
-    /// Armijo sufficient-decrease coefficient.
-    pub armijo_c: f64,
-    /// Backtracking shrink factor.
-    pub armijo_shrink: f64,
-    /// Maximum backtracking steps per iteration.
-    pub max_backtracks: usize,
-}
-
-impl Default for NewtonOptions {
-    fn default() -> Self {
-        NewtonOptions {
-            max_iters: 60,
-            grad_tol: 1e-7,
-            fraction_to_boundary: 0.995,
-            armijo_c: 1e-4,
-            armijo_shrink: 0.5,
-            max_backtracks: 40,
-        }
-    }
-}
-
-/// Second-order alternative to Algorithm 1: damped Newton steps on the
-/// equality-constrained barrier problem (10).
-///
-/// Each iteration solves the primal KKT system
-/// `[[H, Dᵀ], [D, 0]] [Δx; ν] = [−∇F; 0]` (the same matrix the MFCP-AD
-/// backward pass factors), applies the interior-point
-/// fraction-to-boundary rule so iterates stay strictly positive, and
-/// backtracks until Armijo sufficient decrease holds. Converges in a
-/// handful of iterations where mirror descent needs hundreds — see the
-/// `newton_vs_mirror` bench — at the price of a dense `(MN+N)` LU per
-/// step, and is restricted to the convex (sequential) setting like every
-/// second-order method in this crate.
-pub fn solve_relaxed_newton(
-    problem: &MatchingProblem,
-    params: &RelaxationParams,
-    opts: &NewtonOptions,
-) -> RelaxedSolution {
-    let mut ws = KktWorkspace::new();
-    match solve_relaxed_newton_impl(problem, params, opts, false, &mut |_, _, _| Ok(()), &mut ws) {
-        Ok(sol) => sol,
-        Err(_) => unreachable!("non-strict Newton with a no-op guard never fails"),
-    }
-}
-
-/// Guarded variant of [`solve_relaxed_newton`]. With `strict` set, a
-/// singular KKT system is reported as [`SolveError::SingularKkt`] instead
-/// of silently returning the current iterate; `guard` runs after every
-/// accepted Newton step. The caller-owned `kkt_ws` carries the structured
-/// KKT factorization buffers across iterations (and across solves).
-pub(crate) fn solve_relaxed_newton_guarded(
-    problem: &MatchingProblem,
-    params: &RelaxationParams,
-    opts: &NewtonOptions,
-    guard: IterGuard<'_>,
-    kkt_ws: &mut KktWorkspace,
-) -> Result<RelaxedSolution, SolveError> {
-    solve_relaxed_newton_impl(problem, params, opts, true, guard, kkt_ws)
-}
-
-fn solve_relaxed_newton_impl(
-    problem: &MatchingProblem,
-    params: &RelaxationParams,
-    opts: &NewtonOptions,
-    strict: bool,
-    guard: IterGuard<'_>,
-    kkt_ws: &mut KktWorkspace,
-) -> Result<RelaxedSolution, SolveError> {
-    assert!(
-        problem.speedup.iter().all(|c| c.is_trivial()),
-        "Newton solver requires the convex (sequential) setting"
-    );
-    let (m, n) = (problem.clusters(), problem.tasks());
-    let mut x = uniform_init(m, n);
-    if m == 0 || n == 0 {
-        let objective = objective::value(problem, params, &x);
-        return Ok(RelaxedSolution {
-            x,
-            objective,
-            iterations: 0,
-            stop: StopReason::Converged,
-            residual: 0.0,
-            duals: vec![f64::INFINITY; n],
-            prices: Vec::new(),
-        });
-    }
-    let mn = m * n;
-    let mut stop = StopReason::IterationCap;
-    let mut iterations = 0;
-    let mut f_prev = f64::INFINITY;
-    let mut stagnant = 0usize;
-    let mut stats = ClusterStats::default();
-    let mut grad = Matrix::zeros(m, n);
-    let mut rhs = vec![0.0; mn + n];
-    let (mut xcol, mut gcol) = (vec![0.0; m], vec![0.0; m]);
-    // Worst per-task residual of the cluster-major iterate.
-    let mut residual_of = |x: &Matrix, grad: &Matrix| {
-        (0..n).fold(0.0, |acc, j| {
-            for i in 0..m {
-                xcol[i] = x[(i, j)];
-                gcol[i] = grad[(i, j)];
-            }
-            nan_max(acc, stationarity_residual(&xcol, &gcol))
-        })
-    };
-    let mut f = objective::value(problem, params, &x);
-    for iter in 0..opts.max_iters {
-        iterations = iter + 1;
-        objective::grad_x_into(problem, params, &x, &mut stats, &mut grad);
-        if residual_of(&x, &grad) < opts.grad_tol {
-            stop = StopReason::Converged;
-            break;
-        }
-        // Newton step from the shared KKT factorization (structured
-        // elimination when applicable, dense LU fallback otherwise).
-        rhs.iter_mut().for_each(|v| *v = 0.0);
-        for (slot, g) in rhs[..mn].iter_mut().zip(grad.as_slice()) {
-            *slot = -g;
-        }
-        let factored = kkt_ws
-            .factor(problem, params, &x)
-            .and_then(|()| kkt_ws.solve_in_place(&mut rhs));
-        match factored {
-            Ok(()) => {}
-            Err(_) if strict => {
-                return Err(SolveError::SingularKkt {
-                    stage: FallbackStage::Newton,
-                    iteration: iterations,
-                })
-            }
-            Err(_) => {
-                // Singular KKT system: no Newton direction exists; return
-                // the current iterate.
-                stop = StopReason::NoDescent;
-                break;
-            }
-        }
-        let mut step = Matrix::from_fn(m, n, |i, j| rhs[i * n + j]);
-
-        // Coordinates already at the numerical floor would throttle the
-        // fraction-to-boundary step length to nothing; freeze them (their
-        // residual mass is ≤ MN·floor and is re-normalized away below).
-        const X_NUMERICAL_FLOOR: f64 = 1e-9;
-        for (xi, si) in x.as_slice().iter().zip(step.as_mut_slice()) {
-            if *xi <= 10.0 * X_NUMERICAL_FLOOR && *si < 0.0 {
-                *si = 0.0;
-            }
-        }
-
-        // Fraction-to-boundary: keep every coordinate strictly positive.
-        let mut alpha: f64 = 1.0;
-        for (xi, si) in x.as_slice().iter().zip(step.as_slice()) {
-            if *si < 0.0 {
-                alpha = alpha.min(-opts.fraction_to_boundary * xi / si);
-            }
-        }
-        alpha = alpha.min(1.0);
-
-        // Armijo backtracking on F.
-        let slope: f64 = grad
-            .as_slice()
-            .iter()
-            .zip(step.as_slice())
-            .map(|(g, s)| g * s)
-            .sum();
-        let mut accepted = false;
-        for _ in 0..opts.max_backtracks {
-            let mut trial = x.axpy(alpha, &step).expect("shape");
-            // Frozen coordinates can leave columns off the simplex by a
-            // vanishing amount; re-normalize.
-            for j in 0..n {
-                let sum: f64 = (0..m).map(|i| trial[(i, j)]).sum();
-                for i in 0..m {
-                    trial[(i, j)] = (trial[(i, j)] / sum).max(X_NUMERICAL_FLOOR);
-                }
-            }
-            let f_trial = objective::value(problem, params, &trial);
-            if f_trial <= f + opts.armijo_c * alpha * slope {
-                x = trial;
-                f = f_trial;
-                accepted = true;
-                break;
-            }
-            alpha *= opts.armijo_shrink;
-        }
-        if !accepted {
-            // No acceptable step: the iterate is stationary to numerical
-            // resolution.
-            stop = StopReason::NoDescent;
-            break;
-        }
-        guard(iterations, f, alpha * step.max_abs())?;
-        // Objective stagnation: the clamped/renormalized iterate has hit
-        // the resolution limit of the floored entropy term — the point is
-        // optimal to within floating-point reproducibility.
-        if (f_prev - f).abs() <= 1e-10 * (1.0 + f.abs()) {
-            stagnant += 1;
-            if stagnant >= 2 {
-                stop = StopReason::NoDescent;
-                break;
-            }
-        } else {
-            stagnant = 0;
-        }
-        f_prev = f;
-    }
-    objective::grad_x_into(problem, params, &x, &mut stats, &mut grad);
-    let residual = residual_of(&x, &grad);
-    record_stop(stop, residual, &LoopCounts::default());
-    Ok(RelaxedSolution {
-        x,
-        objective: f,
-        iterations,
-        stop,
-        residual,
-        duals: crate::learned::column_minima(&grad),
-        prices: Vec::new(),
-    })
-}
-
 /// Euclidean projection of `v` onto the probability simplex
 /// (Held–Wolfe–Crowder / sort-based algorithm).
 ///
@@ -1471,6 +1242,10 @@ pub fn is_column_stochastic(x: &Matrix, tol: f64) -> bool {
     }
     true
 }
+
+#[cfg(test)]
+#[path = "../tests/support/lu.rs"]
+mod reference_lu;
 
 #[cfg(test)]
 mod tests {
@@ -1770,102 +1545,6 @@ mod tests {
         assert_eq!(sol.x.shape(), (2, 0));
     }
 
-    #[test]
-    fn newton_matches_mirror_descent_optimum() {
-        for seed in 0..6 {
-            let problem = random_problem(seed, 3, 5);
-            let params = RelaxationParams::default();
-            let mirror = solve_relaxed(
-                &problem,
-                &params,
-                &SolverOptions {
-                    max_iters: 30_000,
-                    tol: 1e-14,
-                    ..Default::default()
-                },
-            );
-            let newton = solve_relaxed_newton(&problem, &params, &NewtonOptions::default());
-            assert!(newton.converged(), "seed {seed}: Newton did not converge");
-            // Newton must reach at least mirror descent's objective. (It
-            // often does strictly better: the multiplicative mirror update
-            // crawls once losing coordinates collapse, so it stops at its
-            // residual floor slightly short of the optimum.)
-            assert!(
-                newton.objective <= mirror.objective + 1e-5,
-                "seed {seed}: Newton {} vs mirror {}",
-                newton.objective,
-                mirror.objective
-            );
-            assert!(
-                newton.objective >= mirror.objective - 0.05,
-                "seed {seed}: implausibly large gap — Newton {} vs mirror {}",
-                newton.objective,
-                mirror.objective
-            );
-            assert!(is_column_stochastic(&newton.x, 1e-8), "seed {seed}");
-            assert!(newton.x.min().unwrap() > 0.0, "iterates must stay interior");
-        }
-    }
-
-    #[test]
-    fn newton_converges_in_far_fewer_iterations() {
-        let problem = random_problem(11, 3, 8);
-        let params = RelaxationParams::default();
-        let newton = solve_relaxed_newton(&problem, &params, &NewtonOptions::default());
-        assert!(newton.converged());
-        assert!(
-            newton.iterations <= 40,
-            "second-order convergence expected, took {}",
-            newton.iterations
-        );
-        // Mirror descent alone at the same accuracy takes hundreds of
-        // steps (see `fused_mirror_descent_matches_armijo_reference`);
-        // with its price trials the PGD loop reaches the same optimum
-        // within the same iteration budget.
-        let pgd = solve_relaxed(
-            &problem,
-            &params,
-            &SolverOptions {
-                max_iters: newton.iterations,
-                tol: 1e-9,
-                ..Default::default()
-            },
-        );
-        assert!(pgd.converged());
-        assert!(
-            (pgd.objective - newton.objective).abs() < 1e-8,
-            "PGD {} vs Newton {}",
-            pgd.objective,
-            newton.objective
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "convex")]
-    fn newton_rejects_parallel_setting() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let t = Matrix::from_fn(2, 3, |_, _| rng.gen_range(0.5..2.0));
-        let a = Matrix::from_fn(2, 3, |_, _| rng.gen_range(0.7..1.0));
-        let problem =
-            MatchingProblem::with_speedup(t, a, 0.7, vec![SpeedupCurve::paper_parallel(); 2]);
-        solve_relaxed_newton(
-            &problem,
-            &RelaxationParams::default(),
-            &NewtonOptions::default(),
-        );
-    }
-
-    #[test]
-    fn newton_empty_problem() {
-        let problem = MatchingProblem::new(Matrix::zeros(2, 0), Matrix::zeros(2, 0), 0.5);
-        let sol = solve_relaxed_newton(
-            &problem,
-            &RelaxationParams::default(),
-            &NewtonOptions::default(),
-        );
-        assert!(sol.converged());
-    }
-
     /// The pre-transposition cluster-major fixed-step PGD loop, kept as
     /// the bitwise oracle for the `SoftmaxPaper` and `Euclidean` arms of
     /// [`solve_relaxed_from_guarded`]. Runs exactly `max_iters` steps.
@@ -2109,7 +1788,7 @@ mod tests {
             let sys = Matrix::from_fn(r, r, |a, b| {
                 hc[(a, b)] / params.rho + if a == b { 1.0 } else { 0.0 }
             });
-            mfcp_linalg::lu::solve(&sys, &rhs).ok()
+            super::reference_lu::lu_solve(&sys, &rhs)
         };
         if let Some(k0) = objective::count_slots(problem) {
             let mut exact = h.clone();
@@ -2174,7 +1853,7 @@ mod tests {
             c[(a, a)] += ridge;
             b[a] = -params.rho * b[a] + ridge * prior[a];
         }
-        mfcp_linalg::lu::solve(&c, &b).unwrap_or(prior)
+        super::reference_lu::lu_solve(&c, &b).unwrap_or(prior)
     }
 
     /// One accepted iterate of [`price_newton_reference`].

@@ -23,9 +23,8 @@
 //!    ladder ([`PredictionOutcome::FellBack`]) and still lands on the
 //!    plain solve's answer bit for bit — a wrong model costs one rung.
 //!
-//! CI runs this suite both default and under `--features
-//! strict-determinism` (the feature changes no optim code paths; it
-//! pins the mfcp-linalg SIMD dispatch to the scalar arm).
+//! CI runs this suite in the workspace test job and again, in release,
+//! in its strict-determinism job.
 
 use mfcp_linalg::Matrix;
 use mfcp_optim::cache::{CacheOutcome, WarmStartCache};

@@ -592,7 +592,6 @@ impl ExchangeDaemon {
                 .chain([last.prices[pool]])
                 .collect();
             let entry = WarmStartEntry::from_solution(
-                problem,
                 &uniform_init(m, n),
                 last.objective,
                 Vec::new(),
@@ -641,8 +640,7 @@ impl ExchangeDaemon {
         if !validate_warm(&seed, m, n) {
             return false;
         }
-        let entry =
-            WarmStartEntry::from_solution(problem, &seed, last.objective, Vec::new(), Vec::new());
+        let entry = WarmStartEntry::from_solution(&seed, last.objective, Vec::new(), Vec::new());
         self.cache.store(key, entry);
         true
     }

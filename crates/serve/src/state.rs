@@ -23,7 +23,7 @@ use std::fmt;
 use std::path::Path;
 
 use mfcp_linalg::Matrix;
-use mfcp_optim::{KktStructure, WarmStartCache, WarmStartEntry};
+use mfcp_optim::{WarmStartCache, WarmStartEntry};
 use mfcp_platform::task::{Corpus, TaskFamily, TaskSpec};
 
 /// Versioned first line of every snapshot document.
@@ -329,11 +329,11 @@ pub fn to_document(
     out.push_str(&format!("cache {} {}\n", cache.generation(), entries.len()));
     for (key, entry) in entries {
         let (m, n) = entry.x.shape();
+        // The trailing `0` is the retired per-entry KKT flag, kept so v2
+        // keeps one layout; readers ignore it.
         out.push_str(&format!(
-            "entry {key} {} {m} {n} {:e} {}\n",
-            entry.stored_at,
-            entry.objective,
-            if entry.kkt.is_some() { 1 } else { 0 }
+            "entry {key} {} {m} {n} {:e} 0\n",
+            entry.stored_at, entry.objective
         ));
         push_matrix(&mut out, "xrow", &entry.x);
         push_floats(&mut out, "duals", &entry.duals);
@@ -476,7 +476,8 @@ pub fn from_document(
         let m = parse_count(&e[2], MAX_DIM, "entry rows")?;
         let n = parse_count(&e[3], MAX_TASKS, "entry cols")?;
         let objective: f64 = e[4].parse().map_err(|_| err("bad entry objective"))?;
-        let has_kkt = e[5] == "1";
+        // e[5]: the retired KKT flag (`1` on convex entries written
+        // before it retired); nothing reads it.
         let x = parse_matrix(&mut lines, "xrow", m, n)?;
         let duals = next_floats(&mut lines, "duals")?;
         if !duals.is_empty() && duals.len() != n {
@@ -490,7 +491,6 @@ pub fn from_document(
                 objective,
                 duals,
                 prices,
-                kkt: has_kkt.then(|| KktStructure::for_shape(m, n)),
                 stored_at,
             },
         );
@@ -605,7 +605,6 @@ mod tests {
                 objective: -2.5,
                 duals: vec![0.5, -0.5],
                 prices: vec![0.25, 0.75, -1e-2],
-                kkt: Some(KktStructure::for_shape(2, 2)),
                 stored_at: 4,
             },
         );
@@ -620,7 +619,6 @@ mod tests {
         assert_eq!(*key, 99);
         assert_eq!(entry.stored_at, 4);
         assert_eq!(entry.objective.to_bits(), (-2.5f64).to_bits());
-        assert!(entry.kkt.is_some());
         assert_eq!(entry.prices, vec![0.25, 0.75, -1e-2]);
         // Serialization is itself deterministic.
         assert_eq!(doc, to_document(&back, &back_cache, preds));
@@ -637,7 +635,6 @@ mod tests {
                 objective: 0.5,
                 duals: Vec::new(),
                 prices: vec![0.5, 0.5, -1e-2],
-                kkt: None,
                 stored_at: 0,
             },
         );

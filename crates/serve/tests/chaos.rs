@@ -79,6 +79,55 @@ fn kill_resume_is_bit_identical() {
 }
 
 #[test]
+fn retired_kkt_flags_restore_and_replay_bit_identically() {
+    // Snapshot v2 cache entries end in a per-entry KKT flag, which older
+    // writers set to `1` on every convex entry. The flag is retired: the
+    // writer puts `0` there and the reader ignores it, so a document
+    // with the old flags must resume exactly like an uninterrupted run.
+    let trace = test_trace();
+    let config = DaemonConfig::default();
+    let mut straight_daemon = ExchangeDaemon::new(config.clone(), ground_truth());
+    let straight = replay(&mut straight_daemon, &trace);
+
+    let dir = temp_dir("kkt_flag");
+    let mut daemon = ExchangeDaemon::new(config.clone(), ground_truth());
+    while (daemon.cursor() as usize) < trace.len() / 2 {
+        daemon.apply(&trace[daemon.cursor() as usize].event);
+    }
+    daemon.snapshot(&dir).expect("snapshot writes");
+    drop(daemon);
+    let path = dir.join(mfcp_serve::state::SNAPSHOT_FILE);
+    let doc = std::fs::read_to_string(&path).unwrap();
+    let mut flagged = 0;
+    let old: Vec<String> = doc
+        .lines()
+        .map(|line| match line.strip_suffix(" 0") {
+            Some(head) if line.starts_with("entry ") => {
+                flagged += 1;
+                format!("{head} 1")
+            }
+            _ => line.to_string(),
+        })
+        .collect();
+    assert!(flagged > 0, "the half-way snapshot caches optima");
+    std::fs::write(&path, old.join("\n") + "\n").unwrap();
+    let mut restored =
+        ExchangeDaemon::restore(&dir, config, ground_truth()).expect("flagged v2 restores");
+    let resumed = replay(&mut restored, &trace);
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert_eq!(straight.events, resumed.events);
+    assert_eq!(straight.counters, resumed.counters);
+    let a = straight.last.expect("straight run ends with a matching");
+    let b = resumed.last.expect("resumed run ends with a matching");
+    assert_eq!(a.ids, b.ids);
+    assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(a.x.as_slice()), bits(b.x.as_slice()));
+    assert_eq!(bits(&a.prices), bits(&b.prices));
+}
+
+#[test]
 fn overload_sheds_with_bounded_queue() {
     // Arrivals only, never resolved until the end: admission control is
     // the only thing standing between the queue and unbounded growth.

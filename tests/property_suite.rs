@@ -8,7 +8,7 @@ use mfcp::platform::cluster::PerfModel;
 use mfcp::platform::embedding::FeatureEmbedder;
 use mfcp::platform::settings::ClusterPool;
 use mfcp::platform::task::{TaskGenerator, TaskSpec};
-use mfcp_linalg::{lu::Lu, Matrix};
+use mfcp_linalg::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,23 +55,6 @@ proptest! {
         let truth = asg.makespan(&problem);
         prop_assert!(smooth >= truth - 1e-9);
         prop_assert!(smooth <= truth + (3.0f64).ln() / beta + 1e-9);
-    }
-
-    /// LU solves of diagonally dominant systems are accurate.
-    #[test]
-    fn prop_lu_solves_diag_dominant(seed in 0u64..10_000, n in 1usize..20) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut a = Matrix::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
-        for i in 0..n {
-            let row_sum: f64 = a.row(i).iter().map(|v| v.abs()).sum();
-            a[(i, i)] = row_sum + 1.0;
-        }
-        let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let x = Lu::factor(&a).unwrap().solve(&b).unwrap();
-        let ax = a.matvec(&x).unwrap();
-        for (axi, bi) in ax.iter().zip(&b) {
-            prop_assert!((axi - bi).abs() < 1e-9);
-        }
     }
 
     /// The ground-truth performance model is always physical: positive
