@@ -1,8 +1,7 @@
 //! Per-cluster performance predictors `m_ω` (time) and `m_φ` (reliability).
 
-use mfcp_autodiff::{Graph, NodeId};
 use mfcp_linalg::Matrix;
-use mfcp_nn::{Activation, Mlp, MlpPass};
+use mfcp_nn::{Activation, Mlp};
 use rand::Rng;
 
 /// The pair of cluster-specific predictors of §2.1: `t̂ = m_ω(z)` with a
@@ -55,16 +54,6 @@ impl ClusterPredictor {
     /// Predicted reliabilities for an `N x d` feature batch.
     pub fn predict_reliability(&self, features: &Matrix) -> Vec<f64> {
         self.rel_model.predict(features).into_vec()
-    }
-
-    /// Records a time-model forward pass on `g` (for gradient injection).
-    pub fn time_forward(&self, g: &mut Graph, features_node: NodeId) -> MlpPass {
-        self.time_model.forward(g, features_node)
-    }
-
-    /// Records a reliability-model forward pass on `g`.
-    pub fn rel_forward(&self, g: &mut Graph, features_node: NodeId) -> MlpPass {
-        self.rel_model.forward(g, features_node)
     }
 
     /// Serializes both networks into one text document.

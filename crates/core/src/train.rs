@@ -3,9 +3,8 @@
 
 use crate::methods::{EnsembleUcbPredictor, MfcpPredictor, TsmPredictor, UcbPredictor};
 use crate::predictor::ClusterPredictor;
-use mfcp_autodiff::Graph;
 use mfcp_linalg::Matrix;
-use mfcp_nn::{Adam, Loss, Optimizer};
+use mfcp_nn::{Adam, Loss, MlpWorkspace};
 use mfcp_optim::cache::warm_init;
 use mfcp_optim::objective;
 use mfcp_optim::solver::{solve_relaxed, solve_relaxed_from, SolverOptions};
@@ -468,41 +467,43 @@ fn train_cluster_supervised(
     let mut predictor = ClusterPredictor::new(features.cols(), &cfg.hidden, &mut rng);
     let mut opt_t = Adam::new(cfg.lr);
     let mut opt_a = Adam::new(cfg.lr);
-    let n = features.rows();
+    let (n, d) = features.shape();
     let mut order: Vec<usize> = (0..n).collect();
+    let batch_size = cfg.batch_size.max(1);
+    // Both networks share one shape, so one workspace serves them in turn;
+    // the batch is gathered once per step for both.
+    let mut ws = MlpWorkspace::new();
+    let log_times: Vec<f64> = (0..n)
+        .map(|j| times_scaled[(j, 0)].max(1e-9).ln())
+        .collect();
+    let mut tb = Vec::with_capacity(batch_size);
+    let mut ab = Vec::with_capacity(batch_size);
     let epoch_counter = mfcp_obs::counter("train.supervised.epochs");
     for _ in 0..cfg.epochs {
         epoch_counter.inc();
         mfcp_nn::data::shuffle(&mut order, &mut rng);
-        for chunk in order.chunks(cfg.batch_size.max(1)) {
-            let xb = Matrix::from_fn(chunk.len(), features.cols(), |r, c| features[(chunk[r], c)]);
-            let tb = Matrix::from_fn(chunk.len(), 1, |r, _| {
-                times_scaled[(chunk[r], 0)].max(1e-9).ln()
-            });
-            let ab = Matrix::from_fn(chunk.len(), 1, |r, _| reliability[(chunk[r], 0)]);
+        for chunk in order.chunks(batch_size) {
+            let xb = ws.batch_mut(chunk.len(), d);
+            for (row, &j) in xb.chunks_exact_mut(d).zip(chunk) {
+                row.copy_from_slice(features.row(j));
+            }
+            tb.clear();
+            tb.extend(chunk.iter().map(|&j| log_times[j]));
+            ab.clear();
+            ab.extend(chunk.iter().map(|&j| reliability[(j, 0)]));
 
-            let mut g = Graph::new();
-            let xi = g.input(xb.clone());
-            let pass = predictor.time_model.forward(&mut g, xi);
-            let ti = g.input(tb);
-            let loss = cfg.time_loss.build(&mut g, pass.output, ti);
-            g.backward(loss);
-            let grads = predictor.time_model.grads(&g, &pass);
-            if grads_finite(&grads) {
-                let mut params = predictor.time_model.params_mut();
-                opt_t.step(&mut params, &grads);
+            predictor.time_model.forward_train(&mut ws);
+            predictor
+                .time_model
+                .backward_loss(&mut ws, cfg.time_loss, &tb);
+            if grads_finite(ws.grads()) {
+                predictor.time_model.step_adam(&mut opt_t, ws.grads());
             }
 
-            let mut g = Graph::new();
-            let xi = g.input(xb);
-            let pass = predictor.rel_model.forward(&mut g, xi);
-            let ai = g.input(ab);
-            let loss = g.mse(pass.output, ai);
-            g.backward(loss);
-            let grads = predictor.rel_model.grads(&g, &pass);
-            if grads_finite(&grads) {
-                let mut params = predictor.rel_model.params_mut();
-                opt_a.step(&mut params, &grads);
+            predictor.rel_model.forward_train(&mut ws);
+            predictor.rel_model.backward_loss(&mut ws, Loss::Mse, &ab);
+            if grads_finite(ws.grads()) {
+                predictor.rel_model.step_adam(&mut opt_a, ws.grads());
             }
         }
     }
@@ -937,6 +938,7 @@ fn train_mfcp_impl(
     // The per-cluster fan-out below uses every CPU the calling thread has;
     // ask the OS once per call, not once per round.
     let per_cluster_parallelism = ParallelConfig::default();
+    let mut ws = MlpWorkspace::new();
 
     for round in 0..cfg.rounds {
         let _round_span = mfcp_obs::span("round");
@@ -1272,6 +1274,9 @@ fn train_mfcp_impl(
         }
 
         // ---- sequential optimizer steps ---------------------------------
+        // Every cluster's networks see this round's tasks; load them once.
+        ws.batch_mut(n, features.cols())
+            .copy_from_slice(features.as_slice());
         for (i, cluster_grad) in cluster_grads.into_iter().enumerate() {
             let (dl_dt_i, dl_da_i, t_hat, a_hat) = match cluster_grad {
                 Ok(grads) => grads,
@@ -1315,14 +1320,10 @@ fn train_mfcp_impl(
                         .recovery
                         .push(RecoveryEvent::SkippedGradient { round, cluster: i });
                 } else if clipped > 0.0 || cfg.mse_anchor > 0.0 {
-                    let seed_grad = Matrix::from_fn(n, 1, |r, _| seed[r]);
-                    let mut g = Graph::new();
-                    let xi = g.input(features.clone());
-                    let pass = predictors[i].time_model.forward(&mut g, xi);
-                    g.backward_with_seed(pass.output, seed_grad);
-                    let grads = predictors[i].time_model.grads(&g, &pass);
-                    let mut params = predictors[i].time_model.params_mut();
-                    opt_t[i].step(&mut params, &grads);
+                    let model = &mut predictors[i].time_model;
+                    model.forward_train(&mut ws);
+                    model.backward_seed(&mut ws, &seed);
+                    model.step_adam(&mut opt_t[i], ws.grads());
                 }
             }
             if update_rel {
@@ -1340,14 +1341,10 @@ fn train_mfcp_impl(
                         .recovery
                         .push(RecoveryEvent::SkippedGradient { round, cluster: i });
                 } else if clipped > 0.0 || cfg.mse_anchor > 0.0 {
-                    let seed_grad = Matrix::from_fn(n, 1, |r, _| seed[r]);
-                    let mut g = Graph::new();
-                    let xi = g.input(features.clone());
-                    let pass = predictors[i].rel_model.forward(&mut g, xi);
-                    g.backward_with_seed(pass.output, seed_grad);
-                    let grads = predictors[i].rel_model.grads(&g, &pass);
-                    let mut params = predictors[i].rel_model.params_mut();
-                    opt_a[i].step(&mut params, &grads);
+                    let model = &mut predictors[i].rel_model;
+                    model.forward_train(&mut ws);
+                    model.backward_seed(&mut ws, &seed);
+                    model.step_adam(&mut opt_a[i], ws.grads());
                 }
             }
         }
@@ -1392,6 +1389,9 @@ fn train_mfcp_impl(
     if !val_rounds.is_empty() {
         predictors = best_predictors;
         report.best_round = best_round;
+        // Which round's snapshot a retrain returns, readable from the
+        // registry: 0 means the decision phase never beat the warm start.
+        mfcp_obs::histogram("train.best_round").record(best_round as f64);
     }
 
     (
@@ -1584,6 +1584,25 @@ mod tests {
     }
 
     #[test]
+    fn best_round_is_recorded_in_the_registry() {
+        // Which snapshot a retrain returns is readable from the registry
+        // (and `/metrics`), not only from the report.
+        let recorded = mfcp_obs::histogram("train.best_round");
+        let before = recorded.count();
+        let cfg = MfcpTrainConfig {
+            warm_start: quick_tsm_cfg(),
+            rounds: 2,
+            round_size: 5,
+            validation_rounds: 2,
+            mode: GradientMode::Analytic,
+            ..Default::default()
+        };
+        let (_, report) = train_mfcp(&dataset(40, 3), &cfg, 9);
+        assert!(report.best_round <= 2);
+        assert!(recorded.count() > before);
+    }
+
+    #[test]
     fn capped_solves_skip_their_ad_gradients() {
         // With a zero iteration cap every solve stops at the cap, so no
         // cluster's implicit gradient is certified: each is skipped with
@@ -1675,11 +1694,24 @@ mod tests {
         let grads = kkt::implicit_gradients(&problem_pred, &relaxation, &sol.x, &dl_dx).unwrap();
         let dl_dt_row = grads.dl_dt.row(cluster).to_vec();
         let seed_grad = Matrix::from_fn(n, 1, |r, _| dl_dt_row[r] * t_hat[r]);
-        let mut g = Graph::new();
+        let mut g = mfcp_autodiff::Graph::new();
         let xi = g.input(features.clone());
         let pass = predictor.time_model.forward(&mut g, xi);
-        g.backward_with_seed(pass.output, seed_grad);
+        g.backward_with_seed(pass.output, seed_grad.clone());
         let analytic = predictor.time_model.grads(&g, &pass);
+
+        // The training loop's tape-free backward gives the same bits.
+        let mut ws = MlpWorkspace::new();
+        ws.batch_mut(n, features.cols())
+            .copy_from_slice(features.as_slice());
+        predictor.time_model.forward_train(&mut ws);
+        predictor
+            .time_model
+            .backward_seed(&mut ws, seed_grad.as_slice());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (fused, tape) in ws.grads().iter().zip(&analytic) {
+            assert_eq!(bits(fused), bits(tape));
+        }
 
         // Check a handful of parameters of each tensor numerically.
         let h = 1e-5;

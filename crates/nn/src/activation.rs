@@ -59,6 +59,41 @@ impl Activation {
             }
         }
     }
+
+    /// Turns the adjoint of the activation's output into the adjoint of its
+    /// input, in place, given the input `pre` and output `out`: the graph's
+    /// backward rule for [`Activation::apply`], per element and with the
+    /// same arithmetic.
+    pub(crate) fn backprop(self, pre: &[f64], out: &[f64], adj: &mut [f64]) {
+        match self {
+            Activation::Identity => {}
+            Activation::Relu => {
+                for (g, &x) in adj.iter_mut().zip(pre) {
+                    *g = if x > 0.0 { *g } else { 0.0 };
+                }
+            }
+            Activation::LeakyRelu(alpha) => {
+                for (g, &x) in adj.iter_mut().zip(pre) {
+                    *g = if x > 0.0 { *g } else { alpha * *g };
+                }
+            }
+            Activation::Tanh => {
+                for (g, &t) in adj.iter_mut().zip(out) {
+                    *g *= 1.0 - t * t;
+                }
+            }
+            Activation::Sigmoid => {
+                for (g, &s) in adj.iter_mut().zip(out) {
+                    *g = *g * s * (1.0 - s);
+                }
+            }
+            Activation::SoftplusScaled(beta) => {
+                for (g, &x) in adj.iter_mut().zip(pre) {
+                    *g /= 1.0 + (-beta * x).exp();
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -8,8 +8,7 @@
 //! features/targets — so `mfcp-optim` can own the feature extraction
 //! (problem → per-column features) without this crate depending on it.
 
-use crate::{Activation, Adam, Mlp, Optimizer};
-use mfcp_autodiff::Graph;
+use crate::{Activation, Adam, Loss, Mlp, MlpWorkspace};
 use mfcp_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,6 +24,7 @@ pub struct DualHead {
     mlp: Mlp,
     opt: Adam,
     steps: u64,
+    ws: MlpWorkspace,
 }
 
 impl DualHead {
@@ -46,6 +46,7 @@ impl DualHead {
             mlp: Mlp::new(&dims, Activation::Tanh, Activation::Identity, &mut rng),
             opt: Adam::new(lr),
             steps: 0,
+            ws: MlpWorkspace::new(),
         }
     }
 
@@ -86,19 +87,17 @@ impl DualHead {
         if !finite(features) || !finite(targets) {
             return None;
         }
-        let mut g = Graph::new();
-        let xi = g.input(features.clone());
-        let pass = self.mlp.forward(&mut g, xi);
-        let ti = g.input(targets.clone());
-        let loss = g.mse(pass.output, ti);
-        g.backward(loss);
-        let loss_value = g.value(loss).as_slice()[0];
-        let grads = self.mlp.grads(&g, &pass);
-        if !loss_value.is_finite() || !grads.iter().all(finite) {
+        self.ws
+            .batch_mut(features.rows(), features.cols())
+            .copy_from_slice(features.as_slice());
+        self.mlp.forward_train(&mut self.ws);
+        let loss_value = self
+            .mlp
+            .backward_loss(&mut self.ws, Loss::Mse, targets.as_slice());
+        if !loss_value.is_finite() || !self.ws.grads().iter().all(finite) {
             return None;
         }
-        let mut params = self.mlp.params_mut();
-        self.opt.step(&mut params, &grads);
+        self.mlp.step_adam(&mut self.opt, self.ws.grads());
         self.steps += 1;
         Some(loss_value)
     }

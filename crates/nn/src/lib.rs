@@ -1,4 +1,4 @@
-//! Minimal neural-network library on top of `mfcp-autodiff`.
+//! Minimal neural-network library, pinned to `mfcp-autodiff`'s tape.
 //!
 //! MFCP's predictors `m_ω` (execution time) and `m_φ` (reliability) are
 //! small fully-connected networks over fixed task features (the paper's
@@ -6,10 +6,14 @@
 //! only utilized fully connected layers"). This crate provides everything
 //! those predictors need:
 //!
-//! * [`Mlp`] — a multi-layer perceptron whose forward pass is recorded on
-//!   an autodiff [`Graph`](mfcp_autodiff::Graph), so gradients can come
-//!   either from a standard loss node (TSM's MSE training) or from an
-//!   externally seeded adjoint (MFCP's decision-focused regret gradient).
+//! * [`Mlp`] — a multi-layer perceptron trained without a tape: a forward
+//!   pass that keeps its pre-activations in a caller-owned
+//!   [`MlpWorkspace`], a backward pass from a [`Loss`] (TSM's MSE
+//!   training) or from an externally seeded adjoint (MFCP's
+//!   decision-focused regret gradient), and an in-place Adam step, with no
+//!   allocation per step. The same pass recorded on an autodiff
+//!   [`Graph`](mfcp_autodiff::Graph) is kept as the reference it is pinned
+//!   to bit for bit (`tests/fused_vs_tape.rs`).
 //! * [`Activation`] — ReLU / LeakyReLU / Tanh / Sigmoid / scaled softplus
 //!   (smooth positive outputs for execution times) / identity.
 //! * [`init`] — Xavier and He initialization.
@@ -36,5 +40,5 @@ pub mod persist;
 pub use activation::Activation;
 pub use dual_head::DualHead;
 pub use loss::Loss;
-pub use mlp::{Mlp, MlpPass};
+pub use mlp::{Mlp, MlpPass, MlpWorkspace};
 pub use optimizer::{Adam, LrSchedule, Optimizer, Sgd};

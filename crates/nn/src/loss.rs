@@ -29,6 +29,46 @@ impl Loss {
             }
         }
     }
+
+    /// Writes `∂L/∂pred` into `adj` and returns `L`, bit for bit what
+    /// [`Loss::build`] and a unit-seeded backward sweep produce: the mean's
+    /// adjoint is `1/n`, and MSE's `Mul(d, d)` adds its two equal halves.
+    pub(crate) fn adjoint(self, pred: &[f64], target: &[f64], adj: &mut [f64]) -> f64 {
+        assert_eq!(pred.len(), target.len(), "target shape must match output");
+        assert_eq!(pred.len(), adj.len(), "adjoint shape must match output");
+        let n = pred.len().max(1) as f64;
+        let g = 1.0 / n;
+        let residuals = pred.iter().zip(target).map(|(p, t)| p - t);
+        let total: f64 = match self {
+            Loss::Mse => {
+                for (a, d) in adj.iter_mut().zip(residuals.clone()) {
+                    let half = g * d;
+                    *a = half + half;
+                }
+                residuals.map(|d| d * d).sum()
+            }
+            Loss::Huber { delta } => {
+                assert!(delta > 0.0, "delta must be positive");
+                for (a, d) in adj.iter_mut().zip(residuals.clone()) {
+                    *a = g * d.clamp(-delta, delta);
+                }
+                residuals
+                    .map(|x| {
+                        if x.abs() <= delta {
+                            0.5 * x * x
+                        } else {
+                            delta * (x.abs() - 0.5 * delta)
+                        }
+                    })
+                    .sum()
+            }
+        };
+        if pred.is_empty() {
+            0.0
+        } else {
+            total / pred.len() as f64
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The multi-layer perceptron.
 
 use crate::init::{weight_matrix, Init};
-use crate::Activation;
+use crate::{Activation, Adam, Loss};
 use mfcp_autodiff::{Graph, NodeId};
 use mfcp_linalg::Matrix;
 use rand::Rng;
@@ -14,11 +14,219 @@ struct Linear {
     activation: Activation,
 }
 
+impl Linear {
+    fn width(&self) -> usize {
+        self.weight.cols()
+    }
+
+    /// `out = act(x·W + b)` over the rows of `x`, keeping `x·W + b` in
+    /// `pre` when given: bitwise the recorded graph's (see [`product`]).
+    fn forward(&self, x: &[f64], out: &mut [f64], mut pre: Option<&mut [f64]>) {
+        let (k, n) = self.weight.shape();
+        product(x, (k, 1), self.weight.as_slice(), out, n);
+        let b = self.bias.as_slice();
+        for (r, out_row) in out.chunks_exact_mut(n).enumerate() {
+            for (o, &bv) in out_row.iter_mut().zip(b) {
+                *o += bv;
+            }
+            if let Some(pre) = pre.as_deref_mut() {
+                pre[r * n..(r + 1) * n].copy_from_slice(out_row);
+            }
+            for o in out_row.iter_mut() {
+                *o = self.activation.eval(*o);
+            }
+        }
+    }
+
+    /// Backpropagates through the layer given its input `x`, its kept
+    /// pre-activations and outputs, and the output adjoint in `adj`
+    /// (turned into `∂L/∂(xW + b)` in place). Writes the weight and bias
+    /// gradients and, when `dx` is given, `∂L/∂x`. Each entry repeats the
+    /// graph's arithmetic: the bias gradient is a column sum from `0.0`,
+    /// and `xᵀ·adj` and `adj·Wᵀ` accumulate like [`Matrix::matmul`].
+    #[allow(clippy::too_many_arguments)]
+    fn backward(
+        &self,
+        x: &[f64],
+        pre: &[f64],
+        out: &[f64],
+        adj: &mut [f64],
+        grad_w: &mut Matrix,
+        grad_b: &mut Matrix,
+        dx: Option<&mut [f64]>,
+    ) {
+        let (k, n) = self.weight.shape();
+        self.activation.backprop(pre, out, adj);
+        let gb = grad_b.as_mut_slice();
+        gb.fill(0.0);
+        for dz_row in adj.chunks_exact(n) {
+            for (s, &g) in gb.iter_mut().zip(dz_row) {
+                *s += g;
+            }
+        }
+        product(x, (1, k), adj, grad_w.as_mut_slice(), n);
+        let Some(dx) = dx else { return };
+        let w = self.weight.as_slice();
+        for (dz_row, dx_row) in adj.chunks_exact(n).zip(dx.chunks_exact_mut(k)) {
+            for (d, w_row) in dx_row.iter_mut().zip(w.chunks_exact(n)) {
+                let mut acc = 0.0;
+                for (&a, &wv) in dz_row.iter().zip(w_row) {
+                    if a != 0.0 {
+                        acc += a * wv;
+                    }
+                }
+                *d = acc;
+            }
+        }
+    }
+}
+
+/// `out = A·B` for a row-major `B` with `out`'s width, where `A`'s entry
+/// `(r, k)` is `a[r·stride.0 + k·stride.1]`, so `A` may be a transposed
+/// view. Each entry starts at `0.0` and adds its terms in ascending `k`,
+/// skipping zero `A` entries, which is how [`Matrix::matmul`] sums a
+/// product entry; the result is therefore the graph's, bit for bit, and
+/// each output row is independent of the others. Independent sums are
+/// kept in registers: sixteen columns of one row where the output is wide,
+/// one column of eight rows where it is narrow.
+fn product(a: &[f64], stride: (usize, usize), b: &[f64], out: &mut [f64], n: usize) {
+    if n == 0 || out.is_empty() {
+        return;
+    }
+    let (rows, depth) = (out.len() / n, b.len() / n);
+    let wide = n - n % 16;
+    let tall = rows - rows % 8;
+    let mut tile = Tile {
+        a,
+        stride,
+        b,
+        depth,
+        n,
+        out,
+    };
+    for r in 0..rows {
+        for j in (0..wide).step_by(16) {
+            tile.sum::<1, 16>(r, j);
+        }
+    }
+    for j in wide..n {
+        for r in (0..tall).step_by(8) {
+            tile.sum::<8, 1>(r, j);
+        }
+        for r in tall..rows {
+            tile.sum::<1, 1>(r, j);
+        }
+    }
+}
+
+/// The operands of one [`product`].
+struct Tile<'a> {
+    a: &'a [f64],
+    stride: (usize, usize),
+    b: &'a [f64],
+    depth: usize,
+    n: usize,
+    out: &'a mut [f64],
+}
+
+impl Tile<'_> {
+    /// The `R × C` block of the product at row `r0`, column `j0`.
+    #[inline(always)]
+    fn sum<const R: usize, const C: usize>(&mut self, r0: usize, j0: usize) {
+        let mut acc = [[0.0; C]; R];
+        for k in 0..self.depth {
+            let b_row = &self.b[k * self.n + j0..][..C];
+            for (i, acc_row) in acc.iter_mut().enumerate() {
+                let av = self.a[(r0 + i) * self.stride.0 + k * self.stride.1];
+                if av == 0.0 {
+                    continue;
+                }
+                for (s, &bv) in acc_row.iter_mut().zip(b_row) {
+                    *s += av * bv;
+                }
+            }
+        }
+        for (i, acc_row) in acc.iter().enumerate() {
+            self.out[(r0 + i) * self.n + j0..][..C].copy_from_slice(acc_row);
+        }
+    }
+}
+
+/// Caller-owned buffers for training an [`Mlp`] without a tape: the batch,
+/// each layer's pre-activations, outputs and adjoints, and the parameter
+/// gradients in [`Mlp::params`] order.
+///
+/// Buffers are sized on first use and reused after, so a step over no more
+/// rows than an earlier one on the same network shape allocates nothing.
+/// One workspace serves any networks of one shape in turn.
+#[derive(Debug, Clone, Default)]
+pub struct MlpWorkspace {
+    rows: usize,
+    input: Vec<f64>,
+    pre: Vec<Vec<f64>>,
+    out: Vec<Vec<f64>>,
+    adj: Vec<Vec<f64>>,
+    grads: Vec<Matrix>,
+}
+
+impl MlpWorkspace {
+    /// An empty workspace; the first step sizes it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sizes the batch to `rows` rows of `cols` features and returns it,
+    /// row-major, for the caller to fill before [`Mlp::forward_train`].
+    pub fn batch_mut(&mut self, rows: usize, cols: usize) -> &mut [f64] {
+        self.rows = rows;
+        self.input.resize(rows * cols, 0.0);
+        &mut self.input
+    }
+
+    /// The last backward pass's parameter gradients, in [`Mlp::params`]
+    /// order.
+    pub fn grads(&self) -> &[Matrix] {
+        &self.grads
+    }
+
+    /// Shapes the per-layer buffers for `mlp` at the current batch size.
+    fn fit(&mut self, mlp: &Mlp) {
+        let same_shape = self.grads.len() == mlp.num_param_tensors()
+            && mlp
+                .layers
+                .iter()
+                .zip(self.grads.chunks_exact(2))
+                .all(|(l, g)| g[0].shape() == l.weight.shape());
+        if !same_shape {
+            self.grads = mlp
+                .params()
+                .iter()
+                .map(|p| Matrix::zeros(p.rows(), p.cols()))
+                .collect();
+            let layers = mlp.layers.len();
+            self.pre = vec![Vec::new(); layers];
+            self.out = vec![Vec::new(); layers];
+            self.adj = vec![Vec::new(); layers];
+        }
+        for (l, layer) in mlp.layers.iter().enumerate() {
+            let len = self.rows * layer.width();
+            self.pre[l].resize(len, 0.0);
+            self.out[l].resize(len, 0.0);
+            self.adj[l].resize(len, 0.0);
+        }
+    }
+}
+
 /// A multi-layer perceptron over row-major batches.
 ///
-/// Parameters live in the `Mlp` itself; each [`Mlp::forward`] call records
-/// them as fresh graph inputs and returns an [`MlpPass`] remembering their
-/// node ids so gradients can be pulled out after any backward sweep.
+/// Parameters live in the `Mlp` itself. Training runs without a tape:
+/// [`Mlp::forward_train`], then [`Mlp::backward_loss`] or
+/// [`Mlp::backward_seed`], then [`Mlp::step_adam`], all over one
+/// [`MlpWorkspace`]. The reference those steps are pinned to bit for bit
+/// records the same pass on a graph: each [`Mlp::forward`] call records
+/// the parameters as fresh graph inputs and returns an [`MlpPass`]
+/// remembering their node ids, so [`Mlp::grads`] can pull gradients out
+/// after any backward sweep.
 ///
 /// ```
 /// use mfcp_autodiff::Graph;
@@ -141,21 +349,103 @@ impl Mlp {
     /// Runs the network on a plain matrix (inference only): bitwise the
     /// output of [`Mlp::forward`], without recording a graph.
     pub fn predict(&self, x: &Matrix) -> Matrix {
-        // The recorded forward pass's arithmetic (product, row-broadcast
-        // bias, elementwise activation) without a tape or weight copies.
-        let mut h = x.matmul(&self.layers[0].weight).expect("input width");
-        for (k, layer) in self.layers.iter().enumerate() {
-            if k > 0 {
-                h = h.matmul(&layer.weight).expect("layer width");
-            }
-            let bias = layer.bias.row(0);
-            for r in 0..h.rows() {
-                for (v, &b) in h.row_mut(r).iter_mut().zip(bias) {
-                    *v = layer.activation.eval(*v + b);
-                }
-            }
+        assert_eq!(x.cols(), self.input_dim(), "input width");
+        let rows = x.rows();
+        let (last, hidden) = self.layers.split_last().expect("at least one layer");
+        let (mut h, mut next) = (Vec::new(), Vec::new());
+        for (l, layer) in hidden.iter().enumerate() {
+            next.resize(rows * layer.width(), 0.0);
+            layer.forward(if l == 0 { x.as_slice() } else { &h }, &mut next, None);
+            std::mem::swap(&mut h, &mut next);
         }
-        h
+        let mut out = Matrix::zeros(rows, last.width());
+        let input = if hidden.is_empty() { x.as_slice() } else { &h };
+        last.forward(input, out.as_mut_slice(), None);
+        out
+    }
+
+    /// Runs the network on the batch in `ws` (see
+    /// [`MlpWorkspace::batch_mut`]), keeping what a backward pass needs,
+    /// and returns the outputs row-major. Bitwise [`Mlp::predict`].
+    ///
+    /// # Panics
+    /// Panics if the batch width is not [`Mlp::input_dim`].
+    pub fn forward_train<'w>(&self, ws: &'w mut MlpWorkspace) -> &'w [f64] {
+        assert_eq!(
+            ws.input.len(),
+            ws.rows * self.input_dim(),
+            "batch width must match the input dimension"
+        );
+        ws.fit(self);
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = ws.out.split_at_mut(l);
+            let x = done.last().map_or(ws.input.as_slice(), Vec::as_slice);
+            layer.forward(x, &mut rest[0], Some(ws.pre[l].as_mut_slice()));
+        }
+        &ws.out[self.layers.len() - 1]
+    }
+
+    /// Backward pass from `loss(output, target)` after
+    /// [`Mlp::forward_train`]: leaves the parameter gradients in
+    /// [`MlpWorkspace::grads`] and returns the loss. Gradients and loss are
+    /// bitwise those of [`Loss::build`] and [`Graph::backward`] on
+    /// [`Mlp::forward`]'s graph.
+    ///
+    /// # Panics
+    /// Panics if `target` does not have the output's length.
+    pub fn backward_loss(&self, ws: &mut MlpWorkspace, loss: Loss, target: &[f64]) -> f64 {
+        let last = self.layers.len() - 1;
+        let value = loss.adjoint(&ws.out[last], target, &mut ws.adj[last]);
+        self.backprop(ws);
+        value
+    }
+
+    /// Backward pass from an upstream adjoint `seed` of the outputs
+    /// (row-major) after [`Mlp::forward_train`]: bitwise
+    /// [`Graph::backward_with_seed`] on [`Mlp::forward`]'s output node.
+    ///
+    /// # Panics
+    /// Panics if `seed` does not have the output's length.
+    pub fn backward_seed(&self, ws: &mut MlpWorkspace, seed: &[f64]) {
+        let last = self.layers.len() - 1;
+        ws.adj[last].copy_from_slice(seed);
+        self.backprop(ws);
+    }
+
+    /// Runs the layers' backward passes from the output adjoint, last layer
+    /// first. The input batch's own adjoint is never needed, so it is never
+    /// computed.
+    fn backprop(&self, ws: &mut MlpWorkspace) {
+        for (l, layer) in self.layers.iter().enumerate().rev() {
+            let x = if l == 0 { &ws.input } else { &ws.out[l - 1] };
+            let (below, adj) = ws.adj.split_at_mut(l);
+            let (grad_w, grad_b) = ws.grads[2 * l..].split_at_mut(1);
+            layer.backward(
+                x,
+                &ws.pre[l],
+                &ws.out[l],
+                &mut adj[0],
+                &mut grad_w[0],
+                &mut grad_b[0],
+                below.last_mut().map(Vec::as_mut_slice),
+            );
+        }
+    }
+
+    /// One [`Adam`] step on the parameters from `grads` (in [`Mlp::params`]
+    /// order), in place: bitwise `opt.step(&mut self.params_mut(), grads)`
+    /// without collecting the parameter borrows.
+    pub fn step_adam(&mut self, opt: &mut Adam, grads: &[Matrix]) {
+        assert_eq!(
+            grads.len(),
+            self.num_param_tensors(),
+            "param/grad count mismatch"
+        );
+        let params = self
+            .layers
+            .iter_mut()
+            .flat_map(|l| [&mut l.weight, &mut l.bias]);
+        opt.step_each(params, grads);
     }
 
     /// Extracts parameter gradients recorded on `g` for `pass`, in

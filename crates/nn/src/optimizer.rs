@@ -160,12 +160,23 @@ impl Adam {
             ..Adam::new(lr)
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [&mut Matrix], grads: &[Matrix]) {
-        assert_eq!(params.len(), grads.len(), "param/grad count mismatch");
-        if self.m.len() != params.len() {
+    /// The first and second moment estimates, in parameter order (empty
+    /// before the first step).
+    pub fn moments(&self) -> (&[Matrix], &[Matrix]) {
+        (&self.m, &self.v)
+    }
+
+    /// One Adam step over `params`, paired in order with `grads`, updating
+    /// the moments and the parameters in place. [`Optimizer::step`] and
+    /// [`crate::Mlp::step_adam`] both run it, so the arithmetic is the
+    /// same per element whichever way the parameters are borrowed.
+    pub(crate) fn step_each<'p>(
+        &mut self,
+        params: impl Iterator<Item = &'p mut Matrix>,
+        grads: &[Matrix],
+    ) {
+        if self.m.len() != grads.len() {
             self.m = grads
                 .iter()
                 .map(|g| Matrix::zeros(g.rows(), g.cols()))
@@ -174,35 +185,42 @@ impl Optimizer for Adam {
             self.t = 0;
         }
         self.t += 1;
-        if self.weight_decay > 0.0 {
-            let shrink = 1.0 - self.lr * self.weight_decay;
-            for p in params.iter_mut() {
-                **p = p.scale(shrink);
-            }
-        }
+        let shrink = 1.0 - self.lr * self.weight_decay;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        let mut stepped = 0;
         for ((p, g), (m, v)) in params
-            .iter_mut()
             .zip(grads)
             .zip(self.m.iter_mut().zip(self.v.iter_mut()))
         {
-            *m = m
-                .scale(self.beta1)
-                .axpy(1.0 - self.beta1, g)
-                .expect("shape");
-            let g2 = g.hadamard(g).expect("shape");
-            *v = v
-                .scale(self.beta2)
-                .axpy(1.0 - self.beta2, &g2)
-                .expect("shape");
-            let update = Matrix::from_fn(g.rows(), g.cols(), |r, c| {
-                let mhat = m[(r, c)] / bc1;
-                let vhat = v[(r, c)] / bc2;
-                -self.lr * mhat / (vhat.sqrt() + self.eps)
-            });
-            **p += &update;
+            assert_eq!(p.shape(), g.shape(), "shape");
+            assert_eq!(m.shape(), g.shape(), "shape");
+            let entries = p
+                .as_mut_slice()
+                .iter_mut()
+                .zip(g.as_slice())
+                .zip(m.as_mut_slice().iter_mut().zip(v.as_mut_slice()));
+            for ((p, &g), (m, v)) in entries {
+                if self.weight_decay > 0.0 {
+                    *p *= shrink;
+                }
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * (g * g);
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                *p += -lr * mhat / (vhat.sqrt() + eps);
+            }
+            stepped += 1;
         }
+        assert_eq!(stepped, grads.len(), "param/grad count mismatch");
+    }
+}
+
+impl Optimizer for Adam {
+    fn step(&mut self, params: &mut [&mut Matrix], grads: &[Matrix]) {
+        assert_eq!(params.len(), grads.len(), "param/grad count mismatch");
+        self.step_each(params.iter_mut().map(|p| &mut **p), grads);
     }
 
     fn reset(&mut self) {

@@ -12,7 +12,7 @@ use std::sync::Mutex;
 
 use mfcp_autodiff::Graph;
 use mfcp_linalg::Matrix;
-use mfcp_nn::{Activation, Adam, Loss, Mlp, Optimizer};
+use mfcp_nn::{Activation, Adam, Loss, Mlp, MlpWorkspace, Optimizer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -79,6 +79,36 @@ fn training_step_at_batch_32_makes_no_query() {
         g.backward_with_seed(loss, Matrix::from_vec(1, 1, vec![1.0]));
         let grads = mlp.grads(&g, &pass);
         adam.step(&mut mlp.params_mut(), &grads);
+    });
+    assert_eq!(queries, 0);
+}
+
+#[test]
+fn tape_free_steps_make_no_query() {
+    // The fused kernel never calls `Matrix::matmul`, so no batch size
+    // asks for a thread count, not even one past matmul's row cutoff.
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut mlp = Mlp::new(
+        &[12, 16, 1],
+        Activation::Relu,
+        Activation::Identity,
+        &mut rng,
+    );
+    let mut adam = Adam::new(1e-3);
+    let mut ws = MlpWorkspace::new();
+    let x = random_matrix(&mut rng, 96, 12);
+    let y = random_matrix(&mut rng, 96, 1);
+    let queries = thread_queries_during(|| {
+        for rows in [32, 96] {
+            ws.batch_mut(rows, 12)
+                .copy_from_slice(&x.as_slice()[..rows * 12]);
+            mlp.forward_train(&mut ws);
+            mlp.backward_loss(&mut ws, Loss::Mse, &y.as_slice()[..rows]);
+            mlp.step_adam(&mut adam, ws.grads());
+            mlp.forward_train(&mut ws);
+            mlp.backward_seed(&mut ws, &y.as_slice()[..rows]);
+            mlp.step_adam(&mut adam, ws.grads());
+        }
     });
     assert_eq!(queries, 0);
 }
