@@ -16,7 +16,7 @@ use mfcp_core::train::{train_mfcp, MfcpTrainConfig, TsmTrainConfig};
 use mfcp_linalg::Matrix;
 use mfcp_optim::rounding::solve_discrete;
 use mfcp_optim::solver::{solve_relaxed, SolverOptions};
-use mfcp_optim::{BarrierKind, MatchingProblem, RelaxationParams, RobustSolver};
+use mfcp_optim::{BarrierKind, MatchingProblem, RelaxationParams, RobustSolver, SolveCtx};
 use mfcp_platform::dataset::{NoiseConfig, PlatformDataset};
 use mfcp_platform::embedding::FeatureEmbedder;
 use mfcp_platform::fault::{simulate_with_faults, ClusterOutage, FaultPlan};
@@ -45,7 +45,7 @@ fn solver_ladder_demo() {
     );
 
     let solver = RobustSolver::new(params);
-    match solver.solve(&problem) {
+    match solver.solve(&problem, SolveCtx::default()) {
         Ok(sol) => {
             println!(
                 "robust solver: objective {:.6} via {}",

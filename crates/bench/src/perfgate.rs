@@ -44,8 +44,8 @@ use mfcp_linalg::Matrix;
 use mfcp_obs::json::{self, Json};
 use mfcp_optim::zeroth::ZerothOrderOptions;
 use mfcp_optim::{
-    CacheOutcome, LearnedDualHead, MatchingProblem, RelaxationParams, RobustSolver, SolverOptions,
-    SpeedupCurve, WarmStartCache,
+    LearnedDualHead, MatchingProblem, RelaxationParams, RobustSolver, SeedProvenance, SeedSource,
+    SolveCtx, SolverOptions, SpeedupCurve,
 };
 use mfcp_parallel::ParallelConfig;
 use mfcp_platform::dataset::{NoiseConfig, PlatformDataset};
@@ -324,15 +324,17 @@ fn suite_serve_replay(cfg: &PerfgateConfig) {
 /// Learned-duals warm start head-to-head on *unseen* instances. A
 /// [`LearnedDualHead`] is trained by observing cold-solved siblings of
 /// a drifted convex family, then each held-out sibling is solved three
-/// ways: cold (uniform seed), predict-seeded (fresh cache each time, so
-/// only the head can help), and cache-warm (a drifted sibling's cached
-/// optimum). Per-path iteration counts and wall times land in the
+/// ways: cold (uniform seed), predict-seeded (the head is the only
+/// start), and previous-prices (a drifted sibling's final prices handed
+/// in as the start). Per-path iteration counts and wall times land in the
 /// `learned.{cold,pred,warm}_iters` / `learned.{cold,pred,warm}_secs`
 /// histograms, the iteration speedup in `gauge.learned.iter_speedup`
 /// and the predicted/cold ratio of the median CPU times in
 /// `gauge.learned.cpu_ratio`.
 /// Tripwires: every predict-seeded solve must report
-/// [`CacheOutcome::Predicted`] and match the cold objective to `1e-8`;
+/// [`SeedProvenance::Seeded`] from [`SeedSource::Predicted`] and match
+/// the cold objective to `1e-8`, and every previous-prices solve must
+/// report [`SeedSource::Given`];
 /// at the default scale the deterministic iteration counts must show
 /// predict-seeded ≥ 1.2× faster than cold, and (release builds only)
 /// predict-seeded must cost less thread CPU time than cold, compared on
@@ -383,7 +385,10 @@ fn suite_learned_duals(cfg: &PerfgateConfig) {
     let train: Vec<(MatchingProblem, Matrix)> = (0..train_count)
         .map(|k| {
             let p = sibling(k);
-            let x = solver.solve(&p).expect("train solve").x;
+            let x = solver
+                .solve(&p, SolveCtx::default())
+                .expect("train solve")
+                .x;
             (p, x)
         })
         .collect();
@@ -423,18 +428,16 @@ fn suite_learned_duals(cfg: &PerfgateConfig) {
             for cold_side in [cold_first, !cold_first] {
                 let t0 = thread_cpu_secs();
                 if cold_side {
-                    cold = Some(solver.solve(&p).expect("cold solve"));
+                    cold = Some(solver.solve(&p, SolveCtx::default()).expect("cold solve"));
                     cold_cpu.push(thread_cpu_secs() - t0);
                     cold_secs_h.record(*cold_cpu.last().expect("timed"));
                 } else {
-                    // Predict-seeded, fresh cache: the head is the only
-                    // seed source.
-                    let mut cache = WarmStartCache::new();
-                    pred = Some(
-                        solver
-                            .solve_with_predictor(&p, &mut cache, Some(&head))
-                            .expect("predicted solve"),
-                    );
+                    // Predict-seeded: the head is the only seed source.
+                    let ctx = SolveCtx {
+                        predictor: Some(&head),
+                        ..SolveCtx::default()
+                    };
+                    pred = Some(solver.solve(&p, ctx).expect("predicted solve"));
                     pred_cpu.push(thread_cpu_secs() - t0);
                     pred_secs_h.record(*pred_cpu.last().expect("timed"));
                 }
@@ -449,8 +452,8 @@ fn suite_learned_duals(cfg: &PerfgateConfig) {
         pred_iters_h.record(iters_of(&pred) as f64);
         pred_total += iters_of(&pred);
         assert_eq!(
-            pred.diagnostics.cache,
-            Some(CacheOutcome::Predicted),
+            pred.diagnostics.seed,
+            SeedProvenance::Seeded(SeedSource::Predicted),
             "a ready head on an in-family instance must seed the solve"
         );
         assert!(
@@ -460,19 +463,24 @@ fn suite_learned_duals(cfg: &PerfgateConfig) {
             cold.objective
         );
 
-        // Cache-warm: a drifted sibling's optimum under the shared
-        // structural fingerprint (the existing warm-start baseline).
-        let mut warm_cache = WarmStartCache::new();
-        let _ = solver
-            .solve_with_cache(&sibling(2000 + k), &mut warm_cache)
-            .expect("sibling solve populates the cache");
+        // Previous prices: a drifted sibling's final prices handed in
+        // as the start (the warm-start baseline, as the daemon runs it).
+        let prev = solver
+            .solve(&sibling(2000 + k), SolveCtx::default())
+            .expect("sibling solve")
+            .prices;
+        let ctx = SolveCtx {
+            prices: Some(&prev),
+            ..SolveCtx::default()
+        };
         let t0 = Instant::now();
-        let warm = solver
-            .solve_with_cache(&p, &mut warm_cache)
-            .expect("warm solve");
+        let warm = solver.solve(&p, ctx).expect("warm solve");
         warm_secs_h.record(t0.elapsed().as_secs_f64());
         warm_iters_h.record(iters_of(&warm) as f64);
-        assert_eq!(warm.diagnostics.cache, Some(CacheOutcome::Hit));
+        assert_eq!(
+            warm.diagnostics.seed,
+            SeedProvenance::Seeded(SeedSource::Given)
+        );
     }
     mfcp_obs::gauge("learned.iter_speedup").set(cold_total as f64 / pred_total.max(1) as f64);
 

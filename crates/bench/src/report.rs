@@ -19,7 +19,7 @@ use mfcp_core::train::{train_mfcp, MfcpTrainConfig, TsmTrainConfig};
 use mfcp_linalg::Matrix;
 use mfcp_optim::rounding::solve_discrete;
 use mfcp_optim::solver::SolverOptions;
-use mfcp_optim::{BarrierKind, MatchingProblem, RelaxationParams, RobustSolver};
+use mfcp_optim::{BarrierKind, MatchingProblem, RelaxationParams, RobustSolver, SolveCtx};
 use mfcp_platform::dataset::{NoiseConfig, PlatformDataset};
 use mfcp_platform::embedding::FeatureEmbedder;
 use mfcp_platform::fault::{simulate_with_faults, ClusterOutage, FaultPlan};
@@ -60,7 +60,7 @@ pub(crate) fn solver_stage(cfg: &ReportConfig) {
         ..Default::default()
     };
     let solver = RobustSolver::new(params);
-    let _ = solver.solve(&problem);
+    let _ = solver.solve(&problem, SolveCtx::default());
 }
 
 /// Stage 2: a tiny guarded training run with one poisoned measurement

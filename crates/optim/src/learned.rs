@@ -1,8 +1,8 @@
 //! Learned dual predictions with instance-robust feasibility repair.
 //!
-//! The warm-start cache ([`crate::cache`]) replays previous optima for
-//! *structurally identical* problems; this module generalizes the idea
-//! to *unseen* instances, following Dinitz et al. 2021 ("Faster
+//! A solve handed a previous solve's prices starts next to its
+//! optimum; this module carries the idea to instances with *no*
+//! previous solve, following Dinitz et al. 2021 ("Faster
 //! Matchings via Learned Duals") and Lavastida et al. 2021 ("Learnable
 //! and Instance-Robust Predictions for Online Matching, Flows and Load
 //! Balancing"): learn a map from structure-only problem features to the
@@ -15,10 +15,10 @@
 //!
 //! The pieces:
 //!
-//! * [`features`] — per-column feature extraction. Deliberately the same
-//!   *structural* family as [`crate::cache::fingerprint`] (shape, γ,
-//!   speedup/capacity statistics) plus the normalized time/reliability
-//!   columns; nothing time-dependent or nondeterministic.
+//! * [`features`] — per-column feature extraction: structural scalars
+//!   (shape, γ, speedup/capacity statistics) plus the normalized
+//!   time/reliability columns; nothing time-dependent or
+//!   nondeterministic.
 //! * [`DualPrediction`] / [`DualPredictor`] — the raw model output (a
 //!   relaxed assignment plus per-column duals) and the trait the solver
 //!   consumes. Predictors return *raw* output; the solver repairs it, so
@@ -40,9 +40,9 @@
 //!   row per task.
 //!
 //! Fallback semantics are owned by [`crate::recovery::RobustSolver`]:
-//! exact cache hits beat predictions, predictions beat cold starts, and
-//! a failed predicted rung falls through the existing ladder with a
-//! typed [`crate::recovery::PredictionOutcome`] in the diagnostics.
+//! given prices beat predictions, predictions beat cold starts, and a
+//! rejected or failed prediction falls through the existing ladder with
+//! a typed [`crate::recovery::SeedProvenance`] in the diagnostics.
 
 use std::fmt;
 
@@ -58,9 +58,9 @@ use mfcp_nn::DualHead;
 /// workload the platform generates they are `O(1)`–`O(10)`. Anything
 /// beyond this bound is a corrupted or wildly out-of-distribution
 /// prediction (e.g. the ×1e6-scaled adversarial case), and seeding from
-/// it would waste the predicted rung — reject instead. Shared with
-/// [`crate::cache::WarmStartCache`] lookup validation so cached and
-/// predicted duals pass the same sanity gate.
+/// it would waste the predicted rung — reject instead. Start prices,
+/// given or predicted, pass the same bound
+/// ([`crate::cache::prices_admissible`]).
 pub const DUAL_ABS_BOUND: f64 = 1e3;
 
 /// Tolerance under which a primal column counts as already feasible and
@@ -73,8 +73,9 @@ pub const GLOBAL_FEATURES: usize = 8;
 
 /// Interior blend for predicted seeds (see [`predicted_init`]).
 ///
-/// Much larger than the cache's `1e-9` blend, deliberately. A cached
-/// warm start is a true optimum of a sibling instance: its small
+/// Much larger than [`crate::cache::warm_init`]'s `1e-9` blend,
+/// deliberately. A warm start is a true optimum of a sibling instance:
+/// its small
 /// coordinates are small in the *right* places, so the blend only needs
 /// to lift exact zeros out of the mirror-descent fixed point. A learned
 /// prediction's small coordinates are wrong at the model's error scale
@@ -222,8 +223,8 @@ pub fn targets(x: &Matrix, duals: &[f64]) -> Matrix {
 /// At an interior optimum of the entropic relaxation the gradient is
 /// constant across the support of each column, so the column minimum
 /// recovers the stationarity multiplier of the simplex constraint (the
-/// same estimate [`crate::cache::WarmStartEntry::from_solution`]
-/// stores).
+/// same estimate [`crate::solver::RelaxedSolution::duals`] reads off a
+/// solve's final gradient).
 pub fn column_duals(problem: &MatchingProblem, params: &RelaxationParams, x: &Matrix) -> Vec<f64> {
     column_minima(&objective::grad_x(problem, params, x))
 }
@@ -239,8 +240,8 @@ pub(crate) fn column_minima(grad: &Matrix) -> Vec<f64> {
 
 /// Whether `duals` is an admissible dual vector for an `n`-column
 /// problem: correct length, every entry finite, and every magnitude
-/// within [`DUAL_ABS_BOUND`]. Used both by [`repair`] and by the
-/// warm-start cache's lookup validation.
+/// within [`DUAL_ABS_BOUND`]. Used by [`repair`] and by
+/// [`LearnedDualHead::observe`].
 pub fn duals_admissible(duals: &[f64], n: usize) -> bool {
     duals.len() == n
         && duals
@@ -274,9 +275,10 @@ pub enum RepairError {
     /// A dual magnitude exceeds [`DUAL_ABS_BOUND`] — an out-of-scale
     /// (e.g. ×1e6) prediction.
     DualOutOfScale,
-    /// Predicted prices ([`DualPredictor::predict_prices`]) have the
-    /// wrong length for the problem, or an entry that is not finite or
-    /// exceeds [`DUAL_ABS_BOUND`].
+    /// Start prices — given ([`crate::recovery::SolveCtx::prices`]) or
+    /// predicted ([`DualPredictor::predict_prices`]) — have the wrong
+    /// length for the problem, an entry that is not finite or exceeds
+    /// [`DUAL_ABS_BOUND`], or meet a solve that takes no price trials.
     Prices,
 }
 
@@ -288,7 +290,7 @@ impl fmt::Display for RepairError {
             RepairError::NonFinitePrimal => "predicted assignment contains non-finite entries",
             RepairError::NonFiniteDual => "predicted duals contain non-finite entries",
             RepairError::DualOutOfScale => "predicted dual magnitude exceeds the sanity bound",
-            RepairError::Prices => "predicted prices are mis-sized, non-finite, or out of scale",
+            RepairError::Prices => "start prices are mis-sized, non-finite, or out of scale",
         })
     }
 }

@@ -28,10 +28,13 @@
 //! * [`recovery`] — fault-tolerant solving: health-guarded solver runs
 //!   with a fallback ladder (backed-off parameters → PGD variants →
 //!   greedy rounding) and per-stage diagnostics.
-//! * [`cache`] — a fingerprint-keyed warm-start cache: successive solves
-//!   of structurally identical problems seed PGD from the previous
-//!   optimum instead of the uniform simplex point (see DESIGN.md,
-//!   "Warm-start cache and batched solving").
+//!   [`RobustSolver::solve`] is the one entry point: a [`SolveCtx`] hands
+//!   it a previous solve's prices and/or a learned predictor, and the
+//!   typed [`SeedProvenance`] in its diagnostics says which start ran.
+//! * [`cache`] — warm-start helpers: the interior blend training's
+//!   per-task solve cache seeds from, its lookup statistics, and the
+//!   admissibility gate for start prices (see DESIGN.md, "Warm starts
+//!   and batched solving").
 //! * [`learned`] — learned dual predictions for *unseen* instances: a
 //!   small `mfcp-nn` head maps structure-only problem features to
 //!   per-column duals and a primal seed, with instance-robust
@@ -58,14 +61,14 @@ pub mod speedup;
 pub mod zeroth;
 
 pub use budget::{Budget, CancelToken};
-pub use cache::{CacheOutcome, CacheStats, WarmStartCache, WarmStartConfig, WarmStartEntry};
+pub use cache::CacheStats;
 pub use kkt::{KktGradients, KktWorkspace};
 pub use learned::{DualPrediction, DualPredictor, LearnedDualHead, RepairError};
 pub use objective::{BarrierKind, CostKind, RelaxationParams};
 pub use problem::{Assignment, CapacityConstraint, MatchingProblem};
 pub use recovery::{
-    BackoffSchedule, FallbackStage, HealthPolicy, PredictionOutcome, RobustSolution, RobustSolver,
-    SkipReason, SolveDiagnostics, SolveError, StageAttempt, StageOutcome,
+    BackoffSchedule, FallbackStage, HealthPolicy, RobustSolution, RobustSolver, SeedProvenance,
+    SeedSource, SkipReason, SolveCtx, SolveDiagnostics, SolveError, StageAttempt, StageOutcome,
 };
 pub use solver::{PgdWorkspace, ProjectionKind, RelaxedSolution, SolverOptions, StopReason};
 pub use speedup::SpeedupCurve;

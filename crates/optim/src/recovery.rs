@@ -26,28 +26,22 @@
 //! Every attempt is recorded in [`SolveDiagnostics`] so callers can see
 //! the recovery path taken instead of just a final answer.
 //!
-//! [`RobustSolver::solve_with_cache`] additionally seeds the primary
-//! attempt from a [`crate::cache::WarmStartCache`]: a validated cache
-//! hit runs one warm attempt before the cold ladder, and a diverging
-//! warm attempt marks the entry stale and falls back to the exact cold
-//! path, so warm starts can change only speed — never the answer.
-//!
-//! [`RobustSolver::solve_with_predictor`] adds one more rung ahead of
-//! the cold ladder but *behind* exact cache hits: on a cache miss (or
-//! stale entry), a [`crate::learned::DualPredictor`] may supply a
-//! predicted seed, which is feasibility-repaired
-//! ([`crate::learned::repair`]) before one predicted primary attempt
-//! runs. A rejected or diverging prediction falls through the existing
-//! ladder with a typed [`PredictionOutcome`] in the diagnostics, so a
-//! wrong model costs at most one rung — never a wrong answer.
+//! [`RobustSolver::solve`] takes a [`SolveCtx`]: start prices (a
+//! previous solve's [`RobustSolution::prices`]) and a
+//! [`crate::learned::DualPredictor`]. Admissible given prices seed one
+//! attempt ahead of the cold ladder; otherwise the predictor's
+//! feasibility-repaired seed ([`crate::learned::repair`]) does;
+//! otherwise the solve starts cold. A rejected start never reaches the
+//! solver, and a seeded attempt that fails falls through the cold
+//! ladder, so a bad start costs at most one rung — never a wrong
+//! answer. [`SolveDiagnostics::seed`] records the start's provenance as
+//! a typed [`SeedProvenance`].
 
 use std::fmt;
 use std::time::{Duration, Instant};
 
 use crate::budget::Budget;
-use crate::cache::{
-    fingerprint, prices_admissible, warm_init, CacheOutcome, WarmStartCache, WarmStartEntry,
-};
+use crate::cache::prices_admissible;
 use crate::learned::{repair, DualPredictor, RepairError};
 use crate::objective::{self, price_dim, BarrierKind, RelaxationParams};
 use crate::problem::{Assignment, MatchingProblem};
@@ -352,40 +346,66 @@ pub struct StageAttempt {
     pub objective: Option<f64>,
     /// Wall-clock seconds spent in this attempt.
     pub elapsed_secs: f64,
-    /// Whether the attempt was seeded from a cached warm start instead
-    /// of the uniform simplex point (see [`crate::cache`]).
-    pub warm_start: bool,
-    /// Whether the attempt was seeded from a repaired learned-dual
-    /// prediction (see [`crate::learned`]). Mutually exclusive with
-    /// `warm_start`: exact cache hits beat predictions.
-    pub predicted: bool,
+    /// Where the attempt's start came from; `None` for an attempt that
+    /// started cold (the uniform simplex point).
+    pub seed: Option<SeedSource>,
     /// Outcome of the attempt.
     pub outcome: StageOutcome,
 }
 
-/// How a learned-dual prediction fared during one
-/// [`RobustSolver::solve_with_predictor`] call — the typed recovery
-/// event for a bad model.
+/// Where a seeded start came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredictionOutcome {
-    /// The repaired prediction seeded the successful first attempt.
-    Seeded,
-    /// The raw prediction failed [`crate::learned::repair`] and never
-    /// reached the solver; the cold ladder ran.
-    Rejected(RepairError),
-    /// The repaired prediction seeded an attempt that failed; the
-    /// ladder fell through to the cold path (cost: exactly one rung).
-    FellBack,
+pub enum SeedSource {
+    /// Prices the caller handed in ([`SolveCtx::prices`]).
+    Given,
+    /// A [`crate::learned::DualPredictor`]'s repaired prediction.
+    Predicted,
 }
 
-impl fmt::Display for PredictionOutcome {
+impl fmt::Display for SeedSource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PredictionOutcome::Seeded => f.write_str("seeded"),
-            PredictionOutcome::Rejected(err) => write!(f, "rejected ({err})"),
-            PredictionOutcome::FellBack => f.write_str("fell-back"),
-        }
+        f.write_str(match self {
+            SeedSource::Given => "given",
+            SeedSource::Predicted => "pred",
+        })
     }
+}
+
+/// What became of a solve's start — the typed provenance of the seed,
+/// recorded in [`SolveDiagnostics::seed`]. Each solve counts once in
+/// `optim.seed.{cold,given,predicted,fell_back}` (a rejected start
+/// leaves a cold solve), and each rejection in `optim.seed.rejected`.
+///
+/// It describes the last start the solve considered: given prices that
+/// fail their check and are followed by an admissible prediction report
+/// the prediction (the rejection still counts).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeedProvenance {
+    /// No start was offered, the predictor abstained, or the ladder has
+    /// no primary rung to seed: the solve ran cold.
+    Cold,
+    /// The start seeded the successful first attempt.
+    Seeded(SeedSource),
+    /// The start failed its admission check ([`prices_admissible`] and
+    /// [`price_dim`] for prices, [`crate::learned::repair`] for columns)
+    /// and never reached the solver; the cold ladder ran.
+    Rejected(SeedSource, RepairError),
+    /// The start seeded an attempt that failed; the ladder fell through
+    /// to the cold path (cost: exactly one rung).
+    FellBack(SeedSource),
+}
+
+/// What a [`RobustSolver::solve`] call may start from. The default is a
+/// cold solve.
+#[derive(Clone, Copy, Default)]
+pub struct SolveCtx<'a> {
+    /// Start prices in [`price_dim`] layout, typically the previous
+    /// solve's [`RobustSolution::prices`]. They seed one attempt when
+    /// the solve takes price trials and they fit the problem (checked by
+    /// [`prices_admissible`]); otherwise they are rejected.
+    pub prices: Option<&'a [f64]>,
+    /// Consulted for a learned seed when no given prices seed the solve.
+    pub predictor: Option<&'a dyn DualPredictor>,
 }
 
 /// Diagnostics for a whole [`RobustSolver::solve`] call: every attempt in
@@ -399,14 +419,8 @@ pub struct SolveDiagnostics {
     pub recovered: bool,
     /// Total wall-clock seconds across all attempts.
     pub total_secs: f64,
-    /// Warm-start cache outcome for this solve; `None` for plain
-    /// [`RobustSolver::solve`] calls that never consulted a cache.
-    pub cache: Option<CacheOutcome>,
-    /// What happened to the learned-dual prediction, when a predictor
-    /// was consulted and produced one; `None` when no prediction was
-    /// attempted (no predictor, predictor abstained, or a cache hit
-    /// pre-empted it).
-    pub prediction: Option<PredictionOutcome>,
+    /// Where the solve's start came from.
+    pub seed: SeedProvenance,
 }
 
 impl SolveDiagnostics {
@@ -420,10 +434,8 @@ impl SolveDiagnostics {
             } else {
                 a.stage.to_string()
             };
-            if a.warm_start {
-                label = format!("warm-{label}");
-            } else if a.predicted {
-                label = format!("pred-{label}");
+            if let Some(source) = a.seed {
+                label = format!("{source}-{label}");
             }
             let mark = match &a.outcome {
                 StageOutcome::Success => "ok".to_string(),
@@ -468,9 +480,6 @@ pub struct RobustSolution {
     /// conservative backed-off parameters so it stays finite even when
     /// the caller's parameters are degenerate).
     pub objective: f64,
-    /// Per-task simplex duals at `x` ([`RelaxedSolution::duals`]);
-    /// empty when the producing rung computes none (greedy rounding).
-    pub duals: Vec<f64>,
     /// The solve's final prices ([`RelaxedSolution::prices`]); empty
     /// when the producing rung keeps none (greedy rounding, or an
     /// instance that takes no price trials).
@@ -484,18 +493,13 @@ pub struct RobustSolution {
     pub diagnostics: SolveDiagnostics,
 }
 
-/// Origin of a non-uniform primary seed threaded through the ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SeedKind {
-    /// A validated cache hit (previous optimum of this fingerprint).
-    Warm,
-    /// A repaired learned-dual prediction.
-    Predicted,
+/// A seed for the primary attempt: the iterate it starts from, its
+/// prices (empty for a column seed), and where it came from.
+struct Seed {
+    x: Matrix,
+    prices: Vec<f64>,
+    source: SeedSource,
 }
-
-/// A non-uniform primary seed: the iterate, its prices (possibly
-/// empty), and where it came from.
-type Seed = (Matrix, Vec<f64>, SeedKind);
 
 /// The default rung order: primary, backed-off retries, mirror descent,
 /// Euclidean PGD, greedy rounding.
@@ -513,14 +517,14 @@ pub fn default_ladder() -> Vec<FallbackStage> {
 ///
 /// ```
 /// use mfcp_linalg::Matrix;
-/// use mfcp_optim::recovery::RobustSolver;
+/// use mfcp_optim::recovery::{RobustSolver, SolveCtx};
 /// use mfcp_optim::{MatchingProblem, RelaxationParams};
 ///
 /// let times = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
 /// let rel = Matrix::filled(2, 2, 0.9);
 /// let problem = MatchingProblem::new(times, rel, 0.8);
 /// let sol = RobustSolver::new(RelaxationParams::default())
-///     .solve(&problem)
+///     .solve(&problem, SolveCtx::default())
 ///     .expect("healthy instance solves");
 /// assert!(sol.objective.is_finite());
 /// assert!(!sol.diagnostics.recovered);
@@ -576,158 +580,135 @@ impl RobustSolver {
 
     /// Solves `problem`, walking the fallback ladder on failure.
     ///
+    /// The primary rung first runs one seeded attempt when `ctx` offers
+    /// a usable start, best to worst: the given prices, when the solve
+    /// takes price trials and they fit the problem's [`price_dim`]
+    /// layout and pass [`prices_admissible`]; else the predictor's seed
+    /// (its prices when it has admissible ones, else its repaired
+    /// columns). A seeded attempt that fails falls through to the cold
+    /// primary attempt and the rest of the ladder, so a bad start costs
+    /// at most one rung and can never change the answer.
+    /// [`SolveDiagnostics::seed`] records the provenance.
+    ///
     /// Returns the first healthy solution together with the full
     /// per-stage diagnostics, [`SolveError::InvalidInput`] when the
     /// problem data or parameters are malformed, or
     /// [`SolveError::Exhausted`] when every configured rung failed.
-    pub fn solve(&self, problem: &MatchingProblem) -> Result<RobustSolution, SolveError> {
-        self.solve_inner(problem, None)
-    }
-
-    /// Solves `problem`, seeding the primary attempt from `cache` when a
-    /// valid entry exists for the problem's [`fingerprint`].
-    ///
-    /// A cache hit blends the cached optimum toward the interior (see
-    /// [`crate::cache::warm_init`]) and runs one warm primary attempt
-    /// before the regular ladder; if that attempt diverges the entry is
-    /// marked stale (`cache.stale`) and the full cold ladder runs, so a
-    /// poisoned entry can cost at most one failed attempt — never a
-    /// wrong answer. Successful non-greedy solves refresh the cache.
-    /// [`SolveDiagnostics::cache`] records the outcome.
-    pub fn solve_with_cache(
+    pub fn solve(
         &self,
         problem: &MatchingProblem,
-        cache: &mut WarmStartCache,
-    ) -> Result<RobustSolution, SolveError> {
-        self.solve_with_predictor(problem, cache, None)
-    }
-
-    /// Solves `problem` like [`RobustSolver::solve_with_cache`], but on a
-    /// cache miss (or stale entry) consults `predictor` for a learned
-    /// seed first.
-    ///
-    /// Seed precedence, best to worst: an exact cache hit (a previous
-    /// optimum of this fingerprint), then a repaired prediction, then
-    /// the cold uniform start. The raw prediction is passed through
-    /// [`crate::learned::repair`]; a rejected prediction
-    /// ([`PredictionOutcome::Rejected`]) never reaches the solver, and a
-    /// repaired prediction whose attempt fails falls through the
-    /// regular ladder ([`PredictionOutcome::FellBack`], counter
-    /// `optim.learned.fallback`) — a wrong model costs at most one rung
-    /// and can never change the answer. A successful predicted solve is
-    /// reported as [`CacheOutcome::Predicted`] and stores its optimum in
-    /// the cache, so later solves of the same fingerprint hit directly.
-    pub fn solve_with_predictor(
-        &self,
-        problem: &MatchingProblem,
-        cache: &mut WarmStartCache,
-        predictor: Option<&dyn DualPredictor>,
+        ctx: SolveCtx<'_>,
     ) -> Result<RobustSolution, SolveError> {
         validate_problem(problem)?;
         validate_params(&self.params)?;
-        let (m, n) = (problem.clusters(), problem.tasks());
-        let key = fingerprint(problem, &self.params);
-        let (outcome, warm) = cache.lookup(key, m, n);
-        let mut seed = warm.map(|(x, prices)| (x, prices, SeedKind::Warm));
-        let mut prediction = None;
-        if seed.is_none() {
-            if let Some(predictor) = predictor {
-                (seed, prediction) = self.predicted_seed(problem, predictor, key);
-            }
-        }
-        let warm_used = matches!(seed, Some((_, _, SeedKind::Warm)));
-        let predicted = matches!(seed, Some((_, _, SeedKind::Predicted)));
-        match self.solve_inner(problem, seed) {
-            Ok(mut sol) => {
-                let first_seed_failed = sol.diagnostics.attempts.first().is_some_and(|a| {
-                    (a.warm_start || a.predicted) && !matches!(a.outcome, StageOutcome::Success)
-                });
-                sol.diagnostics.cache = Some(if warm_used && first_seed_failed {
-                    cache.note_stale(key);
-                    CacheOutcome::Stale
-                } else if predicted && first_seed_failed {
-                    mfcp_obs::counter("optim.learned.fallback").inc();
-                    prediction = Some(PredictionOutcome::FellBack);
-                    outcome
-                } else if predicted {
-                    CacheOutcome::Predicted
-                } else {
-                    outcome
-                });
-                sol.diagnostics.prediction = prediction;
-                // Greedy 0/1 vertices are poor seeds for multiplicative
-                // mirror-descent updates; only cache fractional optima.
-                if sol.stage != FallbackStage::GreedyRounding {
-                    cache.store(
-                        key,
-                        WarmStartEntry::from_solution(
-                            &sol.x,
-                            sol.objective,
-                            sol.duals.clone(),
-                            sol.prices.clone(),
-                        ),
-                    );
-                }
-                Ok(sol)
-            }
-            Err(SolveError::Exhausted { mut diagnostics }) => {
-                diagnostics.cache = Some(if warm_used {
-                    cache.note_stale(key);
-                    CacheOutcome::Stale
-                } else {
-                    if predicted {
-                        mfcp_obs::counter("optim.learned.fallback").inc();
-                        prediction = Some(PredictionOutcome::FellBack);
+        // Only the primary rung takes a start; a ladder without it (the
+        // daemon's degraded greedy-only resolves) asks for none.
+        let (seed, offered) = if self.ladder.contains(&FallbackStage::Primary) {
+            self.seed(problem, ctx)
+        } else {
+            (None, SeedProvenance::Cold)
+        };
+        let mut result = self.solve_inner(problem, seed);
+        let diagnostics = match &mut result {
+            Ok(sol) => &mut sol.diagnostics,
+            Err(SolveError::Exhausted { diagnostics }) => diagnostics,
+            Err(_) => return result,
+        };
+        diagnostics.seed = match offered {
+            SeedProvenance::Seeded(source) => match diagnostics.attempts.first() {
+                Some(first) if first.seed.is_some() => {
+                    if matches!(first.outcome, StageOutcome::Success) {
+                        offered
+                    } else {
+                        if source == SeedSource::Predicted {
+                            mfcp_obs::counter("optim.learned.fallback").inc();
+                        }
+                        SeedProvenance::FellBack(source)
                     }
-                    outcome
-                });
-                diagnostics.prediction = prediction;
-                Err(SolveError::Exhausted { diagnostics })
+                }
+                // The budget ran out before the seeded attempt could.
+                _ => SeedProvenance::Cold,
+            },
+            other => other,
+        };
+        record_provenance(diagnostics.seed);
+        result
+    }
+
+    /// The start `ctx` offers for `problem`, with its provenance should
+    /// the seeded attempt succeed (see [`RobustSolver::solve`]).
+    fn seed(&self, problem: &MatchingProblem, ctx: SolveCtx<'_>) -> (Option<Seed>, SeedProvenance) {
+        let (m, n) = (problem.clusters(), problem.tasks());
+        let mut provenance = SeedProvenance::Cold;
+        if let Some(prices) = ctx.prices {
+            if takes_price_trials(&self.params, &self.solver_opts)
+                && prices.len() == price_dim(problem)
+                && prices_admissible(prices, m)
+            {
+                let seed = Seed {
+                    x: uniform_init(m, n),
+                    prices: prices.to_vec(),
+                    source: SeedSource::Given,
+                };
+                return (Some(seed), SeedProvenance::Seeded(SeedSource::Given));
             }
-            Err(other) => Err(other),
+            note_rejected();
+            provenance = SeedProvenance::Rejected(SeedSource::Given, RepairError::Prices);
+        }
+        match ctx.predictor.map(|p| self.predicted_seed(problem, p)) {
+            Some(Ok(Some(seed))) => (Some(seed), SeedProvenance::Seeded(SeedSource::Predicted)),
+            Some(Err(err)) => (None, SeedProvenance::Rejected(SeedSource::Predicted, err)),
+            Some(Ok(None)) | None => (None, provenance),
         }
     }
 
-    /// A learned seed for `problem` from `predictor`, with its outcome.
-    /// A solve that takes price trials starts from the predicted prices
-    /// alone when the predictor has admissible ones: one small
-    /// prediction, no columns to repair. Otherwise the repaired column
-    /// prediction seeds it; rejected prices or columns seed nothing.
+    /// A learned seed for `problem` from `predictor`: `Ok(None)` when it
+    /// abstains. A solve that takes price trials starts from the
+    /// predicted prices alone when the predictor has admissible ones:
+    /// one small prediction, no columns to repair. Otherwise the
+    /// repaired column prediction seeds it; rejected prices or columns
+    /// are the error.
     fn predicted_seed(
         &self,
         problem: &MatchingProblem,
         predictor: &dyn DualPredictor,
-        key: u64,
-    ) -> (Option<Seed>, Option<PredictionOutcome>) {
+    ) -> Result<Option<Seed>, RepairError> {
         let _span = mfcp_obs::span("learned.predict");
         let (m, n) = (problem.clusters(), problem.tasks());
-        let mut outcome = None;
+        let mut rejected = None;
         if takes_price_trials(&self.params, &self.solver_opts) {
             if let Some(prices) = predictor.predict_prices(problem, &self.params) {
                 mfcp_obs::counter("optim.learned.predict").inc();
                 if prices.len() == price_dim(problem) && prices_admissible(&prices, m) {
-                    let seed = (uniform_init(m, n), prices, SeedKind::Predicted);
-                    return (Some(seed), Some(PredictionOutcome::Seeded));
+                    return Ok(Some(Seed {
+                        x: uniform_init(m, n),
+                        prices,
+                        source: SeedSource::Predicted,
+                    }));
                 }
-                mfcp_obs::counter("optim.learned.rejected").inc();
-                mfcp_obs::trace::instant("learned.rejected", Some(key));
-                outcome = Some(PredictionOutcome::Rejected(RepairError::Prices));
+                note_learned_rejected();
+                rejected = Some(RepairError::Prices);
             }
         }
         let Some(raw) = predictor.predict_duals(problem, &self.params) else {
-            return (None, outcome);
+            return rejected.map_or(Ok(None), Err);
         };
         mfcp_obs::counter("optim.learned.predict").inc();
         match repair(&raw, m, n) {
             Ok(fixed) => {
                 mfcp_obs::counter("optim.learned.repaired").inc();
-                let seed = (fixed.x, Vec::new(), SeedKind::Predicted);
-                (Some(seed), Some(PredictionOutcome::Seeded))
+                // A prediction misplaces mass at the model's error scale
+                // and needs a floor mirror descent can grow from (see
+                // [`crate::learned::PREDICTED_BLEND`]).
+                Ok(Some(Seed {
+                    x: crate::learned::predicted_init(&fixed.x),
+                    prices: Vec::new(),
+                    source: SeedSource::Predicted,
+                }))
             }
             Err(err) => {
-                mfcp_obs::counter("optim.learned.rejected").inc();
-                mfcp_obs::trace::instant("learned.rejected", Some(key));
-                (None, Some(PredictionOutcome::Rejected(err)))
+                note_learned_rejected();
+                Err(err)
             }
         }
     }
@@ -739,8 +720,6 @@ impl RobustSolver {
     ) -> Result<RobustSolution, SolveError> {
         let _span = mfcp_obs::span("robust_solve");
         mfcp_obs::counter("optim.robust.calls").inc();
-        validate_problem(problem)?;
-        validate_params(&self.params)?;
         let start = Instant::now();
         let mut attempts: Vec<StageAttempt> = Vec::new();
         // One PGD workspace serves every first-order rung.
@@ -758,8 +737,7 @@ impl RobustSolver {
                     residual: None,
                     objective: None,
                     elapsed_secs: 0.0,
-                    warm_start: false,
-                    predicted: false,
+                    seed: None,
                     outcome: StageOutcome::Skipped(if self.budget.expired() {
                         SkipReason::RequestBudgetExpired
                     } else {
@@ -772,8 +750,8 @@ impl RobustSolver {
             match stage {
                 FallbackStage::Primary => {
                     let opts = self.solver_opts;
-                    // One seeded attempt first, when a cached optimum or
-                    // a repaired prediction was supplied; its failure
+                    // One seeded attempt first, when given prices or a
+                    // repaired prediction were supplied; its failure
                     // falls through to the regular cold primary attempt
                     // and the rest of the ladder.
                     if let Some(seeded) = seed.take() {
@@ -789,7 +767,7 @@ impl RobustSolver {
                             &mut pgd_ws,
                         ) {
                             return Ok(self.finish(
-                                (sol.x, sol.objective, sol.duals, sol.prices),
+                                (sol.x, sol.objective, sol.prices),
                                 stage,
                                 None,
                                 attempts,
@@ -809,7 +787,7 @@ impl RobustSolver {
                         &mut pgd_ws,
                     ) {
                         return Ok(self.finish(
-                            (sol.x, sol.objective, sol.duals, sol.prices),
+                            (sol.x, sol.objective, sol.prices),
                             stage,
                             None,
                             attempts,
@@ -836,7 +814,7 @@ impl RobustSolver {
                             &mut pgd_ws,
                         ) {
                             return Ok(self.finish(
-                                (sol.x, sol.objective, sol.duals, sol.prices),
+                                (sol.x, sol.objective, sol.prices),
                                 stage,
                                 None,
                                 attempts,
@@ -865,7 +843,7 @@ impl RobustSolver {
                         &mut pgd_ws,
                     ) {
                         return Ok(self.finish(
-                            (sol.x, sol.objective, sol.duals, sol.prices),
+                            (sol.x, sol.objective, sol.prices),
                             stage,
                             None,
                             attempts,
@@ -891,14 +869,13 @@ impl RobustSolver {
                         residual: None,
                         objective: Some(objective),
                         elapsed_secs: t0.elapsed().as_secs_f64(),
-                        warm_start: false,
-                        predicted: false,
+                        seed: None,
                         outcome: StageOutcome::Success,
                     });
                     mfcp_obs::trace::end(stage_trace_name(stage), None);
                     record_attempt_metrics(attempts.last().expect("just pushed"));
                     return Ok(self.finish(
-                        (x, objective, Vec::new(), Vec::new()),
+                        (x, objective, Vec::new()),
                         stage,
                         Some(asg),
                         attempts,
@@ -914,8 +891,7 @@ impl RobustSolver {
                 recovered: false,
                 total_secs: start.elapsed().as_secs_f64(),
                 attempts,
-                cache: None,
-                prediction: None,
+                seed: SeedProvenance::Cold,
             }),
         })
     }
@@ -949,21 +925,11 @@ impl RobustSolver {
             mfcp_obs::histogram("optim.robust.barrier_eps").record(eps);
         }
         let mut guard = GuardRunner::new(&self.policy, &self.budget, start, stage);
-        let kind = seed.as_ref().map(|(_, _, kind)| *kind);
+        let source = seed.as_ref().map(|seed| seed.source);
+        // A seed's prices start the price state; without them the solver
+        // prices the seed itself.
         let (x0, prices) = match seed {
-            // Both seed kinds are blended toward the interior —
-            // projection output can carry exact zeros, which
-            // multiplicative mirror-descent updates could never recover
-            // from — but at very different strengths: a cached optimum
-            // only needs its exact zeros lifted (`1e-9`), while a
-            // learned prediction misplaces mass at the model's error
-            // scale and needs a floor mirror descent can grow from
-            // (see [`crate::learned::PREDICTED_BLEND`]).
-            //
-            // A seed's prices (a cached solve's) start the price state;
-            // without them the solver prices the seed itself.
-            Some((x, prices, SeedKind::Warm)) => (warm_init(&x), prices),
-            Some((x, prices, SeedKind::Predicted)) => (crate::learned::predicted_init(&x), prices),
+            Some(Seed { x, prices, .. }) => (x, prices),
             None => (
                 uniform_init(problem.clusters(), problem.tasks()),
                 Vec::new(),
@@ -978,7 +944,7 @@ impl RobustSolver {
             &mut |it, f, step| guard.check(it, f, step),
             pgd_ws,
         );
-        self.record(stage, retry, t0, result, kind, attempts)
+        self.record(stage, retry, t0, result, source, attempts)
     }
 
     /// Health-checks a finished attempt, records it, and returns the
@@ -989,11 +955,9 @@ impl RobustSolver {
         retry: usize,
         t0: Instant,
         result: Result<RelaxedSolution, SolveError>,
-        seed: Option<SeedKind>,
+        seed: Option<SeedSource>,
         attempts: &mut Vec<StageAttempt>,
     ) -> Option<RelaxedSolution> {
-        let warm_start = seed == Some(SeedKind::Warm);
-        let predicted = seed == Some(SeedKind::Predicted);
         let elapsed_secs = t0.elapsed().as_secs_f64();
         let iters = match &result {
             Ok(sol) => sol.iterations,
@@ -1024,8 +988,7 @@ impl RobustSolver {
                     residual: Some(sol.residual),
                     objective: Some(sol.objective),
                     elapsed_secs,
-                    warm_start,
-                    predicted,
+                    seed,
                     outcome,
                 });
                 record_attempt_metrics(attempts.last().expect("just pushed"));
@@ -1040,8 +1003,7 @@ impl RobustSolver {
                     residual: None,
                     objective: None,
                     elapsed_secs,
-                    warm_start,
-                    predicted,
+                    seed,
                     outcome: StageOutcome::Failed(err),
                 });
                 record_attempt_metrics(attempts.last().expect("just pushed"));
@@ -1052,7 +1014,7 @@ impl RobustSolver {
 
     fn finish(
         &self,
-        (x, objective, duals, prices): (Matrix, f64, Vec<f64>, Vec<f64>),
+        (x, objective, prices): (Matrix, f64, Vec<f64>),
         stage: FallbackStage,
         assignment: Option<Assignment>,
         attempts: Vec<StageAttempt>,
@@ -1067,7 +1029,6 @@ impl RobustSolver {
         RobustSolution {
             x,
             objective,
-            duals,
             prices,
             stage,
             assignment,
@@ -1075,8 +1036,7 @@ impl RobustSolver {
                 attempts,
                 recovered,
                 total_secs: start.elapsed().as_secs_f64(),
-                cache: None,
-                prediction: None,
+                seed: SeedProvenance::Cold,
             },
         }
     }
@@ -1115,6 +1075,40 @@ fn record_attempt_metrics(attempt: &StageAttempt) {
         mfcp_obs::histogram("optim.robust.attempt_secs").record(attempt.elapsed_secs);
         mfcp_obs::histogram("optim.robust.attempt_iters").record(attempt.iterations as f64);
     }
+}
+
+/// Counts a solve's [`SeedProvenance`] in one of
+/// `optim.seed.{cold,given,predicted,fell_back}`, which partition the
+/// solves (a rejected start leaves a cold solve; rejections have their
+/// own counter, see [`note_rejected`]).
+fn record_provenance(provenance: SeedProvenance) {
+    static COUNTERS: std::sync::OnceLock<[mfcp_obs::Counter; 4]> = std::sync::OnceLock::new();
+    let [cold, given, predicted, fell_back] = COUNTERS.get_or_init(|| {
+        ["cold", "given", "predicted", "fell_back"]
+            .map(|kind| mfcp_obs::counter(&format!("optim.seed.{kind}")))
+    });
+    match provenance {
+        SeedProvenance::Cold | SeedProvenance::Rejected(..) => cold,
+        SeedProvenance::Seeded(SeedSource::Given) => given,
+        SeedProvenance::Seeded(SeedSource::Predicted) => predicted,
+        SeedProvenance::FellBack(_) => fell_back,
+    }
+    .inc();
+}
+
+/// Counts a start rejected before it reached the solver
+/// (`optim.seed.rejected`, plus a `seed.rejected` flight-recorder
+/// instant).
+fn note_rejected() {
+    mfcp_obs::counter("optim.seed.rejected").inc();
+    mfcp_obs::trace::instant("seed.rejected", None);
+}
+
+/// [`note_rejected`] for a learned prediction, which also counts in
+/// `optim.learned.rejected`.
+fn note_learned_rejected() {
+    mfcp_obs::counter("optim.learned.rejected").inc();
+    note_rejected();
 }
 
 fn error_iteration(err: &SolveError) -> usize {
@@ -1354,7 +1348,9 @@ mod tests {
     fn healthy_problem_succeeds_on_primary() {
         let problem = random_problem(1, 3, 6);
         let solver = RobustSolver::new(RelaxationParams::default());
-        let sol = solver.solve(&problem).expect("healthy instance solves");
+        let sol = solver
+            .solve(&problem, SolveCtx::default())
+            .expect("healthy instance solves");
         assert_eq!(
             sol.stage,
             FallbackStage::Primary,
@@ -1382,7 +1378,7 @@ mod tests {
         );
 
         let sol = RobustSolver::new(params)
-            .solve(&problem)
+            .solve(&problem, SolveCtx::default())
             .expect("ladder must recover");
         assert!(
             sol.diagnostics.recovered,
@@ -1411,7 +1407,7 @@ mod tests {
         let mut problem = random_problem(2, 2, 3);
         problem.times[(0, 0)] = f64::NAN;
         let err = RobustSolver::new(RelaxationParams::default())
-            .solve(&problem)
+            .solve(&problem, SolveCtx::default())
             .unwrap_err();
         assert!(matches!(err, SolveError::InvalidInput(_)), "{err}");
     }
@@ -1423,7 +1419,9 @@ mod tests {
             beta: f64::NAN,
             ..Default::default()
         };
-        let err = RobustSolver::new(params).solve(&problem).unwrap_err();
+        let err = RobustSolver::new(params)
+            .solve(&problem, SolveCtx::default())
+            .unwrap_err();
         assert!(matches!(err, SolveError::InvalidInput(_)), "{err}");
     }
 
@@ -1431,7 +1429,7 @@ mod tests {
     fn tasks_without_clusters_rejected() {
         let problem = MatchingProblem::new(Matrix::zeros(0, 3), Matrix::zeros(0, 3), 0.5);
         let err = RobustSolver::new(RelaxationParams::default())
-            .solve(&problem)
+            .solve(&problem, SolveCtx::default())
             .unwrap_err();
         assert!(matches!(err, SolveError::InvalidInput(_)), "{err}");
     }
@@ -1441,7 +1439,7 @@ mod tests {
         let (problem, params) = degenerate_barrier_setup();
         let mut solver = RobustSolver::new(params);
         solver.ladder = vec![FallbackStage::Primary];
-        let err = solver.solve(&problem).unwrap_err();
+        let err = solver.solve(&problem, SolveCtx::default()).unwrap_err();
         let SolveError::Exhausted { diagnostics } = err else {
             panic!("expected exhaustion, got {err}");
         };
@@ -1454,7 +1452,9 @@ mod tests {
         let problem = random_problem(4, 3, 7);
         let mut solver = RobustSolver::new(RelaxationParams::default());
         solver.ladder = vec![FallbackStage::GreedyRounding];
-        let sol = solver.solve(&problem).expect("greedy rung is infallible");
+        let sol = solver
+            .solve(&problem, SolveCtx::default())
+            .expect("greedy rung is infallible");
         assert_eq!(sol.stage, FallbackStage::GreedyRounding);
         let asg = sol.assignment.expect("greedy rung returns an assignment");
         assert_eq!(asg.tasks(), 7);
@@ -1466,7 +1466,7 @@ mod tests {
     fn empty_task_set_is_fine() {
         let problem = MatchingProblem::new(Matrix::zeros(2, 0), Matrix::zeros(2, 0), 0.5);
         let sol = RobustSolver::new(RelaxationParams::default())
-            .solve(&problem)
+            .solve(&problem, SolveCtx::default())
             .expect("empty task set solves trivially");
         assert_eq!(sol.x.shape(), (2, 0));
     }
@@ -1499,41 +1499,43 @@ mod tests {
     #[test]
     fn diagnostics_path_is_readable() {
         let (problem, params) = degenerate_barrier_setup();
-        let sol = RobustSolver::new(params).solve(&problem).unwrap();
+        let sol = RobustSolver::new(params)
+            .solve(&problem, SolveCtx::default())
+            .unwrap();
         let path = sol.diagnostics.path();
         assert!(path.contains("primary x(non-finite)"), "path: {path}");
         assert!(path.contains("ok"), "path: {path}");
     }
 
-    fn cached_solver() -> RobustSolver {
+    fn tight_solver() -> RobustSolver {
         let mut solver = RobustSolver::new(RelaxationParams::default());
-        // Converge tightly so warm and cold land on the same unique
-        // entropic optimum (the default tolerance stops short of the 1e-8
-        // objective agreement these tests assert).
+        // Converge tightly so seeded and cold solves land on the same
+        // unique entropic optimum (the default tolerance stops short of
+        // the 1e-8 objective agreement these tests assert).
         solver.solver_opts.max_iters = 20_000;
         solver.solver_opts.tol = 1e-12;
         solver
     }
 
     #[test]
-    fn warm_cache_hit_matches_cold_solve() {
+    fn given_prices_match_cold_solve() {
         let problem = random_problem(7, 3, 6);
-        let solver = cached_solver();
-        let cold = solver.solve(&problem).expect("cold solve");
-
-        let mut cache = WarmStartCache::new();
-        let first = solver
-            .solve_with_cache(&problem, &mut cache)
-            .expect("miss populates");
-        assert_eq!(first.diagnostics.cache, Some(CacheOutcome::Miss));
-        let warm = solver
-            .solve_with_cache(&problem, &mut cache)
-            .expect("hit solves");
-        assert_eq!(warm.diagnostics.cache, Some(CacheOutcome::Hit));
-        assert!(warm.diagnostics.attempts[0].warm_start);
-        assert!(warm.diagnostics.path().starts_with("warm-primary"));
+        let solver = tight_solver();
+        let cold = solver.solve(&problem, SolveCtx::default()).expect("cold");
+        assert_eq!(cold.diagnostics.seed, SeedProvenance::Cold);
+        let ctx = SolveCtx {
+            prices: Some(&cold.prices),
+            ..SolveCtx::default()
+        };
+        let warm = solver.solve(&problem, ctx).expect("seeded solve");
+        assert_eq!(
+            warm.diagnostics.seed,
+            SeedProvenance::Seeded(SeedSource::Given)
+        );
+        assert_eq!(warm.diagnostics.attempts[0].seed, Some(SeedSource::Given));
+        assert!(warm.diagnostics.path().starts_with("given-primary"));
         assert!((warm.objective - cold.objective).abs() < 1e-8);
-        // Warm convergence from (near) the optimum takes far fewer
+        // Starting from the optimum's own prices takes far fewer
         // iterations than the cold run.
         assert!(
             warm.diagnostics.attempts[0].iterations <= cold.diagnostics.attempts[0].iterations,
@@ -1541,111 +1543,68 @@ mod tests {
             warm.diagnostics.attempts[0].iterations,
             cold.diagnostics.attempts[0].iterations
         );
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]
-    fn poisoned_nan_duals_fall_back_to_cold() {
-        let problem = random_problem(8, 3, 5);
-        let solver = cached_solver();
-        let mut cache = WarmStartCache::new();
-        solver
-            .solve_with_cache(&problem, &mut cache)
-            .expect("populate");
-        let key = fingerprint(&problem, &solver.params);
-        cache.entry_mut(key).expect("entry exists").duals[0] = f64::NAN;
-
-        let cold = solver.solve(&problem).expect("plain solve");
-        let sol = solver
-            .solve_with_cache(&problem, &mut cache)
-            .expect("poisoned entry must not panic or fail the solve");
-        assert_eq!(sol.diagnostics.cache, Some(CacheOutcome::Stale));
-        assert!(
-            !sol.diagnostics.attempts[0].warm_start,
-            "stale entry must be dropped before the solver runs"
-        );
-        assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
-        assert_eq!(sol.x.as_slice(), cold.x.as_slice());
-        assert_eq!(cache.stats().stale, 1);
-    }
-
-    #[test]
-    fn wrong_dimension_cached_assignment_falls_back_to_cold() {
-        let problem = random_problem(9, 3, 5);
-        let solver = cached_solver();
-        let mut cache = WarmStartCache::new();
-        solver
-            .solve_with_cache(&problem, &mut cache)
-            .expect("populate");
-        let key = fingerprint(&problem, &solver.params);
-        cache.entry_mut(key).expect("entry exists").x = Matrix::filled(2, 2, 0.5);
-
-        let cold = solver.solve(&problem).expect("plain solve");
-        let sol = solver
-            .solve_with_cache(&problem, &mut cache)
-            .expect("wrong-dimension entry must not panic");
-        assert_eq!(sol.diagnostics.cache, Some(CacheOutcome::Stale));
-        assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
-        assert_eq!(cache.stats().stale, 1);
-    }
-
-    #[test]
-    fn warm_divergence_falls_back_to_cold_ladder() {
-        // The degenerate barrier breaks the warm attempt (the entry
-        // itself validates fine), so the solver must record the warm
-        // failure, mark the entry stale, and recover through the ladder
-        // with the same answer as a plain solve.
+    fn failed_given_attempt_falls_back_to_cold_ladder() {
+        // The degenerate barrier breaks the seeded attempt (the prices
+        // themselves pass their check), so the solver must record the
+        // failure and recover through the ladder with the same answer
+        // as a cold solve.
         let (problem, params) = degenerate_barrier_setup();
         let solver = RobustSolver::new(params);
-        let (m, n) = (problem.clusters(), problem.tasks());
-        let mut cache = WarmStartCache::new();
-        let key = fingerprint(&problem, &solver.params);
-        cache.store(
-            key,
-            WarmStartEntry {
-                x: uniform_init(m, n),
-                objective: 1.0,
-                duals: vec![0.0; n],
-                prices: Vec::new(),
-                stored_at: 0,
-            },
-        );
-
-        let cold = solver.solve(&problem).expect("plain ladder recovers");
+        let prices = vec![0.0; problem.clusters() + 1];
+        let cold = solver
+            .solve(&problem, SolveCtx::default())
+            .expect("plain ladder recovers");
+        let ctx = SolveCtx {
+            prices: Some(&prices),
+            ..SolveCtx::default()
+        };
         let sol = solver
-            .solve_with_cache(&problem, &mut cache)
-            .expect("warm divergence must fall back, not fail");
-        assert_eq!(sol.diagnostics.cache, Some(CacheOutcome::Stale));
+            .solve(&problem, ctx)
+            .expect("a failed seed must fall back, not fail");
+        assert_eq!(
+            sol.diagnostics.seed,
+            SeedProvenance::FellBack(SeedSource::Given)
+        );
         let first = &sol.diagnostics.attempts[0];
-        assert!(first.warm_start, "path: {}", sol.diagnostics.path());
+        assert_eq!(first.seed, Some(SeedSource::Given));
         assert!(
             matches!(first.outcome, StageOutcome::Failed(_)),
-            "warm attempt must be on record as failed"
+            "the seeded attempt must be on record as failed"
         );
         assert!(sol.diagnostics.recovered);
         assert_eq!(sol.stage, cold.stage);
         assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
         assert_eq!(sol.x.as_slice(), cold.x.as_slice());
-        assert_eq!(cache.stats().stale, 1);
-        // The divergent entry was evicted and replaced by the recovered
-        // solution, not left in place to diverge again.
-        let entry = cache
-            .entry_mut(key)
-            .expect("recovered solve refreshed the entry");
-        assert_eq!(entry.x.as_slice(), cold.x.as_slice());
     }
 
     #[test]
-    fn greedy_results_are_not_cached() {
+    fn greedy_only_ladder_takes_no_start() {
+        struct Unreachable;
+        impl DualPredictor for Unreachable {
+            fn predict_duals(
+                &self,
+                _: &MatchingProblem,
+                _: &RelaxationParams,
+            ) -> Option<crate::learned::DualPrediction> {
+                panic!("a ladder without a primary rung consulted the predictor");
+            }
+        }
         let problem = random_problem(10, 3, 7);
-        let mut solver = cached_solver();
+        let mut solver = RobustSolver::new(RelaxationParams::default());
         solver.ladder = vec![FallbackStage::GreedyRounding];
-        let mut cache = WarmStartCache::new();
-        solver
-            .solve_with_cache(&problem, &mut cache)
+        let prices = vec![0.0; 4];
+        let ctx = SolveCtx {
+            prices: Some(&prices),
+            predictor: Some(&Unreachable),
+        };
+        let sol = solver
+            .solve(&problem, ctx)
             .expect("greedy rung is infallible");
-        assert!(cache.is_empty(), "0/1 vertices must not be cached");
+        assert_eq!(sol.diagnostics.seed, SeedProvenance::Cold);
+        assert_eq!(sol.stage, FallbackStage::GreedyRounding);
     }
 
     #[test]
@@ -1657,7 +1616,7 @@ mod tests {
             .with_budget(Budget::unlimited().with_cancel(token));
 
         let sol = solver
-            .solve(&problem)
+            .solve(&problem, SolveCtx::default())
             .expect("an expired budget still yields a feasible matching");
         assert_eq!(sol.stage, FallbackStage::GreedyRounding);
         assert!(is_column_stochastic(&sol.x, 1e-9));
@@ -1678,7 +1637,9 @@ mod tests {
 
         // Degradation is deterministic: a second run under the same fired
         // token reproduces the assignment bit for bit.
-        let again = solver.solve(&problem).expect("greedy rung is infallible");
+        let again = solver
+            .solve(&problem, SolveCtx::default())
+            .expect("greedy rung is infallible");
         assert_eq!(again.objective.to_bits(), sol.objective.to_bits());
         assert_eq!(again.x.as_slice(), sol.x.as_slice());
     }
@@ -1689,7 +1650,7 @@ mod tests {
         let mut solver = RobustSolver::new(RelaxationParams::default());
         solver.policy.wall_limit = Some(Duration::ZERO);
         let sol = solver
-            .solve(&problem)
+            .solve(&problem, SolveCtx::default())
             .expect("an exhausted wall budget still yields a feasible matching");
         assert_eq!(sol.stage, FallbackStage::GreedyRounding);
         let skipped = sol

@@ -2135,6 +2135,54 @@ mod tests {
         (sol, trace)
     }
 
+    /// The property that lets a caller hand prices to
+    /// [`crate::RobustSolver::solve`] with a placeholder iterate: a
+    /// price-trial solve given admissible start prices begins at
+    /// `x(θ₀)`, so its seed matrix — uniform, blended by
+    /// [`crate::cache::warm_init`], or any column-stochastic `x` — never
+    /// reaches a single bit of the result or the iterate trace.
+    #[test]
+    fn start_prices_make_the_seed_matrix_irrelevant() {
+        let params = RelaxationParams::default();
+        let opts = SolverOptions::default();
+        let problems = [price_reference_problems(), parallel_reference_problems()].concat();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for (k, problem) in problems.iter().enumerate() {
+            let (m, n) = problem.times.shape();
+            // Admissible start prices: a drifted neighbour's optimum.
+            let neighbour = problem.with_time_row(0, &vec![1.3; n]);
+            let prices = solve_relaxed(&neighbour, &params, &opts).prices;
+            assert_eq!(prices.len(), price_dim(problem), "problem {k}");
+            assert!(crate::cache::prices_admissible(&prices, m));
+            let mut random = Matrix::from_fn(m, n, |_, _| rng.gen_range(0.0..1.0));
+            for j in 0..n {
+                let sum: f64 = (0..m).map(|i| random[(i, j)]).sum();
+                for i in 0..m {
+                    random[(i, j)] /= sum;
+                }
+            }
+            let seeds = [
+                uniform_init(m, n),
+                crate::cache::warm_init(&uniform_init(m, n)),
+                random,
+            ];
+            let runs: Vec<_> = seeds
+                .into_iter()
+                .map(|x0| fused_trace(problem, &params, &opts, x0, Some(&prices)))
+                .collect();
+            for (s, (sol, trace)) in runs.iter().enumerate().skip(1) {
+                let (base, base_trace) = &runs[0];
+                assert_eq!(sol.iterations, base.iterations, "problem {k} seed {s}");
+                assert_eq!(bits(trace), bits(base_trace), "problem {k} seed {s}");
+                assert_eq!(bits(sol.x.as_slice()), bits(base.x.as_slice()));
+                assert_eq!(sol.objective.to_bits(), base.objective.to_bits());
+                assert_eq!(bits(&sol.prices), bits(&base.prices));
+                assert_eq!(bits(&sol.duals), bits(&base.duals));
+            }
+        }
+    }
+
     /// The fused loop's price trials against [`price_newton_reference`],
     /// from the uniform start, a neighbour's optimum without prices
     /// (fitted prices) and the neighbour's prices, on trivial-speedup

@@ -7,29 +7,29 @@
 //!    from the optimum — agrees with the cold
 //!    [`RobustSolver::solve`] on the objective within `1e-8` and on
 //!    the argmax-rounded assignment exactly, and is reported as
-//!    [`CacheOutcome::Predicted`].
+//!    [`SeedProvenance::Seeded`] from [`SeedSource::Predicted`].
 //! 2. Adversarial predictions (NaN/Inf duals, ×1e6-scaled duals,
 //!    wrong-shape or non-finite primal) are rejected by the repair
 //!    kernel before any solver work: the solve is bit-for-bit the cold
-//!    solve, with a typed [`PredictionOutcome::Rejected`] in the
+//!    solve, with a typed [`SeedProvenance::Rejected`] in the
 //!    diagnostics — never a panic, never a degraded answer.
 //!    Both hold for price predictions too (a solve that takes price
 //!    trials starts from admissible predicted prices alone; mis-sized,
 //!    non-finite or out-of-scale prices are rejected with
 //!    [`RepairError::Prices`]).
-//! 3. Exact cache hits take precedence: a predictor is never consulted
-//!    when a valid cached optimum exists.
+//! 3. Given prices take precedence: a predictor is never consulted when
+//!    admissible start prices are handed in, and is consulted when the
+//!    given prices are rejected.
 //! 4. A repaired prediction whose attempt fails falls through the
-//!    ladder ([`PredictionOutcome::FellBack`]) and still lands on the
+//!    ladder ([`SeedProvenance::FellBack`]) and still lands on the
 //!    plain solve's answer bit for bit — a wrong model costs one rung.
 //!
 //! CI runs this suite in the workspace test job and again, in release,
 //! in its strict-determinism job.
 
 use mfcp_linalg::Matrix;
-use mfcp_optim::cache::{CacheOutcome, WarmStartCache};
 use mfcp_optim::learned::{DualPrediction, DualPredictor, LearnedDualHead, RepairError};
-use mfcp_optim::recovery::{PredictionOutcome, RobustSolver, StageOutcome};
+use mfcp_optim::recovery::{RobustSolver, SeedProvenance, SeedSource, SolveCtx, StageOutcome};
 use mfcp_optim::rounding::round_argmax;
 use mfcp_optim::solver::SolverOptions;
 use mfcp_optim::{BarrierKind, MatchingProblem, RelaxationParams};
@@ -106,7 +106,7 @@ impl DualPredictor for PriceMock {
     }
 }
 
-/// A predictor that must never be consulted (cache-precedence checks).
+/// A predictor that must never be consulted (given-price precedence).
 struct PanicPredictor;
 
 impl DualPredictor for PanicPredictor {
@@ -115,7 +115,15 @@ impl DualPredictor for PanicPredictor {
         _problem: &MatchingProblem,
         _params: &RelaxationParams,
     ) -> Option<DualPrediction> {
-        panic!("predictor consulted despite a valid cache hit");
+        panic!("predictor consulted despite admissible given prices");
+    }
+}
+
+/// A solve context whose only start is `predictor`'s.
+fn predicting(predictor: &dyn DualPredictor) -> SolveCtx<'_> {
+    SolveCtx {
+        predictor: Some(predictor),
+        ..SolveCtx::default()
     }
 }
 
@@ -142,18 +150,15 @@ proptest! {
     ) {
         let problem = convex_problem(seed, m, n);
         let solver = tight_solver(test_params());
-        let cold = solver.solve(&problem).expect("cold solve");
+        let cold = solver.solve(&problem, SolveCtx::default()).expect("cold solve");
 
-        let mut cache = WarmStartCache::new();
-        let prediction = random_prediction(seed, m, n);
+        let mock = Mock(Some(random_prediction(seed, m, n)));
         let sol = solver
-            .solve_with_predictor(&problem, &mut cache, Some(&Mock(Some(prediction))))
+            .solve(&problem, predicting(&mock))
             .expect("predicted solve");
 
-        prop_assert_eq!(sol.diagnostics.cache, Some(CacheOutcome::Predicted));
-        prop_assert_eq!(sol.diagnostics.prediction, Some(PredictionOutcome::Seeded));
-        prop_assert!(sol.diagnostics.attempts[0].predicted);
-        prop_assert!(!sol.diagnostics.attempts[0].warm_start);
+        prop_assert_eq!(sol.diagnostics.seed, SeedProvenance::Seeded(SeedSource::Predicted));
+        prop_assert_eq!(sol.diagnostics.attempts[0].seed, Some(SeedSource::Predicted));
         prop_assert!(
             sol.diagnostics.path().starts_with("pred-primary"),
             "path: {}",
@@ -169,8 +174,6 @@ proptest! {
             round_argmax(&cold.x).cluster_of,
             round_argmax(&sol.x).cluster_of
         );
-        // The predicted optimum was cached for future exact hits.
-        prop_assert_eq!(cache.stats().entries, 1);
     }
 
     /// Invariant 2: adversarial predictions are rejected before any
@@ -183,7 +186,7 @@ proptest! {
     ) {
         let problem = convex_problem(seed, m, n);
         let solver = tight_solver(test_params());
-        let cold = solver.solve(&problem).expect("cold solve");
+        let cold = solver.solve(&problem, SolveCtx::default()).expect("cold solve");
         let uniform = Matrix::filled(m, n, 1.0 / m as f64);
 
         let poisons: Vec<DualPrediction> = vec![
@@ -206,26 +209,20 @@ proptest! {
         ];
 
         for (k, poison) in poisons.into_iter().enumerate() {
-            let mut cache = WarmStartCache::new();
+            let mock = Mock(Some(poison));
             let sol = solver
-                .solve_with_predictor(&problem, &mut cache, Some(&Mock(Some(poison))))
+                .solve(&problem, predicting(&mock))
                 .expect("poisoned prediction must not fail the solve");
-            prop_assert_eq!(
-                sol.diagnostics.cache,
-                Some(CacheOutcome::Miss),
-                "poison {}: rejected predictions leave a plain miss",
-                k
-            );
             prop_assert!(
                 matches!(
-                    sol.diagnostics.prediction,
-                    Some(PredictionOutcome::Rejected(_))
+                    sol.diagnostics.seed,
+                    SeedProvenance::Rejected(SeedSource::Predicted, _)
                 ),
                 "poison {}: expected a typed rejection, got {:?}",
                 k,
-                sol.diagnostics.prediction
+                sol.diagnostics.seed
             );
-            prop_assert!(!sol.diagnostics.attempts[0].predicted);
+            prop_assert_eq!(sol.diagnostics.attempts[0].seed, None);
             prop_assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
             prop_assert_eq!(sol.x.as_slice(), cold.x.as_slice());
         }
@@ -242,17 +239,16 @@ proptest! {
     ) {
         let problem = convex_problem(seed, m, n);
         let solver = tight_solver(test_params());
-        let cold = solver.solve(&problem).expect("cold solve");
+        let cold = solver.solve(&problem, SolveCtx::default()).expect("cold solve");
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5052);
         let prices: Vec<f64> = (0..=m).map(|_| rng.gen_range(-1.0..1.0)).collect();
 
-        let mut cache = WarmStartCache::new();
+        let mock = PriceMock(prices);
         let sol = solver
-            .solve_with_predictor(&problem, &mut cache, Some(&PriceMock(prices)))
+            .solve(&problem, predicting(&mock))
             .expect("price-seeded solve");
-        prop_assert_eq!(sol.diagnostics.cache, Some(CacheOutcome::Predicted));
-        prop_assert_eq!(sol.diagnostics.prediction, Some(PredictionOutcome::Seeded));
-        prop_assert!(sol.diagnostics.attempts[0].predicted);
+        prop_assert_eq!(sol.diagnostics.seed, SeedProvenance::Seeded(SeedSource::Predicted));
+        prop_assert_eq!(sol.diagnostics.attempts[0].seed, Some(SeedSource::Predicted));
         prop_assert!(
             (cold.objective - sol.objective).abs() <= 1e-8,
             "objective drift {} vs {}",
@@ -273,7 +269,7 @@ proptest! {
     ) {
         let problem = convex_problem(seed, m, n);
         let solver = tight_solver(test_params());
-        let cold = solver.solve(&problem).expect("cold solve");
+        let cold = solver.solve(&problem, SolveCtx::default()).expect("cold solve");
         for (k, prices) in [
             vec![0.5; m],
             vec![f64::NAN; m + 1],
@@ -283,47 +279,49 @@ proptest! {
         .into_iter()
         .enumerate()
         {
-            let mut cache = WarmStartCache::new();
+            let mock = PriceMock(prices);
             let sol = solver
-                .solve_with_predictor(&problem, &mut cache, Some(&PriceMock(prices)))
+                .solve(&problem, predicting(&mock))
                 .expect("rejected prices must not fail the solve");
-            prop_assert_eq!(sol.diagnostics.cache, Some(CacheOutcome::Miss), "poison {}", k);
             prop_assert_eq!(
-                sol.diagnostics.prediction,
-                Some(PredictionOutcome::Rejected(RepairError::Prices)),
+                sol.diagnostics.seed,
+                SeedProvenance::Rejected(SeedSource::Predicted, RepairError::Prices),
                 "poison {}",
                 k
             );
-            prop_assert!(!sol.diagnostics.attempts[0].predicted);
+            prop_assert_eq!(sol.diagnostics.attempts[0].seed, None);
             prop_assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
             prop_assert_eq!(sol.x.as_slice(), cold.x.as_slice());
         }
     }
 
-    /// Invariant 3: a valid cache hit pre-empts the predictor entirely
-    /// (the panic predictor proves it is never consulted).
+    /// Invariant 3: admissible given prices pre-empt the predictor
+    /// entirely (the panic predictor proves it is never consulted);
+    /// rejected ones leave the start to the predictor.
     #[test]
-    fn prop_cache_hit_beats_prediction(
+    fn prop_given_prices_beat_prediction(
         seed in 0u64..1_000_000,
         m in 2usize..4,
         n in 2usize..6,
     ) {
         let problem = convex_problem(seed, m, n);
         let solver = tight_solver(test_params());
-        let mut cache = WarmStartCache::new();
-        let first = solver
-            .solve_with_predictor(&problem, &mut cache, Some(&Mock(None)))
-            .expect("miss populates the cache");
-        prop_assert_eq!(first.diagnostics.cache, Some(CacheOutcome::Miss));
-        prop_assert!(first.diagnostics.prediction.is_none(), "predictor abstained");
-
+        let prices = solver
+            .solve(&problem, SolveCtx::default())
+            .expect("cold solve")
+            .prices;
         let warm = solver
-            .solve_with_predictor(&problem, &mut cache, Some(&PanicPredictor))
-            .expect("hit solves without touching the predictor");
-        prop_assert_eq!(warm.diagnostics.cache, Some(CacheOutcome::Hit));
-        prop_assert!(warm.diagnostics.prediction.is_none());
-        prop_assert!(warm.diagnostics.attempts[0].warm_start);
-        prop_assert!(!warm.diagnostics.attempts[0].predicted);
+            .solve(&problem, SolveCtx { prices: Some(&prices), predictor: Some(&PanicPredictor) })
+            .expect("given prices solve without touching the predictor");
+        prop_assert_eq!(warm.diagnostics.seed, SeedProvenance::Seeded(SeedSource::Given));
+        prop_assert_eq!(warm.diagnostics.attempts[0].seed, Some(SeedSource::Given));
+
+        let bad = vec![f64::NAN; m + 1];
+        let mock = Mock(Some(random_prediction(seed, m, n)));
+        let sol = solver
+            .solve(&problem, SolveCtx { prices: Some(&bad), predictor: Some(&mock) })
+            .expect("rejected given prices fall to the predictor");
+        prop_assert_eq!(sol.diagnostics.seed, SeedProvenance::Seeded(SeedSource::Predicted));
     }
 }
 
@@ -343,28 +341,30 @@ fn failed_predicted_attempt_falls_through_ladder() {
         ..Default::default()
     };
     let solver = RobustSolver::new(params);
-    let cold = solver.solve(&problem).expect("plain ladder recovers");
+    let cold = solver
+        .solve(&problem, SolveCtx::default())
+        .expect("plain ladder recovers");
 
     let prediction = DualPrediction {
         x: Matrix::filled(2, 4, 0.5),
         duals: vec![0.0; 4],
     };
-    let mut cache = WarmStartCache::new();
+    let mock = Mock(Some(prediction));
     let sol = solver
-        .solve_with_predictor(&problem, &mut cache, Some(&Mock(Some(prediction))))
+        .solve(&problem, predicting(&mock))
         .expect("failed prediction must fall back, not fail");
 
     assert_eq!(
-        sol.diagnostics.prediction,
-        Some(PredictionOutcome::FellBack)
-    );
-    assert_eq!(
-        sol.diagnostics.cache,
-        Some(CacheOutcome::Miss),
-        "a fallen-back prediction reports the underlying miss"
+        sol.diagnostics.seed,
+        SeedProvenance::FellBack(SeedSource::Predicted)
     );
     let first = &sol.diagnostics.attempts[0];
-    assert!(first.predicted, "path: {}", sol.diagnostics.path());
+    assert_eq!(
+        first.seed,
+        Some(SeedSource::Predicted),
+        "path: {}",
+        sol.diagnostics.path()
+    );
     assert!(
         matches!(first.outcome, StageOutcome::Failed(_)),
         "predicted attempt must be on record as failed"
@@ -391,7 +391,12 @@ fn trained_head_agrees_with_cold_on_unseen_instances() {
     let solved: Vec<(usize, Matrix)> = train
         .iter()
         .enumerate()
-        .map(|(i, p)| (i, solver.solve(p).expect("train solve").x))
+        .map(|(i, p)| {
+            (
+                i,
+                solver.solve(p, SolveCtx::default()).expect("train solve").x,
+            )
+        })
         .collect();
     for _ in 0..40 {
         for (i, x) in &solved {
@@ -403,12 +408,16 @@ fn trained_head_agrees_with_cold_on_unseen_instances() {
     // ...and serve unseen instances from the same distribution.
     for k in 0..4u64 {
         let unseen = convex_problem(9000 + k, M, N);
-        let cold = solver.solve(&unseen).expect("cold solve");
-        let mut cache = WarmStartCache::new();
+        let cold = solver
+            .solve(&unseen, SolveCtx::default())
+            .expect("cold solve");
         let sol = solver
-            .solve_with_predictor(&unseen, &mut cache, Some(&head))
+            .solve(&unseen, predicting(&head))
             .expect("predicted solve");
-        assert_eq!(sol.diagnostics.cache, Some(CacheOutcome::Predicted));
+        assert_eq!(
+            sol.diagnostics.seed,
+            SeedProvenance::Seeded(SeedSource::Predicted)
+        );
         assert!(
             (cold.objective - sol.objective).abs() <= 1e-8,
             "unseen {k}: objective drift {} vs {}",

@@ -7,13 +7,13 @@
 //! never panic and never leak a NaN.
 
 use mfcp_linalg::Matrix;
-use mfcp_optim::{BarrierKind, MatchingProblem, RelaxationParams, RobustSolver};
+use mfcp_optim::{BarrierKind, MatchingProblem, RelaxationParams, RobustSolver, SolveCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Asserts the solve contract: finite feasible solution or typed error.
 fn assert_contract(solver: &RobustSolver, problem: &MatchingProblem) {
-    match solver.solve(problem) {
+    match solver.solve(problem, SolveCtx::default()) {
         Ok(sol) => {
             assert!(
                 sol.objective.is_finite(),

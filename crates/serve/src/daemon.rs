@@ -15,15 +15,14 @@
 //!   resolve gathers its matrices from the store. The store is derived
 //!   from the active set and the frozen [`MatrixSource`], so snapshots
 //!   leave it out and a restored daemon refills it on its first resolve.
-//! * **Resolves** run [`RobustSolver::solve_with_predictor`],
-//!   warm-started from the previous solve's prices, planted in the
-//!   [`WarmStartCache`] under the new problem fingerprint before the
-//!   solve. Prices are per cluster, so they carry over any change of
-//!   the task set without remapping; the solve starts at their softmax,
-//!   which also regrows a cluster back from an outage in one step. A
-//!   previous resolve without prices (a greedy one) seeds the next from
-//!   its assignment instead: surviving tasks keep their columns, new
-//!   tasks start uniform (or predicted by the dual head).
+//! * **Resolves** run [`RobustSolver::solve`] handed the previous
+//!   solve's prices, mapped over the clusters that are up. Prices are
+//!   per cluster, so they carry over any change of the task set without
+//!   remapping; the solve starts at their softmax, which also regrows a
+//!   cluster back from an outage in one step. A resolve without
+//!   previous prices (the first one, one after the exchange ran empty,
+//!   or one after a greedy resolve) starts from the dual head's
+//!   prediction when a head is attached, and cold otherwise.
 //! * A per-resolve [`Budget`] deadline cooperatively cancels the
 //!   optimizing rungs mid-iteration when the request blows its latency
 //!   budget; the greedy rung still runs, so every resolve produces a
@@ -44,19 +43,14 @@
 //! max.) Only when every cluster is down does the resolve fall back to
 //! [`DaemonConfig::outage_slowdown`] on the full pool.
 
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
 use mfcp_core::predictor::ClusterPredictor;
 use mfcp_linalg::Matrix;
-use mfcp_optim::cache::{fingerprint, validate_warm};
-use mfcp_optim::learned::repair;
-use mfcp_optim::solver::uniform_init;
 use mfcp_optim::{
-    Budget, CacheOutcome, DualPredictor, FallbackStage, LearnedDualHead, MatchingProblem,
-    RelaxationParams, RobustSolver, SkipReason, SolveDiagnostics, SolveError, StageOutcome,
-    WarmStartCache, WarmStartEntry,
+    Budget, DualPredictor, FallbackStage, LearnedDualHead, MatchingProblem, RelaxationParams,
+    RobustSolver, SkipReason, SolveCtx, SolveDiagnostics, SolveError, StageOutcome,
 };
 use mfcp_platform::prelude::{FeatureEmbedder, PerfModel};
 use mfcp_platform::stream::ExchangeEvent;
@@ -227,7 +221,6 @@ pub struct ExchangeDaemon {
     config: DaemonConfig,
     source: MatrixSource,
     solver: RobustSolver,
-    cache: WarmStartCache,
     // Frozen at attach time: the online loop never trains it, so a
     // restored daemon with the same head replays bit-identically.
     dual_head: Option<LearnedDualHead>,
@@ -245,15 +238,11 @@ pub struct ExchangeDaemon {
     c_resolves: mfcp_obs::Counter,
     c_degraded: mfcp_obs::Counter,
     c_columns_computed: mfcp_obs::Counter,
-    c_planted_hits: mfcp_obs::Counter,
-    c_stored_hits: mfcp_obs::Counter,
     h_latency: mfcp_obs::Histogram,
     h_batch: mfcp_obs::Histogram,
     g_pending: mfcp_obs::Gauge,
     g_active: mfcp_obs::Gauge,
     g_columns: mfcp_obs::Gauge,
-    g_cache_entries: mfcp_obs::Gauge,
-    g_cache_evictions: mfcp_obs::Gauge,
     ops: Option<LiveOps>,
 }
 
@@ -266,7 +255,6 @@ impl ExchangeDaemon {
             config,
             source,
             solver,
-            cache: WarmStartCache::new(),
             dual_head: None,
             state: ExchangeState::default(),
             columns: ColumnStore::default(),
@@ -277,23 +265,19 @@ impl ExchangeDaemon {
             c_resolves: mfcp_obs::counter("serve.resolves"),
             c_degraded: mfcp_obs::counter("serve.degraded"),
             c_columns_computed: mfcp_obs::counter("serve.columns.computed"),
-            c_planted_hits: mfcp_obs::counter("serve.cache.planted_hits"),
-            c_stored_hits: mfcp_obs::counter("serve.cache.stored_hits"),
             h_latency: mfcp_obs::histogram("serve.match_latency_secs"),
             h_batch: mfcp_obs::histogram("serve.resolve_batch_size"),
             g_pending: mfcp_obs::gauge("serve.queue.pending"),
             g_active: mfcp_obs::gauge("serve.active_tasks"),
             g_columns: mfcp_obs::gauge("serve.columns.entries"),
-            g_cache_entries: mfcp_obs::gauge("serve.cache.entries"),
-            g_cache_evictions: mfcp_obs::gauge("serve.cache.evictions"),
             ops,
         }
     }
 
     /// Attaches a trained [`LearnedDualHead`] (typically from
     /// [`mfcp_core::train::train_mfcp_with_dual_head`]). The daemon
-    /// treats the head as frozen — it predicts seeds for newcomer
-    /// columns and first resolves but is never trained online, so two
+    /// treats the head as frozen — it predicts the start of resolves
+    /// without previous prices but is never trained online, so two
     /// daemons holding the same head stay bit-identical. Heads are not
     /// part of snapshots; re-attach after [`ExchangeDaemon::restore`].
     pub fn with_dual_head(mut self, head: LearnedDualHead) -> Self {
@@ -332,12 +316,6 @@ impl ExchangeDaemon {
     /// residuals); `None` before the first resolve and after a restore.
     pub fn last_resolve(&self) -> Option<&SolveDiagnostics> {
         self.last_resolve.as_ref()
-    }
-
-    /// Live warm-start cache statistics (`entries`, `hits`, `stale`,
-    /// `evictions`) for health monitoring.
-    pub fn cache_stats(&self) -> mfcp_optim::CacheStats {
-        self.cache.stats()
     }
 
     /// Current pending-queue length.
@@ -408,8 +386,8 @@ impl ExchangeDaemon {
         }
     }
 
-    /// Drains pending into active and re-solves the matching,
-    /// warm-started from the previous one. The matrices are gathered
+    /// Drains pending into active and re-solves the matching, started
+    /// from the previous solve's prices. The matrices are gathered
     /// from the per-task column store after computing, in one batch, the
     /// columns of the tasks that have none yet (the newly admitted ones,
     /// or every active task on the first resolve after a restore).
@@ -457,7 +435,20 @@ impl ExchangeDaemon {
             up
         };
 
-        let planted = self.plant_warm_seed(&problem, &ids, &up);
+        // The previous prices over the clusters that are up: one load
+        // price per up cluster, then the reliability price.
+        let pool = self.source.clusters();
+        let prices: Option<Vec<f64>> = self
+            .state
+            .last
+            .as_ref()
+            .filter(|last| last.prices.len() == pool + 1)
+            .map(|last| {
+                up.iter()
+                    .map(|&i| last.prices[i])
+                    .chain([last.prices[pool]])
+                    .collect()
+            });
 
         let mut solver = match self.config.deadline {
             Some(limit) => self.solver.with_budget(Budget::with_deadline(limit)),
@@ -471,40 +462,23 @@ impl ExchangeDaemon {
 
         let started = Instant::now();
         mfcp_obs::trace::begin("serve.resolve", Some(self.state.counters.resolves));
-        // With a dual head attached, a resolve that finds no usable
-        // cache entry (first solve, restart with a cold cache) seeds
-        // from predicted duals instead of the uniform simplex point;
-        // exact cache hits still take precedence inside the ladder.
-        let predictor = self.dual_head.as_ref().map(|h| h as &dyn DualPredictor);
-        let result = solver.solve_with_predictor(&problem, &mut self.cache, predictor);
+        // With a dual head attached, a resolve without previous prices
+        // starts from the head's prediction instead of the uniform
+        // simplex point; given prices take precedence inside the solve.
+        let ctx = SolveCtx {
+            prices: prices.as_deref(),
+            predictor: self.dual_head.as_ref().map(|h| h as &dyn DualPredictor),
+        };
+        let result = solver.solve(&problem, ctx);
         mfcp_obs::trace::end("serve.resolve", Some(self.state.counters.resolves));
         let elapsed = started.elapsed();
         self.h_latency.record_duration(elapsed);
         self.h_batch.record(backlog as f64);
         self.state.counters.resolves += 1;
         self.c_resolves.inc();
-        self.cache.advance_generation();
-        let cache = self.cache.stats();
-        self.g_cache_entries.set(cache.entries as f64);
-        self.g_cache_evictions.set(cache.evicted as f64);
 
         match result {
             Ok(sol) => {
-                if sol.diagnostics.cache == Some(CacheOutcome::Hit) {
-                    // Read-only attribution: the entry this resolve
-                    // planted, or one an earlier solve stored under the
-                    // same fingerprint (DESIGN.md, "Which cache entries
-                    // a resolve reads").
-                    if planted {
-                        self.c_planted_hits.inc();
-                    } else {
-                        self.c_stored_hits.inc();
-                        mfcp_obs::trace::instant(
-                            "serve.cache.stored_hit",
-                            Some(self.state.counters.resolves),
-                        );
-                    }
-                }
                 let missed = sol.diagnostics.attempts.iter().any(|att| {
                     matches!(
                         att.outcome,
@@ -562,105 +536,6 @@ impl ExchangeDaemon {
         (full, full_prices)
     }
 
-    /// Plants the start of the next solve in the cache under the
-    /// current problem fingerprint, where the ladder's cached-warm-start
-    /// path picks it up. The previous solve's prices are the whole
-    /// start when it kept them: they are per cluster, so they need no
-    /// column remapping, and the solve begins at their softmax over the
-    /// current tasks (the planted matrix is a uniform placeholder).
-    /// Without them (the previous resolve ended greedy, or its solve
-    /// takes no price trials), the previous assignment is mapped onto
-    /// the current task set and the clusters `up` (the problem's rows):
-    /// surviving tasks keep their columns (renormalized over the up
-    /// clusters); new tasks take predicted-dual columns when a dual head
-    /// is attached (repaired onto the simplex, uniform on rejection) and
-    /// uniform `1/m` otherwise. Returns whether it planted an entry.
-    fn plant_warm_seed(&mut self, problem: &MatchingProblem, ids: &[u64], up: &[usize]) -> bool {
-        let Some(last) = &self.state.last else {
-            return false;
-        };
-        let (m, n) = (problem.clusters(), problem.tasks());
-        let pool = self.source.clusters();
-        if last.x.rows() != pool || up.len() != m {
-            return false;
-        }
-        let key = fingerprint(problem, &self.solver.params);
-        if last.prices.len() == pool + 1 {
-            let prices = up
-                .iter()
-                .map(|&i| last.prices[i])
-                .chain([last.prices[pool]])
-                .collect();
-            let entry = WarmStartEntry::from_solution(
-                &uniform_init(m, n),
-                last.objective,
-                Vec::new(),
-                prices,
-            );
-            self.cache.store(key, entry);
-            return true;
-        }
-        let old_col: BTreeMap<u64, usize> = last
-            .ids
-            .iter()
-            .enumerate()
-            .map(|(j, id)| (*id, j))
-            .collect();
-        let newcomers = ids.iter().filter(|id| !old_col.contains_key(id)).count();
-        let predicted = if newcomers > 0 {
-            self.predicted_newcomer_seed(problem)
-        } else {
-            None
-        };
-        if predicted.is_some() {
-            mfcp_obs::counter("serve.predicted_seed_cols").add(newcomers as u64);
-        }
-        let uniform = 1.0 / m as f64;
-        let mut seed = Matrix::from_fn(m, n, |k, j| match old_col.get(&ids[j]) {
-            Some(&jj) => last.x[(up[k], jj)],
-            None => match &predicted {
-                Some(px) => px[(k, j)],
-                None => uniform,
-            },
-        });
-        if m < pool {
-            // A cluster went down under a survivor: renormalize over the
-            // clusters still up (uniform when it held all the mass).
-            for j in 0..n {
-                let sum: f64 = (0..m).map(|k| seed[(k, j)]).sum();
-                for k in 0..m {
-                    seed[(k, j)] = if sum > 0.0 {
-                        seed[(k, j)] / sum
-                    } else {
-                        uniform
-                    };
-                }
-            }
-        }
-        if !validate_warm(&seed, m, n) {
-            return false;
-        }
-        let entry = WarmStartEntry::from_solution(&seed, last.objective, Vec::new(), Vec::new());
-        self.cache.store(key, entry);
-        true
-    }
-
-    /// A repaired predicted primal for the current problem, used to
-    /// seed newcomer columns. `None` when no head is attached, the head
-    /// abstains, or the repair kernel rejects the prediction (the
-    /// newcomers then fall back to the uniform seed).
-    fn predicted_newcomer_seed(&self, problem: &MatchingProblem) -> Option<Matrix> {
-        let head = self.dual_head.as_ref()?;
-        let raw = head.predict_duals(problem, &self.solver.params)?;
-        match repair(&raw, problem.clusters(), problem.tasks()) {
-            Ok(fixed) => Some(fixed.x),
-            Err(_) => {
-                mfcp_obs::counter("serve.predicted_seed_rejected").inc();
-                None
-            }
-        }
-    }
-
     /// Writes a crash-consistent snapshot of the full exchange state
     /// into `dir` (document plus, in learned mode, the predictor
     /// checkpoint).
@@ -672,7 +547,7 @@ impl ExchangeDaemon {
                 predictors.len()
             }
         };
-        write_snapshot(dir, &self.state, &self.cache, predictor_count)?;
+        write_snapshot(dir, &self.state, predictor_count)?;
         mfcp_obs::counter("serve.snapshots").inc();
         mfcp_obs::trace::instant("serve.snapshot", Some(self.state.cursor));
         Ok(())
@@ -693,7 +568,7 @@ impl ExchangeDaemon {
         source: MatrixSource,
     ) -> Result<Self, SnapshotError> {
         let mut daemon = ExchangeDaemon::new(config, source);
-        let (state, cache, predictor_count) = read_snapshot(dir, &daemon.cache)?;
+        let (state, predictor_count) = read_snapshot(dir)?;
         if predictor_count > 0 {
             let MatrixSource::Learned { predictors, .. } = &mut daemon.source else {
                 return Err(SnapshotError::Format(
@@ -716,7 +591,6 @@ impl ExchangeDaemon {
             ));
         }
         daemon.state = state;
-        daemon.cache = cache;
         mfcp_obs::counter("serve.restores").inc();
         mfcp_obs::trace::instant("serve.restore", Some(daemon.state.cursor));
         Ok(daemon)

@@ -8,8 +8,9 @@
 //!
 //! * [`daemon`] — the event loop: admission control with a bounded
 //!   pending queue and load shedding, matrices gathered from per-task
-//!   columns computed once per task, incremental warm-started
-//!   re-solves through `RobustSolver::solve_with_predictor`, per-resolve
+//!   columns computed once per task, re-solves through
+//!   `RobustSolver::solve` started from the previous solve's prices (or
+//!   an attached dual head's prediction when there are none), per-resolve
 //!   deadline budgets with cooperative cancellation, and degraded
 //!   greedy-only mode under overload.
 //! * [`state`] — crash-consistent snapshot/restore: the full exchange

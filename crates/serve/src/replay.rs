@@ -73,7 +73,7 @@ pub fn replay_with_kills(
             daemon.apply(&trace[daemon.cursor() as usize].event);
         }
         daemon.snapshot(snapshot_dir)?;
-        // Kill: the live daemon (cache, solver state, everything not on
+        // Kill: the live daemon (column store, solver state, everything not on
         // disk) is dropped on the floor, exactly like a SIGKILL.
         drop(daemon);
         daemon = ExchangeDaemon::restore(snapshot_dir, config.clone(), make_source())?;

@@ -1,12 +1,13 @@
 //! Crash-consistent serialization of the exchange state.
 //!
 //! The daemon's entire mutable state — trace cursor, active and pending
-//! task sets, cluster outage mask, last assignment, warm-start cache,
-//! and SLO counters — round-trips through a line-oriented text document
-//! with a versioned header (`mfcp-serve-snapshot v2`; v2 added the
-//! solves' prices, and a v1 document still restores, with none), in
-//! the same
-//! dependency-free style as the `mfcp-nn` checkpoint format. Floats are
+//! task sets, cluster outage mask, last assignment with the prices the
+//! next resolve starts from, and SLO counters — round-trips through a
+//! line-oriented text document with a versioned header
+//! (`mfcp-serve-snapshot v3`), in the same dependency-free style as the
+//! `mfcp-nn` checkpoint format. v3 dropped the warm-start cache section
+//! of v1/v2; those documents still restore, with the section read and
+//! skipped (v1 also has no prices, so its solution restores with none). Floats are
 //! written with `{:e}` round-trip precision, so a restored daemon
 //! resumes with bit-identical numeric state; writes go through
 //! [`mfcp_nn::persist::atomic_write`] (temp file + fsync + rename), so
@@ -23,14 +24,18 @@ use std::fmt;
 use std::path::Path;
 
 use mfcp_linalg::Matrix;
-use mfcp_optim::{WarmStartCache, WarmStartEntry};
+use mfcp_optim::cache::prices_admissible;
 use mfcp_platform::task::{Corpus, TaskFamily, TaskSpec};
 
 /// Versioned first line of every snapshot document.
-pub const SNAPSHOT_HEADER: &str = "mfcp-serve-snapshot v2";
+pub const SNAPSHOT_HEADER: &str = "mfcp-serve-snapshot v3";
 
-/// Header of the previous format, which [`from_document`] still reads:
-/// it has no `prices` lines, so its solutions restore with none.
+/// Header of the format with a warm-start cache section, which
+/// [`from_document`] still reads and skips.
+const SNAPSHOT_HEADER_V2: &str = "mfcp-serve-snapshot v2";
+
+/// Header of the first format, which [`from_document`] still reads: it
+/// has no `prices` lines, so its solutions restore with none.
 const SNAPSHOT_HEADER_V1: &str = "mfcp-serve-snapshot v1";
 
 /// File name of the snapshot document inside a snapshot directory.
@@ -47,6 +52,15 @@ pub enum SnapshotError {
     /// The document was read but is not a valid snapshot (truncated,
     /// corrupted, or an unsupported version).
     Format(String),
+    /// The last solution's prices cannot start a resolve: they are
+    /// neither empty nor `clusters + 1` finite values within
+    /// [`mfcp_optim::learned::DUAL_ABS_BOUND`].
+    Prices {
+        /// Rows of the last solution's assignment (the cluster pool).
+        clusters: usize,
+        /// Number of prices in the document.
+        len: usize,
+    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -54,6 +68,12 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
             SnapshotError::Format(m) => write!(f, "snapshot format error: {m}"),
+            SnapshotError::Prices { clusters, len } => write!(
+                f,
+                "snapshot prices unusable: {len} values for {clusters} clusters \
+                 (need none, or {} finite values in scale)",
+                clusters + 1
+            ),
         }
     }
 }
@@ -287,14 +307,10 @@ fn parse_matrix<'a>(
     Ok(x)
 }
 
-/// Serializes the state plus the warm-start cache to the snapshot
-/// document. `predictor_count` records how many learned predictors were
-/// checkpointed alongside (0 for ground-truth serving).
-pub fn to_document(
-    state: &ExchangeState,
-    cache: &WarmStartCache,
-    predictor_count: usize,
-) -> String {
+/// Serializes the state to the snapshot document. `predictor_count`
+/// records how many learned predictors were checkpointed alongside (0
+/// for ground-truth serving).
+pub fn to_document(state: &ExchangeState, predictor_count: usize) -> String {
     let mut out = String::new();
     out.push_str(SNAPSHOT_HEADER);
     out.push('\n');
@@ -325,38 +341,22 @@ pub fn to_document(
             push_floats(&mut out, "prices", &last.prices);
         }
     }
-    let entries = cache.entries_sorted();
-    out.push_str(&format!("cache {} {}\n", cache.generation(), entries.len()));
-    for (key, entry) in entries {
-        let (m, n) = entry.x.shape();
-        // The trailing `0` is the retired per-entry KKT flag, kept so v2
-        // keeps one layout; readers ignore it.
-        out.push_str(&format!(
-            "entry {key} {} {m} {n} {:e} 0\n",
-            entry.stored_at, entry.objective
-        ));
-        push_matrix(&mut out, "xrow", &entry.x);
-        push_floats(&mut out, "duals", &entry.duals);
-        push_floats(&mut out, "prices", &entry.prices);
-    }
     out.push_str(&format!("predictors {predictor_count}\n"));
     out.push_str("end\n");
     out
 }
 
-/// Parses a snapshot document back into state, a warm-start cache
-/// rebuilt with `cache_template`'s configuration, and the predictor
-/// count. Lookups/stat counters of the cache restart from zero — only
-/// state that affects solve results (entries, generation) is persisted.
-pub fn from_document(
-    text: &str,
-    cache_template: &WarmStartCache,
-) -> Result<(ExchangeState, WarmStartCache, usize), SnapshotError> {
+/// Parses a snapshot document back into state and the predictor
+/// count. A v1/v2 document's warm-start cache section is read and
+/// skipped; a malformed or truncated one is still an error.
+pub fn from_document(text: &str) -> Result<(ExchangeState, usize), SnapshotError> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let header = lines.next().ok_or_else(|| err("empty document"))?;
-    let has_prices = match header.trim() {
-        SNAPSHOT_HEADER => true,
-        SNAPSHOT_HEADER_V1 => false,
+    // (whether solutions carry prices, whether a cache section follows)
+    let (has_prices, has_cache) = match header.trim() {
+        SNAPSHOT_HEADER => (true, false),
+        SNAPSHOT_HEADER_V2 => (true, true),
+        SNAPSHOT_HEADER_V1 => (false, true),
         _ => return Err(err(format!("bad header {header:?}"))),
     };
 
@@ -448,6 +448,14 @@ pub fn from_document(
             }
             let x = parse_matrix(&mut lines, "xrow", m, n)?;
             let prices = next_prices(&mut lines, has_prices)?;
+            // The next resolve starts from these: reject what could not
+            // start one, rather than leave the check to the solve.
+            if !prices.is_empty() && (prices.len() != m + 1 || !prices_admissible(&prices, m)) {
+                return Err(SnapshotError::Prices {
+                    clusters: m,
+                    len: prices.len(),
+                });
+            }
             Some(LastSolution {
                 ids,
                 x,
@@ -458,42 +466,8 @@ pub fn from_document(
         None => return Err(err("missing last value")),
     };
 
-    let cache_line = next_field(&mut lines, "cache")?;
-    if cache_line.len() != 2 {
-        return Err(err("cache line must be `cache <generation> <entries>`"));
-    }
-    let generation: u64 = cache_line[0].parse().map_err(|_| err("bad generation"))?;
-    let entry_count = parse_count(&cache_line[1], MAX_TASKS, "cache entry")?;
-    let mut cache = WarmStartCache::with_config(cache_template.config());
-    cache.set_generation(generation);
-    for _ in 0..entry_count {
-        let e = next_field(&mut lines, "entry")?;
-        if e.len() != 6 {
-            return Err(err("entry line must carry 6 values"));
-        }
-        let key: u64 = e[0].parse().map_err(|_| err("bad entry key"))?;
-        let stored_at: u64 = e[1].parse().map_err(|_| err("bad entry stamp"))?;
-        let m = parse_count(&e[2], MAX_DIM, "entry rows")?;
-        let n = parse_count(&e[3], MAX_TASKS, "entry cols")?;
-        let objective: f64 = e[4].parse().map_err(|_| err("bad entry objective"))?;
-        // e[5]: the retired KKT flag (`1` on convex entries written
-        // before it retired); nothing reads it.
-        let x = parse_matrix(&mut lines, "xrow", m, n)?;
-        let duals = next_floats(&mut lines, "duals")?;
-        if !duals.is_empty() && duals.len() != n {
-            return Err(err("duals length does not match entry columns"));
-        }
-        let prices = next_prices(&mut lines, has_prices)?;
-        cache.insert_preserving_age(
-            key,
-            WarmStartEntry {
-                x,
-                objective,
-                duals,
-                prices,
-                stored_at,
-            },
-        );
+    if has_cache {
+        skip_cache_section(&mut lines, has_prices)?;
     }
 
     let pred = next_field(&mut lines, "predictors")?;
@@ -515,20 +489,48 @@ pub fn from_document(
             last,
             counters,
         },
-        cache,
         predictor_count,
     ))
+}
+
+/// Reads past a v1/v2 warm-start cache section, checking its layout:
+/// `cache <generation> <entries>`, then per entry an `entry` line of six
+/// values, its `xrow` lines, its `duals` line and (v2) its `prices`
+/// line. Nothing in it is kept.
+fn skip_cache_section<'a>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    has_prices: bool,
+) -> Result<(), SnapshotError> {
+    let cache_line = next_field(lines, "cache")?;
+    if cache_line.len() != 2 {
+        return Err(err("cache line must be `cache <generation> <entries>`"));
+    }
+    cache_line[0]
+        .parse::<u64>()
+        .map_err(|_| err("bad generation"))?;
+    let entry_count = parse_count(&cache_line[1], MAX_TASKS, "cache entry")?;
+    for _ in 0..entry_count {
+        let e = next_field(lines, "entry")?;
+        if e.len() != 6 {
+            return Err(err("entry line must carry 6 values"));
+        }
+        let m = parse_count(&e[2], MAX_DIM, "entry rows")?;
+        let n = parse_count(&e[3], MAX_TASKS, "entry cols")?;
+        parse_matrix(lines, "xrow", m, n)?;
+        next_floats(lines, "duals")?;
+        next_prices(lines, has_prices)?;
+    }
+    Ok(())
 }
 
 /// Atomically writes the snapshot document into `dir` (creating it).
 pub fn write_snapshot(
     dir: &Path,
     state: &ExchangeState,
-    cache: &WarmStartCache,
     predictor_count: usize,
 ) -> Result<(), SnapshotError> {
     std::fs::create_dir_all(dir)?;
-    let doc = to_document(state, cache, predictor_count);
+    let doc = to_document(state, predictor_count);
     mfcp_nn::persist::atomic_write(dir.join(SNAPSHOT_FILE), &doc).map_err(|e| match e {
         mfcp_nn::persist::PersistError::Io(io) => SnapshotError::Io(io),
         other => err(other.to_string()),
@@ -536,12 +538,9 @@ pub fn write_snapshot(
 }
 
 /// Reads the snapshot document from `dir`.
-pub fn read_snapshot(
-    dir: &Path,
-    cache_template: &WarmStartCache,
-) -> Result<(ExchangeState, WarmStartCache, usize), SnapshotError> {
+pub fn read_snapshot(dir: &Path) -> Result<(ExchangeState, usize), SnapshotError> {
     let text = std::fs::read_to_string(dir.join(SNAPSHOT_FILE))?;
-    from_document(&text, cache_template)
+    from_document(&text)
 }
 
 #[cfg(test)]
@@ -596,99 +595,93 @@ mod tests {
     #[test]
     fn round_trip_is_exact() {
         let state = sample_state();
-        let mut cache = WarmStartCache::new();
-        cache.set_generation(6);
-        cache.insert_preserving_age(
-            99,
-            WarmStartEntry {
-                x: Matrix::from_rows(&[&[0.1, 0.9], &[0.9, 0.1]]),
-                objective: -2.5,
-                duals: vec![0.5, -0.5],
-                prices: vec![0.25, 0.75, -1e-2],
-                stored_at: 4,
-            },
-        );
-        let doc = to_document(&state, &cache, 3);
-        let (back, back_cache, preds) = from_document(&doc, &WarmStartCache::new()).unwrap();
+        let doc = to_document(&state, 3);
+        let (back, preds) = from_document(&doc).unwrap();
         assert_eq!(back, state);
         assert_eq!(preds, 3);
-        assert_eq!(back_cache.generation(), 6);
-        let entries = back_cache.entries_sorted();
-        assert_eq!(entries.len(), 1);
-        let (key, entry) = &entries[0];
-        assert_eq!(*key, 99);
-        assert_eq!(entry.stored_at, 4);
-        assert_eq!(entry.objective.to_bits(), (-2.5f64).to_bits());
-        assert_eq!(entry.prices, vec![0.25, 0.75, -1e-2]);
         // Serialization is itself deterministic.
-        assert_eq!(doc, to_document(&back, &back_cache, preds));
+        assert_eq!(doc, to_document(&back, preds));
+    }
+
+    /// `doc` (v3) rewritten in an older format: `header`, and a cache
+    /// section of one entry (with a `prices` line when `prices`) before
+    /// the predictor count.
+    fn legacy(doc: &str, header: &str, prices: bool) -> String {
+        let mut section = "cache 6 1\nentry 99 4 2 2 -2.5e0 1\n\
+                           xrow 1e-1 9e-1\nxrow 9e-1 1e-1\nduals 5e-1 -5e-1\n"
+            .to_string();
+        if prices {
+            section.push_str("prices 2.5e-1 7.5e-1 -1e-2\n");
+        }
+        doc.replacen(SNAPSHOT_HEADER, header, 1).replacen(
+            "predictors ",
+            &format!("{section}predictors "),
+            1,
+        )
     }
 
     #[test]
     fn reads_v1_documents_without_prices() {
         let mut state = sample_state();
-        let mut cache = WarmStartCache::new();
-        cache.insert_preserving_age(
-            5,
-            WarmStartEntry {
-                x: Matrix::from_rows(&[&[0.5, 0.5], &[0.5, 0.5]]),
-                objective: 0.5,
-                duals: Vec::new(),
-                prices: vec![0.5, 0.5, -1e-2],
-                stored_at: 0,
-            },
-        );
-        let v2 = to_document(&state, &cache, 0);
-        let v1: Vec<&str> = v2
-            .lines()
-            .filter(|l| !l.starts_with("prices"))
-            .map(|l| {
-                if l == SNAPSHOT_HEADER {
-                    SNAPSHOT_HEADER_V1
-                } else {
-                    l
-                }
-            })
-            .collect();
-        let (back, back_cache, _) = from_document(&v1.join("\n"), &WarmStartCache::new()).unwrap();
+        let v3 = to_document(&state, 0);
+        // A v2 document restores the same state, its cache skipped.
+        let v2 = legacy(&v3, SNAPSHOT_HEADER_V2, true);
+        assert_eq!(from_document(&v2).unwrap().0, state);
+        // A v1 document has no prices anywhere.
+        let v1 = legacy(&v3, SNAPSHOT_HEADER_V1, false);
+        let v1: Vec<&str> = v1.lines().filter(|l| !l.starts_with("prices")).collect();
+        let (back, _) = from_document(&v1.join("\n")).unwrap();
         state.last.as_mut().unwrap().prices.clear();
         assert_eq!(back, state);
-        let entries = back_cache.entries_sorted();
-        assert!(entries[0].1.prices.is_empty());
-        assert!(
-            entries[0].1.duals.is_empty(),
-            "a planted seed keeps no duals"
-        );
-        // The v2 document restores its prices.
-        let (_, back_cache, _) = from_document(&v2, &WarmStartCache::new()).unwrap();
-        assert_eq!(
-            back_cache.entries_sorted()[0].1.prices,
-            vec![0.5, 0.5, -1e-2]
-        );
+    }
+
+    #[test]
+    fn rejects_unusable_last_prices() {
+        let state = sample_state();
+        let doc = to_document(&state, 0);
+        let line = "prices 0e0 7.5e-1 -2.5e-3";
+        assert!(doc.contains(line));
+        for bad in [
+            "prices 0e0 NaN -2.5e-3",
+            "prices 0e0 inf -2.5e-3",
+            "prices 0e0 7.5e-1",
+            "prices 0e0 7.5e-1 -2.5e-3 1e0 1e0",
+            "prices 0e0 7.5e6 -2.5e-3",
+        ] {
+            let result = from_document(&doc.replacen(line, bad, 1));
+            assert!(
+                matches!(result, Err(SnapshotError::Prices { clusters: 2, .. })),
+                "{bad}: {result:?}"
+            );
+        }
+        // No prices at all is a solution without them.
+        let (back, _) = from_document(&doc.replacen(line, "prices", 1)).unwrap();
+        assert!(back.last.unwrap().prices.is_empty());
     }
 
     #[test]
     fn rejects_corruption() {
         let state = sample_state();
-        let cache = WarmStartCache::new();
-        let doc = to_document(&state, &cache, 0);
-        let template = WarmStartCache::new();
-        assert!(from_document("", &template).is_err());
-        assert!(from_document("mfcp-serve-snapshot v9\n", &template).is_err());
-        // Truncation anywhere must fail loudly, not load partial state.
-        let lines: Vec<&str> = doc.lines().collect();
-        for cut in 1..lines.len() {
-            let partial = lines[..cut].join("\n");
-            assert!(
-                from_document(&partial, &template).is_err(),
-                "truncation at line {cut} must be rejected"
-            );
+        let doc = to_document(&state, 0);
+        assert!(from_document("").is_err());
+        assert!(from_document("mfcp-serve-snapshot v9\n").is_err());
+        // Truncation anywhere must fail loudly, not load partial state,
+        // in the cache section of an old document too.
+        for doc in [doc.clone(), legacy(&doc, SNAPSHOT_HEADER_V2, true)] {
+            let lines: Vec<&str> = doc.lines().collect();
+            for cut in 1..lines.len() {
+                let partial = lines[..cut].join("\n");
+                assert!(
+                    matches!(from_document(&partial), Err(SnapshotError::Format(_))),
+                    "truncation at line {cut} must be rejected"
+                );
+            }
         }
         // A corrupted float must be a typed error.
         let corrupted = doc.replacen("e-", "x-", 1);
-        assert!(from_document(&corrupted, &template).is_err());
+        assert!(from_document(&corrupted).is_err());
         // A hostile count must not allocate.
         let hostile = doc.replace("active 2", &format!("active {}", u64::MAX));
-        assert!(from_document(&hostile, &template).is_err());
+        assert!(from_document(&hostile).is_err());
     }
 }

@@ -10,11 +10,16 @@
 use std::time::Duration;
 
 use mfcp_linalg::Matrix;
-use mfcp_optim::{LearnedDualHead, MatchingProblem, RelaxationParams, RobustSolver};
+use mfcp_optim::{
+    FallbackStage, LearnedDualHead, MatchingProblem, RelaxationParams, RobustSolver,
+    SeedProvenance, SeedSource, SolveCtx,
+};
 use mfcp_platform::prelude::{ClusterPool, FeatureEmbedder, Setting};
 use mfcp_platform::stream::{generate_trace, ExchangeEvent, TraceConfig, TraceEvent};
 use mfcp_platform::task::{Corpus, TaskFamily, TaskSpec};
-use mfcp_serve::{replay, replay_with_kills, DaemonConfig, ExchangeDaemon, MatrixSource};
+use mfcp_serve::{
+    replay, replay_with_kills, DaemonConfig, ExchangeDaemon, MatrixSource, SnapshotError,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,10 +85,11 @@ fn kill_resume_is_bit_identical() {
 
 #[test]
 fn retired_kkt_flags_restore_and_replay_bit_identically() {
-    // Snapshot v2 cache entries end in a per-entry KKT flag, which older
-    // writers set to `1` on every convex entry. The flag is retired: the
-    // writer puts `0` there and the reader ignores it, so a document
-    // with the old flags must resume exactly like an uninterrupted run.
+    // Snapshot v2 carried a warm-start cache section whose entries end
+    // in a per-entry KKT flag, which older writers set to `1` on every
+    // convex entry. v3 has no cache: a v2 document with such a section
+    // must restore with the section skipped and resume exactly like an
+    // uninterrupted run, and a truncated section must fail typed.
     let trace = test_trace();
     let config = DaemonConfig::default();
     let mut straight_daemon = ExchangeDaemon::new(config.clone(), ground_truth());
@@ -97,23 +103,44 @@ fn retired_kkt_flags_restore_and_replay_bit_identically() {
     daemon.snapshot(&dir).expect("snapshot writes");
     drop(daemon);
     let path = dir.join(mfcp_serve::state::SNAPSHOT_FILE);
-    let doc = std::fs::read_to_string(&path).unwrap();
-    let mut flagged = 0;
-    let old: Vec<String> = doc
-        .lines()
-        .map(|line| match line.strip_suffix(" 0") {
-            Some(head) if line.starts_with("entry ") => {
-                flagged += 1;
-                format!("{head} 1")
-            }
-            _ => line.to_string(),
-        })
-        .collect();
-    assert!(flagged > 0, "the half-way snapshot caches optima");
-    std::fs::write(&path, old.join("\n") + "\n").unwrap();
+    let v3 = std::fs::read_to_string(&path).unwrap();
+    assert!(v3.starts_with("mfcp-serve-snapshot v3\n"));
+    let entry = |key: u64| {
+        format!(
+            "entry {key} 3 3 2 1.5e0 1\nxrow 5e-1 1e0\nxrow 5e-1 0e0\nxrow 0e0 0e0\n\
+             duals 2.5e-1 -1e0\nprices 1e-1 2e-1 3e-1 -1e-2\n"
+        )
+    };
+    let v2 = |entries: &str, count: usize| {
+        v3.replacen("v3\n", "v2\n", 1).replacen(
+            "predictors ",
+            &format!("cache 9 {count}\n{entries}predictors "),
+            1,
+        )
+    };
+    let entries = entry(11) + &entry(12);
+    std::fs::write(&path, v2(&entries, 2)).unwrap();
     let mut restored =
-        ExchangeDaemon::restore(&dir, config, ground_truth()).expect("flagged v2 restores");
+        ExchangeDaemon::restore(&dir, config.clone(), ground_truth()).expect("flagged v2 restores");
     let resumed = replay(&mut restored, &trace);
+
+    // The same section cut short: an entry short of its prices line,
+    // and a count promising an entry that never comes.
+    let cut = entries
+        .trim_end()
+        .rsplit_once('\n')
+        .expect("lines")
+        .0
+        .to_string()
+        + "\n";
+    for doc in [v2(&cut, 2), v2(&entries, 3)] {
+        std::fs::write(&path, doc).unwrap();
+        let result = ExchangeDaemon::restore(&dir, config.clone(), ground_truth());
+        assert!(
+            matches!(result, Err(SnapshotError::Format(_))),
+            "a truncated cache section must fail typed"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 
     assert_eq!(straight.events, resumed.events);
@@ -461,11 +488,11 @@ fn untrained_dual_head_is_inert_bit_for_bit() {
 fn trained_dual_head_seeds_resolves_without_previous_prices() {
     // Train a head offline on solved instances of the serving shape,
     // attach it frozen, and replay with a degrade watermark of 2 so
-    // most resolves run greedily. A resolve after a priced solve starts
-    // from its prices and never asks the head; a resolve after a greedy
-    // one (which keeps no prices) seeds its newcomer columns from
-    // repaired predictions (counted per column). The final matching
-    // must stay a valid, finite solution.
+    // many resolves run greedily. A resolve after a priced solve starts
+    // from its prices and never asks the head; an optimizing resolve
+    // without previous prices (the first one, or one after a greedy
+    // resolve, which keeps none) starts from the head's prices. The
+    // final matching must stay a valid, finite solution.
     let params = RelaxationParams::default();
     let solver = RobustSolver::new(params);
     let mut head = LearnedDualHead::new(3, 71);
@@ -475,34 +502,86 @@ fn trained_dual_head_seeds_resolves_without_previous_prices() {
         let t = Matrix::from_fn(3, n, |_, _| rng.gen_range(0.5..2.0));
         let a = Matrix::from_fn(3, n, |_, _| rng.gen_range(0.8..1.0));
         let problem = MatchingProblem::new(t, a, 0.75);
-        let sol = solver.solve(&problem).expect("training solve");
+        let sol = solver
+            .solve(&problem, SolveCtx::default())
+            .expect("training solve");
         head.observe(&problem, &params, &sol.x);
     }
     assert!(head.ready(), "10 clean observations clear the bar");
     assert!(head.prices_ready(), "and the price head's");
 
-    let before = mfcp_obs::counter("serve.predicted_seed_cols").get();
-    let rejected_before = mfcp_obs::counter("serve.predicted_seed_rejected").get();
+    let predicts = mfcp_obs::counter("optim.learned.predict");
+    let rejections = mfcp_obs::counter("optim.learned.rejected");
+    let (predicts_before, rejections_before) = (predicts.get(), rejections.get());
     let trace = test_trace();
     let config = DaemonConfig {
         degrade_watermark: 2,
         ..DaemonConfig::default()
     };
     let mut daemon = ExchangeDaemon::new(config, ground_truth()).with_dual_head(head);
-    let outcome = replay(&mut daemon, &trace);
-    let seeded_cols = mfcp_obs::counter("serve.predicted_seed_cols").get() - before;
-    let rejected = mfcp_obs::counter("serve.predicted_seed_rejected").get() - rejected_before;
+    let (mut seeded, mut given, mut abstained) = (0u64, 0u64, 0u64);
+    let mut down = std::collections::BTreeSet::new();
+    for event in trace.iter().map(|e| Some(&e.event)).chain([None]) {
+        let resolves = daemon.counters().resolves;
+        let priced = daemon.last_solution().is_some_and(|l| !l.prices.is_empty());
+        match event {
+            Some(event) => {
+                match event {
+                    ExchangeEvent::ClusterDown { cluster } => {
+                        down.insert(*cluster);
+                    }
+                    ExchangeEvent::ClusterUp { cluster } => {
+                        down.remove(cluster);
+                    }
+                    _ => {}
+                }
+                daemon.apply(event)
+            }
+            None => daemon.finish(),
+        }
+        let Some(diagnostics) = daemon.last_resolve() else {
+            continue;
+        };
+        if daemon.counters().resolves == resolves
+            || diagnostics.attempts[0].stage != FallbackStage::Primary
+        {
+            continue; // no resolve, or a degraded greedy-only one
+        }
+        if priced {
+            assert_eq!(diagnostics.seed, SeedProvenance::Seeded(SeedSource::Given));
+            given += 1;
+        } else if !down.is_empty() {
+            // The solve runs over the clusters that are up, a shape the
+            // 3-cluster head does not cover: it abstains.
+            assert_eq!(diagnostics.seed, SeedProvenance::Cold);
+            abstained += 1;
+        } else {
+            assert_eq!(
+                diagnostics.seed,
+                SeedProvenance::Seeded(SeedSource::Predicted),
+                "path: {}",
+                diagnostics.path()
+            );
+            seeded += 1;
+        }
+    }
 
     assert!(
-        outcome.counters.degraded > 0,
+        daemon.counters().degraded > 0,
         "the watermark must degrade resolves"
     );
     assert!(
-        seeded_cols > 0,
-        "a ready head must seed newcomer columns after a greedy resolve over a 2h trace"
+        seeded > 1 && given > 0,
+        "a ready head must seed resolves after greedy ones over a 2h trace \
+         ({seeded} seeded, {given} from previous prices, {abstained} abstained)"
     );
-    assert_eq!(rejected, 0, "repair must accept every in-family prediction");
-    let last = outcome.last.expect("trace ends with a matching");
+    assert!(predicts.get() - predicts_before >= seeded);
+    assert_eq!(
+        rejections.get() - rejections_before,
+        0,
+        "every in-family prediction must pass its check"
+    );
+    let last = daemon.last_solution().expect("trace ends with a matching");
     assert!(last.objective.is_finite());
     assert!(last.x.as_slice().iter().all(|v| v.is_finite()));
     assert!(daemon.dual_head().is_some_and(|h| h.ready()));

@@ -1,16 +1,18 @@
-//! Differential lock-down of the warm-start cache and batched solving.
+//! Differential lock-down of warm starts and batched solving.
 //!
 //! Three invariants, each property-tested over random convex instances
 //! (`SpeedupCurve::None` plus the default entropy weight ρ > 0, so the
 //! relaxed optimum is unique and cold/warm trajectories must meet):
 //!
-//! 1. A warm-started [`RobustSolver::solve_with_cache`] agrees with the
-//!    cold [`RobustSolver::solve`] on the objective within `1e-8` and on
-//!    the argmax-rounded assignment exactly.
-//! 2. The same holds when the cached state is stale or poisoned (NaN
-//!    duals, wrong-shape assignment): the ladder falls back to the cold
-//!    path — marked [`CacheOutcome::Stale`], never a panic or a wrong
-//!    answer.
+//! 1. A [`RobustSolver::solve`] handed the prices of a drifted
+//!    sibling's solve agrees with the cold solve on the objective within
+//!    `1e-8` and on the argmax-rounded assignment exactly.
+//! 2. A poisoned start costs at most one rung, never a wrong answer.
+//!    Unusable given prices (NaN, wrong length, out of scale, or handed
+//!    to a solve that takes no price trials) are reported as
+//!    [`SeedProvenance::Rejected`], never reach the solver, and return
+//!    the cold answer bit for bit; admissible but wild prices seed one
+//!    attempt and still land on the cold answer.
 //! 3. Batched [`solve_batch`] fan-out is bit-for-bit identical to the
 //!    sequential path, including the per-solve diagnostics ordering.
 //!
@@ -18,8 +20,8 @@
 //! single-threaded, re-checking the same invariants with the thread pool
 //! taken out of the picture (CI runs both configurations).
 
-use mfcp::optim::cache::{fingerprint, CacheOutcome, WarmStartCache};
-use mfcp::optim::recovery::RobustSolver;
+use mfcp::optim::learned::RepairError;
+use mfcp::optim::recovery::{RobustSolver, SeedProvenance, SeedSource, SolveCtx};
 use mfcp::optim::rounding::round_argmax;
 use mfcp::optim::solver::SolverOptions;
 use mfcp::optim::{MatchingProblem, RelaxationParams};
@@ -53,8 +55,8 @@ fn test_params() -> RelaxationParams {
     }
 }
 
-/// The same instance after a small data drift (structure — and therefore
-/// the cache fingerprint — unchanged): the situation a warm start is for.
+/// The same instance after a small data drift (structure unchanged): the
+/// situation a warm start is for.
 fn drifted(problem: &MatchingProblem, seed: u64) -> MatchingProblem {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xD21F);
     let (m, n) = problem.times.shape();
@@ -98,82 +100,95 @@ fn batch_parallel() -> ParallelConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Invariant 1: warm-started solves agree with cold solves on the
-    /// objective within 1e-8 and on the rounded assignment exactly —
-    /// both on a cache miss (first solve) and on a genuine warm hit
-    /// (re-solve after drift).
+    /// Invariant 1: a solve started from a drifted sibling's prices
+    /// agrees with the cold solve on the objective within 1e-8 and on
+    /// the rounded assignment exactly.
     #[test]
     fn prop_warm_agrees_with_cold(seed in 0u64..1_000_000, m in 2usize..4, n in 2usize..6) {
         let p0 = convex_problem(seed, m, n);
         let p1 = drifted(&p0, seed);
         let solver = tight_solver(test_params());
 
-        let cold0 = solver.solve(&p0).expect("cold solve");
-        let cold1 = solver.solve(&p1).expect("cold solve");
+        let prev = solver.solve(&p0, SolveCtx::default()).expect("cold solve");
+        let cold = solver.solve(&p1, SolveCtx::default()).expect("cold solve");
+        let ctx = SolveCtx { prices: Some(&prev.prices), ..SolveCtx::default() };
+        let warm = solver.solve(&p1, ctx).expect("warm solve");
 
-        let mut cache = WarmStartCache::new();
-        let warm0 = solver.solve_with_cache(&p0, &mut cache).expect("miss solve");
-        let warm1 = solver.solve_with_cache(&p1, &mut cache).expect("warm solve");
-
-        prop_assert!(matches!(warm0.diagnostics.cache, Some(CacheOutcome::Miss)));
+        prop_assert_eq!(prev.diagnostics.seed, SeedProvenance::Cold);
+        prop_assert_eq!(warm.diagnostics.seed, SeedProvenance::Seeded(SeedSource::Given));
+        prop_assert_eq!(warm.diagnostics.attempts[0].seed, Some(SeedSource::Given));
         prop_assert!(
-            matches!(warm1.diagnostics.cache, Some(CacheOutcome::Hit)),
-            "drifted re-solve must hit the cache, got {:?}",
-            warm1.diagnostics.cache
+            (cold.objective - warm.objective).abs() <= 1e-8,
+            "objective drift {} vs {}",
+            cold.objective,
+            warm.objective
         );
-        prop_assert!(warm1.diagnostics.attempts[0].warm_start);
-
-        for (cold, warm) in [(&cold0, &warm0), (&cold1, &warm1)] {
-            prop_assert!(
-                (cold.objective - warm.objective).abs() <= 1e-8,
-                "objective drift {} vs {}",
-                cold.objective,
-                warm.objective
-            );
-            prop_assert_eq!(
-                round_argmax(&cold.x).cluster_of,
-                round_argmax(&warm.x).cluster_of
-            );
-        }
+        prop_assert_eq!(
+            round_argmax(&cold.x).cluster_of,
+            round_argmax(&warm.x).cluster_of
+        );
     }
 
-    /// Invariant 2: a poisoned cache entry (NaN duals, then a wrong-shape
-    /// assignment matrix) is evicted as stale and the solve falls back to
-    /// the cold path — same answer, stale accounted, no panic.
+    /// Invariant 2: a poisoned start costs at most one rung, never a
+    /// wrong answer. Unusable prices are rejected before the solver
+    /// runs, and the result is the cold solve bit for bit; admissible
+    /// but wild prices seed one attempt and land on the cold answer.
     #[test]
-    fn prop_poisoned_cache_falls_back_to_cold(seed in 0u64..1_000_000, m in 2usize..4, n in 2usize..6) {
+    fn prop_poisoned_start_falls_back_to_cold(seed in 0u64..1_000_000, m in 2usize..4, n in 2usize..6) {
         let p0 = convex_problem(seed, m, n);
         let solver = tight_solver(test_params());
-        let cold = solver.solve(&p0).expect("cold solve");
-        let key = fingerprint(&p0, &solver.params);
+        let cold = solver.solve(&p0, SolveCtx::default()).expect("cold solve");
+        // A solve without price trials (no entropy term) reads no start
+        // prices; a short budget keeps its cold twin cheap.
+        let mut untried = solver.clone();
+        untried.params.rho = 0.0;
+        untried.solver_opts.max_iters = 200;
+        let untried_cold = untried.solve(&p0, SolveCtx::default()).expect("cold solve");
 
-        let mut cache = WarmStartCache::new();
-        let _ = solver.solve_with_cache(&p0, &mut cache).expect("seed the cache");
-
-        for poison in 0..2u8 {
-            let entry = cache.entry_mut(key).expect("entry just stored");
-            match poison {
-                0 => entry.duals = vec![f64::NAN; n],
-                _ => entry.x = Matrix::filled(m + 1, n, 1.0 / (m + 1) as f64),
-            }
-            let stale_before = cache.stats().stale;
-            let sol = solver.solve_with_cache(&p0, &mut cache).expect("poisoned solve");
-            prop_assert!(
-                matches!(sol.diagnostics.cache, Some(CacheOutcome::Stale)),
-                "poison {poison}: expected stale, got {:?}",
-                sol.diagnostics.cache
-            );
-            prop_assert!(cache.stats().stale > stale_before);
-            prop_assert!(!sol.diagnostics.attempts[0].warm_start);
-            prop_assert!((cold.objective - sol.objective).abs() <= 1e-8);
+        let fit = cold.prices.clone();
+        for (k, (solver, cold, prices)) in [
+            (&solver, &cold, vec![f64::NAN; m + 1]),
+            (&solver, &cold, vec![0.5; m]),
+            (&solver, &cold, vec![0.5; m + 2]),
+            (&solver, &cold, vec![1.0e6; m + 1]),
+            (&untried, &untried_cold, fit),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let ctx = SolveCtx { prices: Some(&prices), ..SolveCtx::default() };
+            let sol = solver.solve(&p0, ctx).expect("poisoned start must not fail the solve");
             prop_assert_eq!(
-                round_argmax(&cold.x).cluster_of,
-                round_argmax(&sol.x).cluster_of
+                sol.diagnostics.seed,
+                SeedProvenance::Rejected(SeedSource::Given, RepairError::Prices),
+                "poison {}",
+                k
             );
-            // The eviction leaves a miss; the solve above re-stored a
-            // fresh entry for the next poison round.
-            prop_assert!(cache.entry_mut(key).is_some());
+            prop_assert_eq!(sol.diagnostics.attempts[0].seed, None, "poison {}", k);
+            prop_assert_eq!(sol.objective.to_bits(), cold.objective.to_bits(), "poison {}", k);
+            prop_assert_eq!(sol.x.as_slice(), cold.x.as_slice(), "poison {}", k);
         }
+
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xBAD);
+        let wild: Vec<f64> = (0..=m).map(|_| rng.gen_range(-900.0..900.0)).collect();
+        let ctx = SolveCtx { prices: Some(&wild), ..SolveCtx::default() };
+        let sol = solver.solve(&p0, ctx).expect("a wild start must not fail the solve");
+        prop_assert_eq!(sol.diagnostics.attempts[0].seed, Some(SeedSource::Given));
+        prop_assert!(
+            sol.diagnostics.attempts.len() <= cold.diagnostics.attempts.len() + 1,
+            "path: {}",
+            sol.diagnostics.path()
+        );
+        prop_assert!(
+            (cold.objective - sol.objective).abs() <= 1e-8,
+            "objective drift {} vs {}",
+            cold.objective,
+            sol.objective
+        );
+        prop_assert_eq!(
+            round_argmax(&cold.x).cluster_of,
+            round_argmax(&sol.x).cluster_of
+        );
     }
 
     /// Invariant 3: `solve_batch` returns results in input order and
@@ -193,7 +208,7 @@ proptest! {
         };
         let run = |parallel: &ParallelConfig| -> Vec<(u64, Vec<usize>, String)> {
             solve_batch(parallel, &problems, |_, p| {
-                let sol = solver.solve(p).expect("convex instance solves");
+                let sol = solver.solve(p, SolveCtx::default()).expect("convex instance solves");
                 (
                     sol.objective.to_bits(),
                     round_argmax(&sol.x).cluster_of,
