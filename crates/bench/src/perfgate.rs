@@ -3,14 +3,13 @@
 //! Runs a fixed suite of tier-1 workloads — an MFCP-AD solve, an MFCP-FG
 //! solve, the MFCP-FG solve with the paper's speedup curve on every
 //! cluster (`solve_fg_parallel`), one guarded training round, a
-//! fault-injected replay, the
-//! warm-started MFCP-AD solve (`solve_warm`), a batched relaxed-solve
+//! fault-injected replay, a batched relaxed-solve
 //! fan-out (`batch_solve`), an online-serving trace replay with one
 //! kill/restore cycle (`serve_replay`), the live ops surface — endpoint latency over every `mfcp_obs::http`
 //! route plus a serve-replay overhead A/B with the ops server on vs off
 //! (`obs_http`) — and the
 //! learned-duals head-to-head on unseen instances: predict-seeded vs
-//! cold vs cache-warm solves with a not-worse-than-cold tripwire
+//! cold vs previous-prices solves with a not-worse-than-cold tripwire
 //! (`learned_duals`) — each repeated `runs` times, and emits a
 //! schema-stable JSON report (`BENCH_perfgate.json` at the repo root):
 //! median/p95 wall time per suite, the deterministic observability
@@ -30,7 +29,8 @@
 //!   per-metric threshold in its `"thresholds"` map);
 //! * counter metrics gate on *increases* only (more solver attempts,
 //!   more rollbacks, more re-matches than the baseline is a regression;
-//!   fewer is an improvement);
+//!   fewer is an improvement), and a baseline counter missing from the
+//!   current report fails like a missing suite;
 //! * `hist.*` quantile metrics are informational — bucket resolution and
 //!   scheduling noise make them poor gates.
 //!
@@ -197,19 +197,16 @@ fn solve_train_cfg(cfg: &PerfgateConfig, mode: GradientMode) -> MfcpTrainConfig 
             ..Default::default()
         },
         // Full-population rounds over enough of them for the predictors to
-        // settle: every round re-solves the same task set (shuffled), which
-        // is the slowly-drifting re-solve regime the warm-start cache is
-        // built for — and the regime where `solve_warm` vs `solve_ad` is a
-        // pure measurement of the cache, not of round-composition churn.
+        // settle: every round re-solves the same task set (shuffled), the
+        // slowly-drifting re-solve regime of a live platform's retrains.
         rounds: cfg.rounds.max(6),
         round_size: cfg.tasks.max(8),
         gamma: 0.8,
         validation_rounds: 0,
         mode,
         // Run-to-convergence solver (the deployed `ExperimentSetup` regime)
-        // rather than the 400-iteration default cap: iteration counts must
-        // respond to solve difficulty for the warm-start suite to measure
-        // anything — a capped solver burns the same budget cold or warm.
+        // rather than the 400-iteration default cap, so iteration counts
+        // respond to solve difficulty.
         solver: SolverOptions {
             max_iters: 20_000,
             tol: 1e-8,
@@ -272,16 +269,6 @@ fn suite_train_round(cfg: &PerfgateConfig) {
 /// Fault-injected replay: outage + stragglers over a discrete matching.
 fn suite_fault_replay(cfg: &PerfgateConfig) {
     fault_stage(&cfg.report_cfg());
-}
-
-/// Warm-started MFCP-AD: byte-identical workload to `solve_ad` except the
-/// round solves seed from a [`mfcp_core::train::SolveCache`]. The gap
-/// between this suite's median and `solve_ad`'s is the warm-start payoff.
-fn suite_solve_warm(cfg: &PerfgateConfig) {
-    let data = tiny_dataset(cfg, 11);
-    let mut train_cfg = solve_train_cfg(cfg, GradientMode::Analytic);
-    train_cfg.solve_cache = true;
-    let _ = train_mfcp(&data, &train_cfg, cfg.seed.wrapping_add(1));
 }
 
 /// Batched relaxed solves over structurally identical round problems
@@ -690,13 +677,12 @@ type SuiteFn = fn(&PerfgateConfig);
 /// noise.
 /// Counters in those suites accumulate across the inner reps; the
 /// baseline is recorded the same way, so comparisons stay consistent.
-const SUITES: [(&str, usize, SuiteFn); 10] = [
+const SUITES: [(&str, usize, SuiteFn); 9] = [
     ("solve_ad", 1, suite_solve_ad),
     ("solve_fg", 1, suite_solve_fg),
     ("solve_fg_parallel", 8, suite_solve_fg_parallel),
     ("train_round", 1, suite_train_round),
     ("fault_replay", 16, suite_fault_replay),
-    ("solve_warm", 1, suite_solve_warm),
     ("batch_solve", 1, suite_batch_solve),
     ("serve_replay", 1, suite_serve_replay),
     ("obs_http", 1, suite_obs_http),
@@ -1025,8 +1011,11 @@ impl PerfgateReport {
                 if name.starts_with("hist.") || name.starts_with("gauge.") {
                     continue;
                 }
-                if let Some(cur_v) = cur.metrics.get(name) {
-                    gate(name, *base_v, *cur_v);
+                match cur.metrics.get(name) {
+                    Some(cur_v) => gate(name, *base_v, *cur_v),
+                    // A deleted or renamed counter must fail like a
+                    // missing suite, not shrink the gate without a word.
+                    None => gate(&format!("missing_metric({name})"), *base_v, f64::NAN),
                 }
             }
         }
@@ -1168,6 +1157,23 @@ mod tests {
         let violations = cur.compare(&base, DEFAULT_TOLERANCE);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].metric, "missing_suite");
+    }
+
+    #[test]
+    fn missing_counter_is_a_violation() {
+        let base = small_report();
+        assert!(base.compare(&base, DEFAULT_TOLERANCE).is_empty());
+        let mut cur = base.clone();
+        cur.suites[0].metrics.remove("train.rollbacks");
+        let violations = cur.compare(&base, 1e9);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].metric, "missing_metric(train.rollbacks)");
+        // Informational metrics may come and go.
+        let mut cur = base.clone();
+        cur.suites[0]
+            .metrics
+            .retain(|k, _| !k.starts_with("hist.") && !k.starts_with("gauge."));
+        assert!(cur.compare(&base, DEFAULT_TOLERANCE).is_empty());
     }
 
     #[test]

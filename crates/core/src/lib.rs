@@ -40,6 +40,6 @@ pub mod prelude {
     pub use crate::platform::{ExchangePlatform, PlatformConfig};
     pub use crate::predictor::ClusterPredictor;
     pub use crate::train::{
-        GradientMode, MfcpTrainConfig, RecoveryEvent, SolveCache, TrainReport, TsmTrainConfig,
+        GradientMode, MfcpTrainConfig, RecoveryEvent, TrainReport, TsmTrainConfig,
     };
 }

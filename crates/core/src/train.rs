@@ -5,19 +5,17 @@ use crate::methods::{EnsembleUcbPredictor, MfcpPredictor, TsmPredictor, UcbPredi
 use crate::predictor::ClusterPredictor;
 use mfcp_linalg::Matrix;
 use mfcp_nn::{Adam, Loss, MlpWorkspace};
-use mfcp_optim::cache::warm_init;
 use mfcp_optim::objective;
-use mfcp_optim::solver::{solve_relaxed, solve_relaxed_from, SolverOptions};
+use mfcp_optim::solver::{solve_relaxed, SolverOptions};
 use mfcp_optim::zeroth::{estimate_gradient, ZerothOrderOptions};
 use mfcp_optim::{
-    kkt, CacheStats, LearnedDualHead, MatchingProblem, RelaxationParams, RelaxedSolution,
-    SpeedupCurve, StopReason,
+    kkt, LearnedDualHead, MatchingProblem, RelaxationParams, SpeedupCurve, StopReason,
 };
 use mfcp_parallel::{par_map, solve_batch, ParallelConfig};
 use mfcp_platform::dataset::PlatformDataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
 /// Configuration for the supervised (MSE) predictor training used by TSM,
@@ -128,24 +126,6 @@ pub struct MfcpTrainConfig {
     /// (skipping the supervised warm start) when a complete checkpoint is
     /// present; falls back to the normal warm start otherwise.
     pub resume: bool,
-    /// Warm-start the round solves from a per-sample [`SolveCache`]:
-    /// each solved task's assignment column is cached by global task
-    /// index and spliced into the next round that samples the task.
-    /// Task-level matching preferences drift slowly with the predictors,
-    /// so a resampled task's previous column is an excellent PGD seed.
-    /// Poisoned or aged-out cached columns fall back to a cold seed with
-    /// a [`RecoveryEvent::StaleWarmStart`] — warm starts can change
-    /// solve speed, never validity.
-    pub solve_cache: bool,
-    /// Train a run-local [`LearnedDualHead`] online from each round's
-    /// measured solve: the per-column duals of `sol_true` are exactly
-    /// what the learned warm-start path must predict for unseen
-    /// siblings of the round's instance. The run-local head is dropped
-    /// when training ends — its value is the recorded fit-loss
-    /// telemetry and [`RecoveryEvent::BadDualSample`] events; use
-    /// [`train_mfcp_with_dual_head`] to keep the trained head for
-    /// serving.
-    pub learned_duals: bool,
 }
 
 impl Default for MfcpTrainConfig {
@@ -171,8 +151,6 @@ impl Default for MfcpTrainConfig {
             checkpoint_every: 0,
             checkpoint_dir: None,
             resume: false,
-            solve_cache: false,
-            learned_duals: false,
         }
     }
 }
@@ -259,17 +237,6 @@ pub enum RecoveryEvent {
     /// Training resumed from an on-disk checkpoint instead of the
     /// supervised warm start.
     Resumed,
-    /// A cached warm-start state was poisoned (non-finite entries) or no
-    /// longer matched the round's problem shape; the affected solve ran
-    /// cold instead and the stale state was evicted.
-    StaleWarmStart {
-        /// Training round (0-based).
-        round: usize,
-        /// The cluster whose spliced-problem warm start went stale, or
-        /// `None` when a shared (all-predicted / all-measured) round
-        /// solve's cache entry did.
-        cluster: Option<usize>,
-    },
     /// A round's measured optimum was rejected as a dual-head training
     /// sample (shape mismatch, non-finite entries, or out-of-scale
     /// duals); the head's weights were left untouched for the round.
@@ -320,16 +287,6 @@ impl std::fmt::Display for RecoveryEvent {
             }
             RecoveryEvent::Checkpoint { round } => write!(f, "round {round}: checkpoint written"),
             RecoveryEvent::Resumed => write!(f, "resumed from checkpoint"),
-            RecoveryEvent::StaleWarmStart { round, cluster } => match cluster {
-                Some(i) => write!(
-                    f,
-                    "round {round}: cluster {i} warm-start state stale, solved cold"
-                ),
-                None => write!(
-                    f,
-                    "round {round}: shared-solve warm-start entry stale, solved cold"
-                ),
-            },
             RecoveryEvent::BadDualSample { round } => write!(
                 f,
                 "round {round}: measured optimum rejected as dual-head sample, head untouched"
@@ -571,200 +528,6 @@ fn speedup_vec(cfg: &MfcpTrainConfig, m: usize) -> Vec<SpeedupCurve> {
     }
 }
 
-/// Rounds a stored per-task column survives without being refreshed;
-/// beyond this it is dropped as stale (the predictors have drifted too
-/// far for the old assignment to be a useful seed).
-const TASK_COLUMN_MAX_AGE: usize = 8;
-
-/// True when `col` is a valid simplex column of height `m`.
-fn valid_column(col: &[f64], m: usize) -> bool {
-    col.len() == m
-        && col.iter().all(|v| v.is_finite() && *v >= -1e-9)
-        && (col.iter().sum::<f64>() - 1.0).abs() <= 1e-6
-}
-
-/// Per-task (per-sample) warm-start columns for one family of round
-/// solves. Rounds resample task subsets, so whole solution matrices do
-/// not transfer between rounds — but a task's *column* (its assignment
-/// distribution) does: it is keyed here by global task index and spliced
-/// into the next round that samples the task.
-#[derive(Debug, Clone, Default)]
-pub struct TaskColumns {
-    /// `task index -> (round the column was stored at, column)`.
-    cols: HashMap<usize, (usize, Vec<f64>)>,
-}
-
-/// What building a warm seed from [`TaskColumns`] found.
-struct SeedOutcome {
-    /// The seed (uniform columns for unseen tasks), or `None` when no
-    /// sampled task had a usable cached column.
-    x0: Option<Matrix>,
-    /// Sampled tasks with a valid cached column.
-    hits: u64,
-    /// Sampled tasks never seen (or aged out) by this family.
-    misses: u64,
-    /// Cached columns evicted as poisoned or past the staleness bound.
-    stale: u64,
-}
-
-impl TaskColumns {
-    /// Number of tasks with a cached column.
-    pub fn len(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// True when no column is cached.
-    pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
-    }
-
-    /// Inserts a raw column for `task` (stamped at round 0). Validation
-    /// happens at seed time, so poisoned state injected here is detected
-    /// and evicted on the next lookup — used by tests and by callers
-    /// migrating state between cache instances.
-    pub fn insert(&mut self, task: usize, column: Vec<f64>) {
-        self.cols.insert(task, (0, column));
-    }
-
-    /// Builds a warm-start seed for the sampled tasks `idx` on `m`
-    /// clusters, evicting any stale or poisoned columns encountered.
-    ///
-    /// `fallback` is a same-round solution of a nearby problem over the
-    /// *same* task subset (e.g. the all-measured optimum when seeding a
-    /// cluster's one-row-spliced solve): columns the cache cannot supply
-    /// are taken from it instead of the uniform point, so the seed has
-    /// full coverage even on the first round. Fallback columns are not
-    /// counted as cache hits — the miss still records that the task's
-    /// own column was absent.
-    fn seed(
-        &mut self,
-        idx: &[usize],
-        m: usize,
-        round: usize,
-        fallback: Option<&Matrix>,
-    ) -> SeedOutcome {
-        let uniform = 1.0 / m as f64;
-        let fallback = fallback.filter(|f| f.rows() == m && f.cols() == idx.len());
-        let mut x0 = Matrix::filled(m, idx.len(), uniform);
-        let (mut hits, mut misses, mut stale) = (0u64, 0u64, 0u64);
-        for (j, &task) in idx.iter().enumerate() {
-            let cached = match self.cols.get(&task) {
-                None => {
-                    misses += 1;
-                    false
-                }
-                Some((stored_at, col)) => {
-                    if round.saturating_sub(*stored_at) > TASK_COLUMN_MAX_AGE
-                        || !valid_column(col, m)
-                    {
-                        self.cols.remove(&task);
-                        stale += 1;
-                        false
-                    } else {
-                        for (i, &v) in col.iter().enumerate() {
-                            x0[(i, j)] = v.max(0.0);
-                        }
-                        hits += 1;
-                        true
-                    }
-                }
-            };
-            if !cached {
-                if let Some(f) = fallback {
-                    for i in 0..m {
-                        x0[(i, j)] = f[(i, j)].max(0.0);
-                    }
-                }
-            }
-        }
-        SeedOutcome {
-            x0: (hits > 0 || fallback.is_some()).then_some(x0),
-            hits,
-            misses,
-            stale,
-        }
-    }
-
-    /// Stores the solved columns of `x` under the sampled task indices.
-    fn store(&mut self, idx: &[usize], x: &Matrix, round: usize) {
-        if x.rows() == 0 || x.cols() != idx.len() {
-            return;
-        }
-        for (j, &task) in idx.iter().enumerate() {
-            let col = x.col(j);
-            if valid_column(&col, x.rows()) {
-                self.cols.insert(task, (round, col));
-            }
-        }
-    }
-}
-
-/// Cross-round (and cross-run) warm-start state for [`train_mfcp`]: one
-/// [`TaskColumns`] family per distinct round-solve problem shape — the
-/// shared all-predicted and all-measured solves plus each cluster's
-/// spliced problem. Every cached column is re-validated before use; a
-/// poisoned one triggers a cold seed plus a
-/// [`RecoveryEvent::StaleWarmStart`], never a panic or a wrong answer.
-#[derive(Debug, Clone, Default)]
-pub struct SolveCache {
-    /// Columns for the all-predicted shared solve.
-    pub pred: TaskColumns,
-    /// Columns for the all-measured shared solve.
-    pub meas: TaskColumns,
-    /// Columns for each cluster's spliced-prediction solve.
-    pub clusters: Vec<TaskColumns>,
-    /// Aggregate hit/miss/stale accounting across all families.
-    pub stats: CacheStats,
-}
-
-impl SolveCache {
-    /// An empty cache; fills lazily as training rounds complete.
-    pub fn new() -> Self {
-        SolveCache::default()
-    }
-}
-
-/// Folds a [`SeedOutcome`]'s accounting into the cache stats and the
-/// `cache.*` observability counters.
-fn record_seed(outcome: &SeedOutcome, stats: &mut CacheStats) {
-    stats.hits += outcome.hits;
-    stats.misses += outcome.misses;
-    stats.stale += outcome.stale;
-    if outcome.hits > 0 {
-        mfcp_obs::counter("cache.hit").add(outcome.hits);
-    }
-    if outcome.misses > 0 {
-        mfcp_obs::counter("cache.miss").add(outcome.misses);
-    }
-    if outcome.stale > 0 {
-        mfcp_obs::counter("cache.stale").add(outcome.stale);
-        mfcp_obs::trace::instant("train.warm_stale", Some(outcome.stale));
-    }
-}
-
-/// Solves one shared round problem through its [`TaskColumns`] family:
-/// seeds Algorithm 1 from the cached per-task columns when any are
-/// available, then stores the solved columns back. Returns the solution
-/// and whether any cached column went stale (caller reports the event).
-fn solve_family_warm(
-    problem: &MatchingProblem,
-    cfg: &MfcpTrainConfig,
-    idx: &[usize],
-    round: usize,
-    family: &mut TaskColumns,
-    stats: &mut CacheStats,
-    fallback: Option<&Matrix>,
-) -> (RelaxedSolution, bool) {
-    let outcome = family.seed(idx, problem.clusters(), round, fallback);
-    record_seed(&outcome, stats);
-    let sol = match &outcome.x0 {
-        Some(x0) => solve_relaxed_from(problem, &cfg.relaxation, &cfg.solver, warm_init(x0)),
-        None => solve_relaxed(problem, &cfg.relaxation, &cfg.solver),
-    };
-    family.store(idx, &sol.x, round);
-    (sol, outcome.stale > 0)
-}
-
 /// The end-to-end MFCP training loop (paper Fig. 3 / Algorithm 2).
 ///
 /// Each round samples `N = round_size` tasks, and for each cluster `i`
@@ -774,63 +537,36 @@ fn solve_family_warm(
 /// matrices, pulls it back to `∂L/∂t̂_i`, `∂L/∂â_i` through the matching
 /// layer (analytically or by forward gradients), and finally
 /// backpropagates into the predictor parameters.
-///
-/// With [`MfcpTrainConfig::solve_cache`] set, round solves warm-start
-/// from a run-local [`SolveCache`]; use [`train_mfcp_with_cache`] to
-/// carry that state across calls.
 pub fn train_mfcp(
     train: &PlatformDataset,
     cfg: &MfcpTrainConfig,
     seed: u64,
 ) -> (MfcpPredictor, TrainReport) {
-    if cfg.solve_cache {
-        let mut cache = SolveCache::new();
-        train_mfcp_impl(train, cfg, seed, Some(&mut cache), None)
-    } else {
-        train_mfcp_impl(train, cfg, seed, None, None)
-    }
-}
-
-/// [`train_mfcp`] with caller-owned warm-start state, used regardless of
-/// [`MfcpTrainConfig::solve_cache`]. Successive re-trainings on a live
-/// platform (same cluster set, fresh measurements) can pass the same
-/// `cache` so the first rounds of the next run already warm-start.
-pub fn train_mfcp_with_cache(
-    train: &PlatformDataset,
-    cfg: &MfcpTrainConfig,
-    seed: u64,
-    cache: &mut SolveCache,
-) -> (MfcpPredictor, TrainReport) {
-    train_mfcp_impl(train, cfg, seed, Some(cache), None)
+    train_mfcp_impl(train, cfg, seed, None)
 }
 
 /// [`train_mfcp`] with a caller-owned [`LearnedDualHead`], trained
-/// online from the duals of each round's measured solve (regardless of
-/// [`MfcpTrainConfig::learned_duals`]). The head must be sized for the
-/// dataset's cluster count. Successive re-trainings can pass the same
-/// head so it keeps refining on fresh measurements; hand the trained
-/// head to the serve daemon to seed newcomer columns on unseen
-/// instances.
+/// online from the duals of each round's measured solve. The head must
+/// be sized for the dataset's cluster count. It only observes: the
+/// predictors and loss history come out bit-identical to
+/// [`train_mfcp`]'s. Successive re-trainings can pass the same head so
+/// it keeps refining on fresh measurements; hand the trained head to
+/// the serve daemon, which starts a resolve without previous prices
+/// from the head's predicted prices.
 pub fn train_mfcp_with_dual_head(
     train: &PlatformDataset,
     cfg: &MfcpTrainConfig,
     seed: u64,
     head: &mut LearnedDualHead,
 ) -> (MfcpPredictor, TrainReport) {
-    if cfg.solve_cache {
-        let mut cache = SolveCache::new();
-        train_mfcp_impl(train, cfg, seed, Some(&mut cache), Some(head))
-    } else {
-        train_mfcp_impl(train, cfg, seed, None, Some(head))
-    }
+    train_mfcp_impl(train, cfg, seed, Some(head))
 }
 
 fn train_mfcp_impl(
     train: &PlatformDataset,
     cfg: &MfcpTrainConfig,
     seed: u64,
-    mut cache: Option<&mut SolveCache>,
-    head: Option<&mut LearnedDualHead>,
+    mut head: Option<&mut LearnedDualHead>,
 ) -> (MfcpPredictor, TrainReport) {
     let _span = mfcp_obs::span("train_mfcp");
     let m = train.clusters();
@@ -838,16 +574,7 @@ fn train_mfcp_impl(
         train.len() >= cfg.round_size,
         "need at least one full round of tasks"
     );
-    let mut local_head = if head.is_none() && cfg.learned_duals {
-        Some(LearnedDualHead::new(m, seed.wrapping_add(0xD0A1)))
-    } else {
-        None
-    };
-    let mut head = head.or(local_head.as_mut());
     let speedup = speedup_vec(cfg, m);
-    if let Some(c) = cache.as_deref_mut() {
-        c.clusters.resize(m, TaskColumns::default());
-    }
 
     // Hold out a validation slice for best-snapshot selection. Validating
     // on the fitting tasks is useless: the warm start memorizes their
@@ -998,44 +725,8 @@ fn train_mfcp_impl(
             cfg.gamma,
             speedup.clone(),
         );
-        let (sol_pred_all, sol_true) = if let Some(c) = cache.as_deref_mut() {
-            // Measured solve first: its optimum backstops the per-cluster
-            // seeds below (those problems differ from it in one row). The
-            // all-predicted solve gets no fallback — early in training the
-            // predicted matrices sit far from the measured ones, so the
-            // measured optimum is a worse seed than uniform there; its own
-            // family's cached columns cover it from the second round on.
-            let (sol_true, stale_meas) = solve_family_warm(
-                &problem_true,
-                cfg,
-                &idx,
-                round,
-                &mut c.meas,
-                &mut c.stats,
-                None,
-            );
-            let (sol_pred_all, stale_pred) = solve_family_warm(
-                &problem_all,
-                cfg,
-                &idx,
-                round,
-                &mut c.pred,
-                &mut c.stats,
-                None,
-            );
-            if stale_pred || stale_meas {
-                report.recovery.push(RecoveryEvent::StaleWarmStart {
-                    round,
-                    cluster: None,
-                });
-            }
-            (sol_pred_all, sol_true)
-        } else {
-            (
-                solve_relaxed(&problem_all, &cfg.relaxation, &cfg.solver),
-                solve_relaxed(&problem_true, &cfg.relaxation, &cfg.solver),
-            )
-        };
+        let sol_pred_all = solve_relaxed(&problem_all, &cfg.relaxation, &cfg.solver);
+        let sol_true = solve_relaxed(&problem_true, &cfg.relaxation, &cfg.solver);
 
         // ---- online dual-head training ---------------------------------
         // The measured optimum is ground truth for the learned-duals
@@ -1100,30 +791,6 @@ fn train_mfcp_impl(
         // measured values), so the expensive part fans out across batch
         // slots (panic-isolated: a poisoned slot becomes a SkippedCluster,
         // not a dead round); the optimizer steps below stay sequential.
-        //
-        // Build per-cluster warm seeds from each cluster family's cached
-        // task columns, evicting any state that no longer validates.
-        // Each cluster's spliced problem differs from `problem_true` in a
-        // single row, so the measured optimum backstops any column the
-        // cluster family cannot supply — full-coverage seeds from round
-        // one onward.
-        let use_cache = cache.is_some();
-        let mut cluster_warm: Vec<Option<Matrix>> = vec![None; m];
-        if !spiked {
-            if let Some(c) = cache.as_deref_mut() {
-                for (i, slot) in cluster_warm.iter_mut().enumerate() {
-                    let outcome = c.clusters[i].seed(&idx, m, round, Some(&sol_true.x));
-                    record_seed(&outcome, &mut c.stats);
-                    *slot = outcome.x0;
-                    if outcome.stale > 0 {
-                        report.recovery.push(RecoveryEvent::StaleWarmStart {
-                            round,
-                            cluster: Some(i),
-                        });
-                    }
-                }
-            }
-        }
         let cluster_seeds: Vec<(usize, u64)> = (0..m).map(|i| (i, rng.gen::<u64>())).collect();
         let batch_out = if spiked {
             Vec::new() // rolled back: no updates this round
@@ -1145,19 +812,7 @@ fn train_mfcp_impl(
                     let problem_pred = problem_true
                         .with_time_row(i, &t_hat)
                         .with_reliability_row(i, &a_hat);
-                    let sol = match &cluster_warm[i] {
-                        Some(x0) => solve_relaxed_from(
-                            &problem_pred,
-                            &cfg.relaxation,
-                            &cfg.solver,
-                            warm_init(x0),
-                        ),
-                        None => solve_relaxed(&problem_pred, &cfg.relaxation, &cfg.solver),
-                    };
-                    // Hand the optimum back even when the gradient below
-                    // fails — it still seeds next round's solve (store
-                    // validates column by column).
-                    let keep_x = use_cache.then(|| sol.x.clone());
+                    let sol = solve_relaxed(&problem_pred, &cfg.relaxation, &cfg.solver);
 
                     // ∂L/∂X* = (1/N)·∇_X F(X, T_meas, A_meas) at X = X*(T̂, Â).
                     let dl_dx = objective::grad_x(&problem_true, &cfg.relaxation, &sol.x)
@@ -1169,8 +824,7 @@ fn train_mfcp_impl(
                             // stationary point: a solve that stopped short
                             // of one certifies no gradient.
                             if sol.stop != StopReason::Converged {
-                                let skip = GradientSkip::Uncertified(sol.stop, sol.residual);
-                                return (Err(skip), keep_x);
+                                return Err(GradientSkip::Uncertified(sol.stop, sol.residual));
                             }
                             // One adjoint workspace per worker thread keeps
                             // the backward pass allocation-free across
@@ -1193,7 +847,7 @@ fn train_mfcp_impl(
                                 )
                             }) {
                                 Ok(g) => (g.dl_dt.row(i).to_vec(), g.dl_da.row(i).to_vec()),
-                                Err(_) => return (Err(GradientSkip::Failed), keep_x),
+                                Err(_) => return Err(GradientSkip::Failed),
                             }
                         }
                         GradientMode::ForwardGradient(zo) => {
@@ -1203,34 +857,11 @@ fn train_mfcp_impl(
                                     i,
                                     &theta.iter().map(|&v| v.max(1e-6)).collect::<Vec<_>>(),
                                 );
-                                // Perturbed problems sit within O(δ) of the
-                                // unperturbed optimum — share it as a common
-                                // warm start across all S perturbation solves.
-                                if use_cache {
-                                    solve_relaxed_from(
-                                        &p,
-                                        &cfg.relaxation,
-                                        &cfg.solver,
-                                        warm_init(&sol.x),
-                                    )
-                                    .x
-                                } else {
-                                    solve_relaxed(&p, &cfg.relaxation, &cfg.solver).x
-                                }
+                                solve_relaxed(&p, &cfg.relaxation, &cfg.solver).x
                             };
                             let solve_a = |theta: &[f64]| {
                                 let p = problem_pred.with_reliability_row(i, theta);
-                                if use_cache {
-                                    solve_relaxed_from(
-                                        &p,
-                                        &cfg.relaxation,
-                                        &cfg.solver,
-                                        warm_init(&sol.x),
-                                    )
-                                    .x
-                                } else {
-                                    solve_relaxed(&p, &cfg.relaxation, &cfg.solver).x
-                                }
+                                solve_relaxed(&p, &cfg.relaxation, &cfg.solver).x
                             };
                             // estimate_gradient runs the S perturbation
                             // solves under the caller's `zo.parallel`
@@ -1251,27 +882,15 @@ fn train_mfcp_impl(
                             (gt, ga)
                         }
                     };
-                    (Ok((grads.0, grads.1, t_hat, a_hat)), keep_x)
+                    Ok((grads.0, grads.1, t_hat, a_hat))
                 },
             )
         };
-        // Unpack in slot order: refresh the per-cluster warm state and
-        // fold panicked slots into the existing skipped-cluster path.
-        let mut cluster_grads: Vec<Result<ClusterGradients, GradientSkip>> =
-            Vec::with_capacity(batch_out.len());
-        for (i, slot) in batch_out.into_iter().enumerate() {
-            match slot {
-                Ok((grad, new_x)) => {
-                    if let Some(c) = cache.as_deref_mut() {
-                        if let Some(x) = new_x {
-                            c.clusters[i].store(&idx, &x, round);
-                        }
-                    }
-                    cluster_grads.push(grad);
-                }
-                Err(_slot_panic) => cluster_grads.push(Err(GradientSkip::Failed)),
-            }
-        }
+        // Fold panicked slots into the existing skipped-cluster path.
+        let cluster_grads: Vec<Result<ClusterGradients, GradientSkip>> = batch_out
+            .into_iter()
+            .map(|slot| slot.unwrap_or(Err(GradientSkip::Failed)))
+            .collect();
 
         // ---- sequential optimizer steps ---------------------------------
         // Every cluster's networks see this round's tasks; load them once.
@@ -1527,15 +1146,60 @@ mod tests {
         assert_eq!(head.observations() as usize + rejected, cfg.rounds);
         assert_eq!(rejected, 0, "clean synthetic data must never reject");
         assert!(head.ready(), "12 observations clear the readiness bar");
+    }
 
-        // The config flag exercises the same path with a run-local head.
-        let flag_cfg = MfcpTrainConfig {
-            learned_duals: true,
-            rounds: 3,
-            ..cfg
+    #[test]
+    fn dual_head_observes_training_without_steering_it() {
+        // The head trains off each round's measured optimum but draws
+        // nothing from the round RNG and feeds nothing back: the same
+        // dataset, config and seed give the same bits with and without it.
+        let train = dataset(30, 22);
+        let base = MfcpTrainConfig {
+            warm_start: quick_tsm_cfg(),
+            rounds: 6,
+            round_size: 5,
+            gamma: 0.8,
+            validation_rounds: 2,
+            validate_every: 3,
+            ..Default::default()
         };
-        let (_, flag_report) = train_mfcp(&train, &flag_cfg, 23);
-        assert_eq!(flag_report.loss_history.len(), 3);
+        let fg = MfcpTrainConfig {
+            mode: GradientMode::ForwardGradient(ZerothOrderOptions {
+                delta: 0.05,
+                samples: 4,
+                parallel: ParallelConfig::default(),
+            }),
+            ..base.clone()
+        };
+        let bits = |p: &MfcpPredictor| -> Vec<u64> {
+            p.predictors
+                .iter()
+                .flat_map(|c| {
+                    c.time_model
+                        .params()
+                        .into_iter()
+                        .chain(c.rel_model.params())
+                })
+                .flat_map(|m| m.as_slice().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        for cfg in [base, fg] {
+            let (plain, plain_report) = train_mfcp(&train, &cfg, 31);
+            let mut head = LearnedDualHead::new(train.clusters(), 5);
+            let (headed, headed_report) = train_mfcp_with_dual_head(&train, &cfg, 31, &mut head);
+            assert_eq!(
+                head.observations() as usize,
+                cfg.rounds,
+                "{}",
+                plain.variant
+            );
+            assert_eq!(bits(&plain), bits(&headed), "{}", plain.variant);
+            let losses = |r: &TrainReport| -> Vec<u64> {
+                r.loss_history.iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(losses(&plain_report), losses(&headed_report));
+            assert_eq!(plain_report.best_round, headed_report.best_round);
+        }
     }
 
     #[test]
@@ -1868,84 +1532,6 @@ mod tests {
         let (t, _) = predicted_matrices(&pred2.predictors, &train.features);
         assert!(t.as_slice().iter().all(|v| v.is_finite()));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn solve_cache_training_hits_and_stays_healthy() {
-        // 5-of-8 task rounds: any two rounds overlap in at least two
-        // tasks (pigeonhole), so warm hits are guaranteed from round 1.
-        let train = dataset(8, 14);
-        let cfg = MfcpTrainConfig {
-            warm_start: quick_tsm_cfg(),
-            rounds: 8,
-            round_size: 5,
-            gamma: 0.8,
-            validation_rounds: 0,
-            solve_cache: true,
-            ..Default::default()
-        };
-        let mut cache = SolveCache::new();
-        let (pred, report) = train_mfcp_with_cache(&train, &cfg, 15, &mut cache);
-        assert!(report.loss_history.iter().all(|l| l.is_finite()));
-        assert!(
-            cache.stats.hits >= 2 * 7 * 2,
-            "resampled tasks must hit their cached columns: {:?}",
-            cache.stats
-        );
-        assert_eq!(cache.clusters.len(), train.clusters());
-        assert!(!cache.pred.is_empty() && !cache.meas.is_empty());
-        assert!(cache.clusters.iter().all(|f| !f.is_empty()));
-        let (t, a) = predicted_matrices(&pred.predictors, &train.features);
-        assert!(t.as_slice().iter().all(|&v| v > 0.0 && v.is_finite()));
-        assert!(a.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
-    }
-
-    #[test]
-    fn poisoned_cluster_warm_state_goes_stale_not_wrong() {
-        let train = dataset(12, 21);
-        let cfg = MfcpTrainConfig {
-            warm_start: quick_tsm_cfg(),
-            rounds: 3,
-            round_size: 5,
-            gamma: 0.8,
-            validation_rounds: 0,
-            solve_cache: true,
-            ..Default::default()
-        };
-        let mut cache = SolveCache::new();
-        // Poison every task's cached column in every cluster family:
-        // NaN entries AND the wrong height at once.
-        cache.clusters = vec![TaskColumns::default(); train.clusters()];
-        for family in cache.clusters.iter_mut() {
-            for task in 0..train.len() {
-                family.insert(task, vec![f64::NAN; 1]);
-            }
-        }
-        let (_pred, report) = train_mfcp_with_cache(&train, &cfg, 33, &mut cache);
-        let stale_clusters: Vec<_> = report
-            .recovery
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    RecoveryEvent::StaleWarmStart {
-                        round: 0,
-                        cluster: Some(_)
-                    }
-                )
-            })
-            .collect();
-        assert_eq!(
-            stale_clusters.len(),
-            train.clusters(),
-            "every poisoned cluster family must report stale state: {:?}",
-            report.recovery
-        );
-        // One eviction per sampled task per cluster family in round 0.
-        assert!(cache.stats.stale >= (5 * train.clusters()) as u64);
-        assert!(report.loss_history.iter().all(|l| l.is_finite()));
-        // The poisoned columns were replaced by real solutions.
-        assert!(cache.clusters.iter().all(|f| !f.is_empty()));
     }
 
     #[test]

@@ -59,9 +59,18 @@ use mfcp_nn::DualHead;
 /// beyond this bound is a corrupted or wildly out-of-distribution
 /// prediction (e.g. the ×1e6-scaled adversarial case), and seeding from
 /// it would waste the predicted rung — reject instead. Start prices,
-/// given or predicted, pass the same bound
-/// ([`crate::cache::prices_admissible`]).
+/// given or predicted, pass the same bound ([`prices_admissible`]).
 pub const DUAL_ABS_BOUND: f64 = 1e3;
+
+/// Whether `prices` are on the scale of a solve's start prices: every
+/// entry finite and within [`DUAL_ABS_BOUND`] (prices are gradient
+/// components of the same scale as duals). The layout is the caller's
+/// to check against [`crate::objective::price_dim`].
+pub fn prices_admissible(prices: &[f64]) -> bool {
+    prices
+        .iter()
+        .all(|v| v.is_finite() && v.abs() <= DUAL_ABS_BOUND)
+}
 
 /// Tolerance under which a primal column counts as already feasible and
 /// repair passes it through bit-for-bit (see [`repair`]).
@@ -73,10 +82,10 @@ pub const GLOBAL_FEATURES: usize = 8;
 
 /// Interior blend for predicted seeds (see [`predicted_init`]).
 ///
-/// Much larger than [`crate::cache::warm_init`]'s `1e-9` blend,
-/// deliberately. A warm start is a true optimum of a sibling instance:
-/// its small
-/// coordinates are small in the *right* places, so the blend only needs
+/// Much larger than the `1e-9` blend the solver tests warm-start exact
+/// optima with, deliberately. A warm start is a true optimum of a
+/// sibling instance: its small coordinates are small in the *right*
+/// places, so the blend only needs
 /// to lift exact zeros out of the mirror-descent fixed point. A learned
 /// prediction's small coordinates are wrong at the model's error scale
 /// (~1e-2): the simplex projection routinely lands columns *on the
@@ -89,8 +98,7 @@ pub const GLOBAL_FEATURES: usize = 8;
 pub const PREDICTED_BLEND: f64 = 1e-3;
 
 /// Interior blend for predicted seeds: `(1 − τ)·x + τ·uniform` with
-/// `τ =` [`PREDICTED_BLEND`], the learned-path analogue of
-/// [`crate::cache::warm_init`]. Keeps every coordinate at least `τ/m`
+/// `τ =` [`PREDICTED_BLEND`]. Keeps every coordinate at least `τ/m`
 /// so mirror descent can cheaply move mass the prediction misplaced,
 /// and keeps columns exactly stochastic.
 pub fn predicted_init(x: &Matrix) -> Matrix {
@@ -700,6 +708,28 @@ mod tests {
             duals: vec![0.0; 3],
         };
         assert_eq!(repair(&p, 2, 3), Err(RepairError::NonFinitePrimal));
+    }
+
+    #[test]
+    fn prices_admissible_gates_scale_and_finiteness() {
+        // Any length passes; the layout is the caller's check.
+        for ok in [
+            &[][..],
+            &[0.5, 0.5, -0.1],
+            &[0.0; 7],
+            &[-DUAL_ABS_BOUND, DUAL_ABS_BOUND],
+        ] {
+            assert!(prices_admissible(ok), "{ok:?}");
+        }
+        for bad in [
+            &[0.5, f64::NAN, -0.1][..],
+            &[0.5, f64::INFINITY, -0.1],
+            &[f64::NEG_INFINITY],
+            &[0.5, 1e6, -0.1],
+            &[-DUAL_ABS_BOUND * (1.0 + 1e-12)],
+        ] {
+            assert!(!prices_admissible(bad), "{bad:?}");
+        }
     }
 
     #[test]

@@ -31,10 +31,6 @@
 //!   [`RobustSolver::solve`] is the one entry point: a [`SolveCtx`] hands
 //!   it a previous solve's prices and/or a learned predictor, and the
 //!   typed [`SeedProvenance`] in its diagnostics says which start ran.
-//! * [`cache`] — warm-start helpers: the interior blend training's
-//!   per-task solve cache seeds from, its lookup statistics, and the
-//!   admissibility gate for start prices (see DESIGN.md, "Warm starts
-//!   and batched solving").
 //! * [`learned`] — learned dual predictions for *unseen* instances: a
 //!   small `mfcp-nn` head maps structure-only problem features to
 //!   per-column duals and a primal seed, with instance-robust
@@ -48,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod budget;
-pub mod cache;
 pub mod exact;
 pub mod kkt;
 pub mod learned;
@@ -61,7 +56,6 @@ pub mod speedup;
 pub mod zeroth;
 
 pub use budget::{Budget, CancelToken};
-pub use cache::CacheStats;
 pub use kkt::{KktGradients, KktWorkspace};
 pub use learned::{DualPrediction, DualPredictor, LearnedDualHead, RepairError};
 pub use objective::{BarrierKind, CostKind, RelaxationParams};

@@ -41,8 +41,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use crate::budget::Budget;
-use crate::cache::prices_admissible;
-use crate::learned::{repair, DualPredictor, RepairError};
+use crate::learned::{prices_admissible, repair, DualPredictor, RepairError};
 use crate::objective::{self, price_dim, BarrierKind, RelaxationParams};
 use crate::problem::{Assignment, MatchingProblem};
 use crate::solver::{
@@ -401,8 +400,9 @@ pub enum SeedProvenance {
 pub struct SolveCtx<'a> {
     /// Start prices in [`price_dim`] layout, typically the previous
     /// solve's [`RobustSolution::prices`]. They seed one attempt when
-    /// the solve takes price trials and they fit the problem (checked by
-    /// [`prices_admissible`]); otherwise they are rejected.
+    /// the solve takes price trials, their length is the problem's
+    /// [`price_dim`] and they pass [`prices_admissible`]; otherwise they
+    /// are rejected.
     pub prices: Option<&'a [f64]>,
     /// Consulted for a learned seed when no given prices seed the solve.
     pub predictor: Option<&'a dyn DualPredictor>,
@@ -643,7 +643,7 @@ impl RobustSolver {
         if let Some(prices) = ctx.prices {
             if takes_price_trials(&self.params, &self.solver_opts)
                 && prices.len() == price_dim(problem)
-                && prices_admissible(prices, m)
+                && prices_admissible(prices)
             {
                 let seed = Seed {
                     x: uniform_init(m, n),
@@ -679,7 +679,7 @@ impl RobustSolver {
         if takes_price_trials(&self.params, &self.solver_opts) {
             if let Some(prices) = predictor.predict_prices(problem, &self.params) {
                 mfcp_obs::counter("optim.learned.predict").inc();
-                if prices.len() == price_dim(problem) && prices_admissible(&prices, m) {
+                if prices.len() == price_dim(problem) && prices_admissible(&prices) {
                     return Ok(Some(Seed {
                         x: uniform_init(m, n),
                         prices,
@@ -719,6 +719,7 @@ impl RobustSolver {
         mut seed: Option<Seed>,
     ) -> Result<RobustSolution, SolveError> {
         let _span = mfcp_obs::span("robust_solve");
+        register_ladder_counters();
         mfcp_obs::counter("optim.robust.calls").inc();
         let start = Instant::now();
         let mut attempts: Vec<StageAttempt> = Vec::new();
@@ -1053,6 +1054,28 @@ fn stage_trace_name(stage: FallbackStage) -> &'static str {
         FallbackStage::EuclideanPgd => "robust.euclidean-pgd",
         FallbackStage::GreedyRounding => "robust.greedy-rounding",
     }
+}
+
+/// Registers the ladder's event counters once per process, so one that
+/// has not fired reads 0 in a snapshot rather than being absent: an
+/// absent counter is how the perf gate tells a deleted one.
+fn register_ladder_counters() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        mfcp_obs::counter("optim.robust.recovered");
+        mfcp_obs::counter("optim.robust.exhausted");
+        for stage in [
+            FallbackStage::Primary,
+            FallbackStage::BackedOff,
+            FallbackStage::MirrorDescent,
+            FallbackStage::EuclideanPgd,
+            FallbackStage::GreedyRounding,
+        ] {
+            for suffix in ["ok", "failed", "skipped"] {
+                mfcp_obs::counter(&format!("optim.robust.stage.{stage}.{suffix}"));
+            }
+        }
+    });
 }
 
 /// Feeds one finished [`StageAttempt`] into the observability registry:

@@ -1255,6 +1255,45 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Interior blend weight used by [`warm_init`].
+    ///
+    /// Kept tiny on purpose: the blend is itself a perturbation the solver
+    /// must then contract below its stationarity tolerance, so a large blend
+    /// caps the warm-start savings no matter how good the seed is (a 1e-3
+    /// blend forces ~7 decades of geometric decay at tol 1e-10). 1e-9 is
+    /// enough to keep every coordinate strictly positive — multiplicative
+    /// mirror-descent updates recover a wrongly-collapsed coordinate from
+    /// `1e-9/m` in a few dozen iterations — while a near-exact seed still
+    /// stops almost immediately.
+    const INTERIOR_BLEND: f64 = 1e-9;
+
+    /// Blends a previous optimum toward the uniform interior point: the
+    /// reference warm seed these tests start solves from.
+    ///
+    /// Mirror-descent updates are multiplicative, so an exact zero in the
+    /// starting point stays zero forever; blending
+    /// `(1 − τ)·x + τ·uniform` with `τ =` [`INTERIOR_BLEND`] keeps every
+    /// coordinate strictly positive (and the columns exactly stochastic)
+    /// while staying within `O(τ)` of the previous optimum.
+    fn warm_init(x: &Matrix) -> Matrix {
+        let (m, n) = x.shape();
+        let u = 1.0 / m.max(1) as f64;
+        Matrix::from_fn(m, n, |i, j| {
+            (1.0 - INTERIOR_BLEND) * x[(i, j)] + INTERIOR_BLEND * u
+        })
+    }
+
+    #[test]
+    fn warm_init_is_interior_and_close() {
+        let x = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
+        let w = warm_init(&x);
+        assert!(w.as_slice().iter().all(|&v| v > 0.0));
+        assert!(is_column_stochastic(&w, 1e-12));
+        for (a, b) in x.as_slice().iter().zip(w.as_slice()) {
+            assert!((a - b).abs() < 2e-3);
+        }
+    }
+
     fn random_problem(seed: u64, m: usize, n: usize) -> MatchingProblem {
         let mut rng = StdRng::seed_from_u64(seed);
         let t = Matrix::from_fn(m, n, |_, _| rng.gen_range(0.5..3.0));
@@ -2139,7 +2178,7 @@ mod tests {
     /// [`crate::RobustSolver::solve`] with a placeholder iterate: a
     /// price-trial solve given admissible start prices begins at
     /// `x(θ₀)`, so its seed matrix — uniform, blended by
-    /// [`crate::cache::warm_init`], or any column-stochastic `x` — never
+    /// [`warm_init`], or any column-stochastic `x` — never
     /// reaches a single bit of the result or the iterate trace.
     #[test]
     fn start_prices_make_the_seed_matrix_irrelevant() {
@@ -2154,7 +2193,7 @@ mod tests {
             let neighbour = problem.with_time_row(0, &vec![1.3; n]);
             let prices = solve_relaxed(&neighbour, &params, &opts).prices;
             assert_eq!(prices.len(), price_dim(problem), "problem {k}");
-            assert!(crate::cache::prices_admissible(&prices, m));
+            assert!(crate::learned::prices_admissible(&prices));
             let mut random = Matrix::from_fn(m, n, |_, _| rng.gen_range(0.0..1.0));
             for j in 0..n {
                 let sum: f64 = (0..m).map(|i| random[(i, j)]).sum();
@@ -2162,11 +2201,7 @@ mod tests {
                     random[(i, j)] /= sum;
                 }
             }
-            let seeds = [
-                uniform_init(m, n),
-                crate::cache::warm_init(&uniform_init(m, n)),
-                random,
-            ];
+            let seeds = [uniform_init(m, n), warm_init(&uniform_init(m, n)), random];
             let runs: Vec<_> = seeds
                 .into_iter()
                 .map(|x0| fused_trace(problem, &params, &opts, x0, Some(&prices)))
@@ -2234,7 +2269,7 @@ mod tests {
             let (m, n) = (problem.clusters(), problem.tasks());
             let uniform = uniform_init(m, n);
             let neighbour = solve_relaxed(&problem.with_time_row(0, &vec![1.5; n]), &params, &opts);
-            let seeded = crate::cache::warm_init(&neighbour.x);
+            let seeded = warm_init(&neighbour.x);
             for (start, x0, prices) in [
                 ("uniform", &uniform, None),
                 ("seed", &seeded, None),
@@ -2466,13 +2501,12 @@ mod tests {
                 seed_x[(i, 3)] = 0.2;
             }
             let cold = solve_relaxed(&next, &params, &opts);
-            let seeded =
-                solve_relaxed_from(&next, &params, &opts, crate::cache::warm_init(&seed_x));
+            let seeded = solve_relaxed_from(&next, &params, &opts, warm_init(&seed_x));
             let (priced, _) = fused_trace(
                 &next,
                 &params,
                 &opts,
-                crate::cache::warm_init(&seed_x),
+                warm_init(&seed_x),
                 Some(&base_sol.prices),
             );
             for (start, warm) in [("seed", seeded), ("prices", priced)] {
@@ -2578,7 +2612,7 @@ mod tests {
                 assert_eq!(tight.stop, StopReason::Converged, "{case}");
                 let neighbour = solve_relaxed(&instance(700 + seed), &params, &opts);
                 let uniform = uniform_init(m, n);
-                let seeded = crate::cache::warm_init(&neighbour.x);
+                let seeded = warm_init(&neighbour.x);
                 for (start, x0, prices) in [
                     ("uniform", uniform.clone(), None),
                     ("seed", seeded, None),
@@ -2674,7 +2708,7 @@ mod tests {
             };
             let ref_base = armijo_reference(&problem, &params, &tight, uniform_init(m, n)).x;
             let reference = estimate(&ref_base, &|p| {
-                armijo_reference(p, &params, &tight, crate::cache::warm_init(&ref_base)).x
+                armijo_reference(p, &params, &tight, warm_init(&ref_base)).x
             });
             let base = solve_relaxed(&problem, &params, &opts);
             assert_eq!(base.stop, StopReason::Converged, "seed {seed}: base solve");
@@ -2682,7 +2716,7 @@ mod tests {
                 let unconverged = AtomicUsize::new(0);
                 let production = estimate(&base.x, &|p| {
                     let sol = if warm {
-                        solve_relaxed_from(p, &params, &opts, crate::cache::warm_init(&base.x))
+                        solve_relaxed_from(p, &params, &opts, warm_init(&base.x))
                     } else {
                         solve_relaxed(p, &params, &opts)
                     };

@@ -24,7 +24,7 @@ use std::fmt;
 use std::path::Path;
 
 use mfcp_linalg::Matrix;
-use mfcp_optim::cache::prices_admissible;
+use mfcp_optim::learned::prices_admissible;
 use mfcp_platform::task::{Corpus, TaskFamily, TaskSpec};
 
 /// Versioned first line of every snapshot document.
@@ -450,7 +450,7 @@ pub fn from_document(text: &str) -> Result<(ExchangeState, usize), SnapshotError
             let prices = next_prices(&mut lines, has_prices)?;
             // The next resolve starts from these: reject what could not
             // start one, rather than leave the check to the solve.
-            if !prices.is_empty() && (prices.len() != m + 1 || !prices_admissible(&prices, m)) {
+            if !prices.is_empty() && (prices.len() != m + 1 || !prices_admissible(&prices)) {
                 return Err(SnapshotError::Prices {
                     clusters: m,
                     len: prices.len(),
