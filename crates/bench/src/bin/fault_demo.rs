@@ -2,7 +2,8 @@
 //!
 //! 1. **Solver fallback ladder** — an instance whose log-barrier is
 //!    configured with `eps = 0` drives the plain solver to NaN; the
-//!    [`RobustSolver`] walks its ladder and reports the recovery path.
+//!    [`RobustSolver`] rejects that barrier with a typed error, and a
+//!    request whose budget has expired lands on greedy rounding.
 //! 2. **Guarded training** — a dataset with a poisoned (NaN) measurement
 //!    trains to completion, with the loss-spike guard rolling the iterate
 //!    back whenever a corrupt round is drawn.
@@ -16,7 +17,9 @@ use mfcp_core::train::{train_mfcp, MfcpTrainConfig, TsmTrainConfig};
 use mfcp_linalg::Matrix;
 use mfcp_optim::rounding::solve_discrete;
 use mfcp_optim::solver::{solve_relaxed, SolverOptions};
-use mfcp_optim::{BarrierKind, MatchingProblem, RelaxationParams, RobustSolver, SolveCtx};
+use mfcp_optim::{
+    BarrierKind, Budget, CancelToken, MatchingProblem, RelaxationParams, RobustSolver, SolveCtx,
+};
 use mfcp_platform::dataset::{NoiseConfig, PlatformDataset};
 use mfcp_platform::embedding::FeatureEmbedder;
 use mfcp_platform::fault::{simulate_with_faults, ClusterOutage, FaultPlan};
@@ -44,19 +47,29 @@ fn solver_ladder_demo() {
         raw.objective.is_finite()
     );
 
-    let solver = RobustSolver::new(params);
+    match RobustSolver::new(params).solve(&problem, SolveCtx::default()) {
+        Ok(sol) => println!("robust solver: unexpectedly solved via {}", sol.stage),
+        Err(e) => println!("robust solver: {e}"),
+    }
+
+    // With a valid barrier but a request budget that has already run
+    // out (its cancel token fired), the primary rung is skipped and
+    // greedy rounding still serves a feasible 0/1 matching.
+    let token = CancelToken::new();
+    token.cancel();
+    let solver = RobustSolver::new(RelaxationParams::default())
+        .with_budget(Budget::unlimited().with_cancel(token));
     match solver.solve(&problem, SolveCtx::default()) {
         Ok(sol) => {
             println!(
-                "robust solver: objective {:.6} via {}",
+                "expired budget: objective {:.6} via {}",
                 sol.objective, sol.stage
             );
             println!("recovery path: {}", sol.diagnostics.path());
             for a in &sol.diagnostics.attempts {
                 println!(
-                    "  {:<16} retry {} iters {:>5} {:>8.3}s  {:?}",
+                    "  {:<16} iters {:>5} {:>8.3}s  {:?}",
                     a.stage.to_string(),
-                    a.retry,
                     a.iterations,
                     a.elapsed_secs,
                     a.outcome

@@ -1,7 +1,8 @@
 //! Workload behind the `report` binary: one pass through every
 //! instrumented layer of the pipeline, sized for a CI smoke run.
 //!
-//! The stages mirror `fault_demo` — solver fallback ladder, guarded
+//! The stages mirror `fault_demo` — solver fallback ladder (typed
+//! rejection, then a failed primary landing on greedy), guarded
 //! training, fault-injected execution — but are
 //! parameterized so CI can run a tiny configuration and the profile
 //! snapshot still shows non-zero activity in every subsystem:
@@ -19,7 +20,9 @@ use mfcp_core::train::{train_mfcp, MfcpTrainConfig, TsmTrainConfig};
 use mfcp_linalg::Matrix;
 use mfcp_optim::rounding::solve_discrete;
 use mfcp_optim::solver::SolverOptions;
-use mfcp_optim::{BarrierKind, MatchingProblem, RelaxationParams, RobustSolver, SolveCtx};
+use mfcp_optim::{
+    BarrierKind, HealthPolicy, MatchingProblem, RelaxationParams, RobustSolver, SolveCtx,
+};
 use mfcp_platform::dataset::{NoiseConfig, PlatformDataset};
 use mfcp_platform::embedding::FeatureEmbedder;
 use mfcp_platform::fault::{simulate_with_faults, ClusterOutage, FaultPlan};
@@ -50,16 +53,27 @@ impl Default for ReportConfig {
     }
 }
 
-/// Stage 1: a degenerate barrier instance (`eps = 0`, infeasible uniform
-/// start) that forces the robust solver down its fallback ladder.
+/// Stage 1: the robust solver's two exits. A degenerate barrier
+/// (`eps = 0`) is rejected with a typed error before any attempt; then a
+/// health policy no run passes (each checked iterate must beat the best
+/// objective so far by a whole unit) fails the primary attempt, and
+/// greedy rounding answers.
 pub(crate) fn solver_stage(cfg: &ReportConfig) {
     let n = cfg.tasks.max(2);
-    let problem = MatchingProblem::new(Matrix::filled(2, n, 1.0), Matrix::filled(2, n, 0.7), 0.95);
-    let params = RelaxationParams {
+    let t = Matrix::from_fn(2, n, |i, j| 1.0 + 0.1 * ((i + j) % 5) as f64);
+    let problem = MatchingProblem::new(t, Matrix::filled(2, n, 0.9), 0.8);
+    let degenerate = RelaxationParams {
         barrier: BarrierKind::Log { eps: 0.0 },
         ..Default::default()
     };
-    let solver = RobustSolver::new(params);
+    let _ = RobustSolver::new(degenerate).solve(&problem, SolveCtx::default());
+    let mut solver = RobustSolver::new(RelaxationParams::default());
+    solver.policy = HealthPolicy {
+        check_every: 1,
+        divergence_slack: -1.0,
+        divergence_ratio: 0.0,
+        ..HealthPolicy::default()
+    };
     let _ = solver.solve(&problem, SolveCtx::default());
 }
 
@@ -208,6 +222,8 @@ mod tests {
         let snap = run_report(&cfg);
         for name in [
             "optim.robust.attempts",
+            "optim.robust.stage.primary.failed",
+            "optim.robust.stage.greedy-rounding.ok",
             "train.supervised.epochs",
             "parallel.batch.calls",
             "platform.faults.rematch",

@@ -92,7 +92,7 @@ impl Budget {
 
     /// Whether the budget is spent: the deadline has passed or the
     /// cancel token fired. Checked by the guarded solvers on every
-    /// accepted iterate and between ladder rungs.
+    /// accepted iterate and before the primary rung.
     pub fn expired(&self) -> bool {
         if let Some(tok) = &self.cancel {
             if tok.is_cancelled() {

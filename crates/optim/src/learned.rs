@@ -11,7 +11,7 @@
 //! repaired point. A good prediction lands inside the basin of the new
 //! optimum and converges in a fraction of the cold iterations; a bad
 //! prediction is either rejected by [`repair`] before any solver work,
-//! or costs exactly one failed ladder rung before the cold path runs.
+//! or costs exactly one failed attempt before the cold attempt runs.
 //!
 //! The pieces:
 //!
@@ -41,7 +41,7 @@
 //!
 //! Fallback semantics are owned by [`crate::recovery::RobustSolver`]:
 //! given prices beat predictions, predictions beat cold starts, and a
-//! rejected or failed prediction falls through the existing ladder with
+//! rejected or failed prediction falls through to the cold attempt with
 //! a typed [`crate::recovery::SeedProvenance`] in the diagnostics.
 
 use std::fmt;
@@ -58,7 +58,7 @@ use mfcp_nn::DualHead;
 /// workload the platform generates they are `O(1)`–`O(10)`. Anything
 /// beyond this bound is a corrupted or wildly out-of-distribution
 /// prediction (e.g. the ×1e6-scaled adversarial case), and seeding from
-/// it would waste the predicted rung — reject instead. Start prices,
+/// it would waste the predicted attempt — reject instead. Start prices,
 /// given or predicted, pass the same bound ([`prices_admissible`]).
 pub const DUAL_ABS_BOUND: f64 = 1e3;
 

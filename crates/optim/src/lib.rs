@@ -61,8 +61,8 @@ pub use learned::{DualPrediction, DualPredictor, LearnedDualHead, RepairError};
 pub use objective::{BarrierKind, CostKind, RelaxationParams};
 pub use problem::{Assignment, CapacityConstraint, MatchingProblem};
 pub use recovery::{
-    BackoffSchedule, FallbackStage, HealthPolicy, RobustSolution, RobustSolver, SeedProvenance,
-    SeedSource, SkipReason, SolveCtx, SolveDiagnostics, SolveError, StageAttempt, StageOutcome,
+    FallbackStage, HealthPolicy, RobustSolution, RobustSolver, SeedProvenance, SeedSource,
+    SkipReason, SolveCtx, SolveDiagnostics, SolveError, StageAttempt, StageOutcome,
 };
 pub use solver::{PgdWorkspace, ProjectionKind, RelaxedSolution, SolverOptions, StopReason};
 pub use speedup::SpeedupCurve;

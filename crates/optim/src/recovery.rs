@@ -1,25 +1,18 @@
-//! Fault-tolerant solving: health-guarded solver runs plus a fallback
-//! ladder.
+//! Fault-tolerant solving: a health-guarded primary solve with a greedy
+//! fallback.
 //!
 //! The plain solvers in [`crate::solver`] assume well-posed inputs and
 //! well-behaved parameters. Production traces are messier: predictors
-//! occasionally emit `NaN` execution times, barrier parameters get tuned
-//! to the edge of numerical validity, and a diverging run silently
-//! poisons everything downstream. [`RobustSolver`] wraps the existing
-//! solvers with per-iterate health checks (finiteness, objective
-//! divergence, stall and wall-clock budgets) and, on failure, walks a
-//! configurable ladder of progressively more conservative methods:
+//! occasionally emit `NaN` execution times and a diverging run silently
+//! poisons everything downstream. [`RobustSolver`] validates its input
+//! and parameters up front — malformed data, and a log barrier whose
+//! cutoff `ε` is not positive with a finite reciprocal, fail with
+//! [`SolveError::InvalidInput`] — then walks a two-rung ladder:
 //!
 //! 1. the configured first-order solver with the caller's parameters
-//!    ([`FallbackStage::Primary`]),
-//! 2. the same solver with backed-off relaxation parameters — smaller
-//!    smooth-max `β`, larger entropy `ρ`, softer barrier `ε`
-//!    ([`FallbackStage::BackedOff`]),
-//! 3. mirror-descent PGD with conservative parameters
-//!    ([`FallbackStage::MirrorDescent`]),
-//! 4. Euclidean PGD with conservative parameters
-//!    ([`FallbackStage::EuclideanPgd`]),
-//! 5. feasible greedy rounding — LPT assignment plus reliability and
+//!    under per-iterate health checks (finiteness, objective divergence,
+//!    stall and wall-clock budgets) ([`FallbackStage::Primary`]),
+//! 2. feasible greedy rounding — LPT assignment plus reliability and
 //!    capacity repair, which always produces a 0/1 column-stochastic
 //!    matching ([`FallbackStage::GreedyRounding`]).
 //!
@@ -29,11 +22,11 @@
 //! [`RobustSolver::solve`] takes a [`SolveCtx`]: start prices (a
 //! previous solve's [`RobustSolution::prices`]) and a
 //! [`crate::learned::DualPredictor`]. Admissible given prices seed one
-//! attempt ahead of the cold ladder; otherwise the predictor's
+//! primary attempt ahead of the cold one; otherwise the predictor's
 //! feasibility-repaired seed ([`crate::learned::repair`]) does;
 //! otherwise the solve starts cold. A rejected start never reaches the
-//! solver, and a seeded attempt that fails falls through the cold
-//! ladder, so a bad start costs at most one rung — never a wrong
+//! solver, and a seeded attempt that fails falls through to the cold
+//! attempt, so a bad start costs at most one attempt — never a wrong
 //! answer. [`SolveDiagnostics::seed`] records the start's provenance as
 //! a typed [`SeedProvenance`].
 
@@ -46,7 +39,7 @@ use crate::objective::{self, price_dim, BarrierKind, RelaxationParams};
 use crate::problem::{Assignment, MatchingProblem};
 use crate::solver::{
     is_column_stochastic, solve_relaxed_from_guarded, takes_price_trials, uniform_init,
-    PgdWorkspace, ProjectionKind, RelaxedSolution, SolverOptions, StopReason,
+    PgdWorkspace, RelaxedSolution, SolverOptions, StopReason,
 };
 use mfcp_linalg::Matrix;
 
@@ -55,46 +48,34 @@ use mfcp_linalg::Matrix;
 pub enum FallbackStage {
     /// The configured first-order solver with the caller's parameters.
     Primary,
-    /// The primary solver re-run with backed-off relaxation parameters.
-    BackedOff,
-    /// Mirror-descent PGD with conservative parameters.
-    MirrorDescent,
-    /// Euclidean-projection PGD with conservative parameters.
-    EuclideanPgd,
     /// Greedy LPT rounding plus reliability/capacity repair.
     GreedyRounding,
 }
 
 impl fmt::Display for FallbackStage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
+        f.write_str(match self {
             FallbackStage::Primary => "primary",
-            FallbackStage::BackedOff => "backoff",
-            FallbackStage::MirrorDescent => "mirror-descent",
-            FallbackStage::EuclideanPgd => "euclidean-pgd",
             FallbackStage::GreedyRounding => "greedy-rounding",
-        };
-        f.write_str(name)
+        })
     }
 }
 
 /// Typed failure modes surfaced by [`RobustSolver`] instead of panics or
-/// silent `NaN` propagation.
+/// silent `NaN` propagation. All but [`SolveError::InvalidInput`] and
+/// [`SolveError::AllSamplesNonFinite`] end a primary attempt (greedy
+/// rounding cannot fail).
 #[derive(Debug, Clone)]
 pub enum SolveError {
     /// The problem data or relaxation parameters failed validation.
     InvalidInput(String),
     /// An iterate or its objective became `NaN`/`±∞`.
     NonFinite {
-        /// Stage that produced the non-finite value.
-        stage: FallbackStage,
         /// Iteration at which it was detected.
         iteration: usize,
     },
-    /// The objective rose far above the best value seen in this stage.
+    /// The objective rose far above the best value seen in the attempt.
     Diverged {
-        /// Diverging stage.
-        stage: FallbackStage,
         /// Iteration at which divergence was detected.
         iteration: usize,
         /// Objective value at detection.
@@ -105,36 +86,27 @@ pub enum SolveError {
     /// No measurable objective improvement for the configured window
     /// while the iterate kept taking sizable steps.
     Stalled {
-        /// Stalled stage.
-        stage: FallbackStage,
         /// Iteration at which the stall was declared.
         iteration: usize,
     },
-    /// The caller's per-request [`Budget`] expired mid-stage: its
+    /// The caller's per-request [`Budget`] expired mid-attempt: its
     /// deadline passed or its cancel token fired. Unlike
     /// [`SolveError::WallBudget`] (the solver's own safety limit), this
     /// is the *request's* latency contract; the ladder responds by
-    /// skipping straight to the greedy rung.
+    /// going straight to the greedy rung.
     DeadlineExceeded {
-        /// Stage that was running when the budget expired.
-        stage: FallbackStage,
         /// Iteration at which the expiry was observed.
         iteration: usize,
     },
-    /// The shared wall-clock budget ran out mid-stage.
+    /// The shared wall-clock budget ran out mid-attempt.
     WallBudget {
-        /// Stage that exceeded the budget.
-        stage: FallbackStage,
         /// Iteration at which the budget check fired.
         iteration: usize,
         /// Elapsed seconds since the solve started.
         elapsed_secs: f64,
     },
-    /// A stage returned an iterate whose columns left the simplex.
-    OffSimplex {
-        /// Offending stage.
-        stage: FallbackStage,
-    },
+    /// An attempt returned an iterate whose columns left the simplex.
+    OffSimplex,
     /// Every zeroth-order perturbation sample produced a non-finite
     /// directional derivative (see
     /// [`crate::zeroth::estimate_gradient_checked`]).
@@ -142,57 +114,42 @@ pub enum SolveError {
         /// Number of samples attempted.
         samples: usize,
     },
-    /// Every rung of the ladder failed; diagnostics record each attempt.
-    Exhausted {
-        /// Full per-stage record of the failed solve.
-        diagnostics: Box<SolveDiagnostics>,
-    },
 }
 
 impl fmt::Display for SolveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SolveError::InvalidInput(reason) => write!(f, "invalid input: {reason}"),
-            SolveError::NonFinite { stage, iteration } => {
-                write!(f, "{stage}: non-finite iterate at iteration {iteration}")
+            SolveError::NonFinite { iteration } => {
+                write!(f, "non-finite iterate at iteration {iteration}")
             }
             SolveError::Diverged {
-                stage,
                 iteration,
                 objective,
                 reference,
             } => write!(
                 f,
-                "{stage}: objective diverged at iteration {iteration} ({objective} vs best {reference})"
+                "objective diverged at iteration {iteration} ({objective} vs best {reference})"
             ),
-            SolveError::Stalled { stage, iteration } => {
-                write!(f, "{stage}: stalled without progress at iteration {iteration}")
+            SolveError::Stalled { iteration } => {
+                write!(f, "stalled without progress at iteration {iteration}")
             }
-            SolveError::DeadlineExceeded { stage, iteration } => {
-                write!(
-                    f,
-                    "{stage}: request budget expired at iteration {iteration}"
-                )
+            SolveError::DeadlineExceeded { iteration } => {
+                write!(f, "request budget expired at iteration {iteration}")
             }
             SolveError::WallBudget {
-                stage,
                 iteration,
                 elapsed_secs,
             } => write!(
                 f,
-                "{stage}: wall-clock budget exhausted at iteration {iteration} after {elapsed_secs:.3}s"
+                "wall-clock budget exhausted at iteration {iteration} after {elapsed_secs:.3}s"
             ),
-            SolveError::OffSimplex { stage } => {
-                write!(f, "{stage}: result columns left the probability simplex")
-            }
+            SolveError::OffSimplex => f.write_str("result columns left the probability simplex"),
             SolveError::AllSamplesNonFinite { samples } => {
                 write!(
                     f,
                     "all {samples} zeroth-order samples gave non-finite directional derivatives"
                 )
-            }
-            SolveError::Exhausted { diagnostics } => {
-                write!(f, "all fallback stages failed: {}", diagnostics.path())
             }
         }
     }
@@ -222,8 +179,8 @@ pub struct HealthPolicy {
     /// converging, not stalled; large steps with no objective
     /// improvement are an oscillation.
     pub stall_step_floor: f64,
-    /// Shared wall-clock budget for the whole ladder; `None` disables
-    /// the budget. Greedy rounding always runs regardless.
+    /// Shared wall-clock budget for the primary attempts; `None`
+    /// disables the budget. Greedy rounding always runs regardless.
     pub wall_limit: Option<Duration>,
 }
 
@@ -241,61 +198,6 @@ impl Default for HealthPolicy {
     }
 }
 
-/// Parameter back-off schedule used by [`FallbackStage::BackedOff`] and,
-/// at full strength, by the conservative fallback rungs.
-#[derive(Debug, Clone, Copy)]
-pub struct BackoffSchedule {
-    /// Number of backed-off retries before moving down the ladder.
-    pub retries: usize,
-    /// Multiplicative shrink applied to the smooth-max sharpness `β`
-    /// per retry.
-    pub beta_factor: f64,
-    /// Lower clamp for the backed-off `β`.
-    pub beta_floor: f64,
-    /// Multiplicative growth applied to the entropy weight `ρ` per
-    /// retry (a larger `ρ` keeps the price system better conditioned).
-    pub rho_factor: f64,
-    /// `ρ` is raised to at least this value before growing.
-    pub rho_floor: f64,
-    /// Multiplicative growth applied to the log-barrier cutoff `ε` per
-    /// retry (a softer barrier keeps gradients finite near the
-    /// constraint boundary).
-    pub eps_factor: f64,
-    /// `ε` is raised to at least this value before growing.
-    pub eps_floor: f64,
-}
-
-impl Default for BackoffSchedule {
-    fn default() -> Self {
-        BackoffSchedule {
-            retries: 2,
-            beta_factor: 0.5,
-            beta_floor: 0.5,
-            rho_factor: 4.0,
-            rho_floor: 1e-3,
-            eps_factor: 10.0,
-            eps_floor: 1e-4,
-        }
-    }
-}
-
-impl BackoffSchedule {
-    /// Relaxation parameters after `level` rounds of back-off
-    /// (`level = 0` returns `params` unchanged).
-    pub fn backed_off(&self, params: &RelaxationParams, level: usize) -> RelaxationParams {
-        let mut out = *params;
-        for _ in 0..level {
-            out.beta = (out.beta * self.beta_factor).max(self.beta_floor);
-            out.rho = out.rho.max(self.rho_floor) * self.rho_factor;
-            if let BarrierKind::Log { eps } = out.barrier {
-                let softened = (eps.max(self.eps_floor) * self.eps_factor).min(0.1);
-                out.barrier = BarrierKind::Log { eps: softened };
-            }
-        }
-        out
-    }
-}
-
 /// How a single ladder attempt ended.
 #[derive(Debug, Clone)]
 pub enum StageOutcome {
@@ -307,7 +209,7 @@ pub enum StageOutcome {
     Skipped(SkipReason),
 }
 
-/// Why a ladder rung was skipped without running.
+/// Why the primary rung was skipped without running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SkipReason {
     /// The caller's per-request [`Budget`] expired or was cancelled.
@@ -330,9 +232,6 @@ impl fmt::Display for SkipReason {
 pub struct StageAttempt {
     /// The rung attempted.
     pub stage: FallbackStage,
-    /// Retry index within the rung (only [`FallbackStage::BackedOff`]
-    /// retries; every other rung uses `0`).
-    pub retry: usize,
     /// Iterations the underlying solver performed.
     pub iterations: usize,
     /// Why the underlying solver stopped; `None` when the rung produced
@@ -380,17 +279,17 @@ impl fmt::Display for SeedSource {
 /// the prediction (the rejection still counts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeedProvenance {
-    /// No start was offered, the predictor abstained, or the ladder has
-    /// no primary rung to seed: the solve ran cold.
+    /// No start was offered, the predictor abstained, or the solve is
+    /// greedy-only: the solve ran cold.
     Cold,
     /// The start seeded the successful first attempt.
     Seeded(SeedSource),
     /// The start failed its admission check ([`prices_admissible`] and
     /// [`price_dim`] for prices, [`crate::learned::repair`] for columns)
-    /// and never reached the solver; the cold ladder ran.
+    /// and never reached the solver; the cold path ran.
     Rejected(SeedSource, RepairError),
-    /// The start seeded an attempt that failed; the ladder fell through
-    /// to the cold path (cost: exactly one rung).
+    /// The start seeded an attempt that failed; the solve fell through
+    /// to the cold attempt (cost: exactly one attempt).
     FellBack(SeedSource),
 }
 
@@ -425,18 +324,14 @@ pub struct SolveDiagnostics {
 
 impl SolveDiagnostics {
     /// Human-readable recovery path, e.g.
-    /// `"primary x(non-finite) -> backoff#1 ok"`.
+    /// `"primary x(non-finite) -> greedy-rounding ok"`.
     pub fn path(&self) -> String {
         let mut parts = Vec::with_capacity(self.attempts.len());
         for a in &self.attempts {
-            let mut label = if a.stage == FallbackStage::BackedOff {
-                format!("{}#{}", a.stage, a.retry)
-            } else {
-                a.stage.to_string()
+            let label = match a.seed {
+                Some(source) => format!("{source}-{}", a.stage),
+                None => a.stage.to_string(),
             };
-            if let Some(source) = a.seed {
-                label = format!("{source}-{label}");
-            }
             let mark = match &a.outcome {
                 StageOutcome::Success => "ok".to_string(),
                 StageOutcome::Failed(err) => format!("x({})", short_reason(err)),
@@ -445,14 +340,6 @@ impl SolveDiagnostics {
             parts.push(format!("{label} {mark}"));
         }
         parts.join(" -> ")
-    }
-
-    /// Number of attempts that ended in [`StageOutcome::Failed`].
-    pub fn failures(&self) -> usize {
-        self.attempts
-            .iter()
-            .filter(|a| matches!(a.outcome, StageOutcome::Failed(_)))
-            .count()
     }
 }
 
@@ -464,9 +351,8 @@ fn short_reason(err: &SolveError) -> &'static str {
         SolveError::Stalled { .. } => "stalled",
         SolveError::DeadlineExceeded { .. } => "deadline",
         SolveError::WallBudget { .. } => "wall-budget",
-        SolveError::OffSimplex { .. } => "off-simplex",
+        SolveError::OffSimplex => "off-simplex",
         SolveError::AllSamplesNonFinite { .. } => "non-finite-samples",
-        SolveError::Exhausted { .. } => "exhausted",
     }
 }
 
@@ -476,9 +362,9 @@ pub struct RobustSolution {
     /// Column-stochastic matching (fractional, or 0/1 from the greedy
     /// rung).
     pub x: Matrix,
-    /// Objective value of `x` (for the greedy rung, evaluated under the
-    /// conservative backed-off parameters so it stays finite even when
-    /// the caller's parameters are degenerate).
+    /// Objective value of `x` under the caller's parameters, whichever
+    /// rung produced it, so a greedy answer compares directly with a
+    /// primary one (validation keeps it finite).
     pub objective: f64,
     /// The solve's final prices ([`RelaxedSolution::prices`]); empty
     /// when the producing rung keeps none (greedy rounding, or an
@@ -501,19 +387,7 @@ struct Seed {
     source: SeedSource,
 }
 
-/// The default rung order: primary, backed-off retries, mirror descent,
-/// Euclidean PGD, greedy rounding.
-pub fn default_ladder() -> Vec<FallbackStage> {
-    vec![
-        FallbackStage::Primary,
-        FallbackStage::BackedOff,
-        FallbackStage::MirrorDescent,
-        FallbackStage::EuclideanPgd,
-        FallbackStage::GreedyRounding,
-    ]
-}
-
-/// Fault-tolerant wrapper around the relaxed-matching solvers.
+/// Fault-tolerant wrapper around the relaxed-matching solver.
 ///
 /// ```
 /// use mfcp_linalg::Matrix;
@@ -531,22 +405,21 @@ pub fn default_ladder() -> Vec<FallbackStage> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RobustSolver {
-    /// Relaxation parameters for the primary attempt.
+    /// Relaxation parameters of the primary attempts and of the greedy
+    /// rung's reported objective.
     pub params: RelaxationParams,
     /// First-order solver options (projection kind, step size, budget).
     pub solver_opts: SolverOptions,
-    /// Health thresholds applied to every guarded stage.
+    /// Health thresholds applied to every primary attempt.
     pub policy: HealthPolicy,
-    /// Parameter back-off schedule.
-    pub backoff: BackoffSchedule,
-    /// Rung order; defaults to [`default_ladder`].
-    pub ladder: Vec<FallbackStage>,
+    /// Skip the primary rung and answer with greedy rounding alone (the
+    /// daemon's degraded mode under overload).
+    pub greedy_only: bool,
     /// Per-request solve budget (deadline and/or cancel token); defaults
     /// to [`Budget::unlimited`]. When the budget expires mid-solve the
-    /// running stage aborts with [`SolveError::DeadlineExceeded`] and
-    /// every remaining rung except greedy rounding is skipped, so an
-    /// over-budget request still gets a feasible answer with bounded
-    /// extra latency.
+    /// running attempt aborts with [`SolveError::DeadlineExceeded`] and
+    /// the solve goes to greedy rounding, so an over-budget request
+    /// still gets a feasible answer with bounded extra latency.
     pub budget: Budget,
 }
 
@@ -557,8 +430,7 @@ impl RobustSolver {
             params,
             solver_opts: SolverOptions::default(),
             policy: HealthPolicy::default(),
-            backoff: BackoffSchedule::default(),
-            ladder: default_ladder(),
+            greedy_only: false,
             budget: Budget::unlimited(),
         }
     }
@@ -571,14 +443,8 @@ impl RobustSolver {
         solver
     }
 
-    /// The conservative parameters used by the fallback rungs (full
-    /// back-off applied to the caller's parameters).
-    pub fn safe_params(&self) -> RelaxationParams {
-        self.backoff
-            .backed_off(&self.params, self.backoff.retries.max(1))
-    }
-
-    /// Solves `problem`, walking the fallback ladder on failure.
+    /// Solves `problem`: the primary rung, then greedy rounding if it
+    /// fails or the budget runs out.
     ///
     /// The primary rung first runs one seeded attempt when `ctx` offers
     /// a usable start, best to worst: the given prices, when the solve
@@ -586,14 +452,14 @@ impl RobustSolver {
     /// layout and pass [`prices_admissible`]; else the predictor's seed
     /// (its prices when it has admissible ones, else its repaired
     /// columns). A seeded attempt that fails falls through to the cold
-    /// primary attempt and the rest of the ladder, so a bad start costs
-    /// at most one rung and can never change the answer.
-    /// [`SolveDiagnostics::seed`] records the provenance.
+    /// primary attempt, so a bad start costs at most one attempt and can
+    /// never change the answer. [`SolveDiagnostics::seed`] records the
+    /// provenance.
     ///
     /// Returns the first healthy solution together with the full
-    /// per-stage diagnostics, [`SolveError::InvalidInput`] when the
-    /// problem data or parameters are malformed, or
-    /// [`SolveError::Exhausted`] when every configured rung failed.
+    /// per-attempt diagnostics, or [`SolveError::InvalidInput`] when the
+    /// problem data or parameters are malformed — the only error, since
+    /// greedy rounding cannot fail.
     pub fn solve(
         &self,
         problem: &MatchingProblem,
@@ -601,19 +467,15 @@ impl RobustSolver {
     ) -> Result<RobustSolution, SolveError> {
         validate_problem(problem)?;
         validate_params(&self.params)?;
-        // Only the primary rung takes a start; a ladder without it (the
-        // daemon's degraded greedy-only resolves) asks for none.
-        let (seed, offered) = if self.ladder.contains(&FallbackStage::Primary) {
-            self.seed(problem, ctx)
-        } else {
+        // Only the primary rung takes a start; a greedy-only solve asks
+        // for none.
+        let (seed, offered) = if self.greedy_only {
             (None, SeedProvenance::Cold)
+        } else {
+            self.seed(problem, ctx)
         };
-        let mut result = self.solve_inner(problem, seed);
-        let diagnostics = match &mut result {
-            Ok(sol) => &mut sol.diagnostics,
-            Err(SolveError::Exhausted { diagnostics }) => diagnostics,
-            Err(_) => return result,
-        };
+        let mut sol = self.solve_inner(problem, seed);
+        let diagnostics = &mut sol.diagnostics;
         diagnostics.seed = match offered {
             SeedProvenance::Seeded(source) => match diagnostics.attempts.first() {
                 Some(first) if first.seed.is_some() => {
@@ -632,7 +494,7 @@ impl RobustSolver {
             other => other,
         };
         record_provenance(diagnostics.seed);
-        result
+        Ok(sol)
     }
 
     /// The start `ctx` offers for `problem`, with its provenance should
@@ -713,26 +575,17 @@ impl RobustSolver {
         }
     }
 
-    fn solve_inner(
-        &self,
-        problem: &MatchingProblem,
-        mut seed: Option<Seed>,
-    ) -> Result<RobustSolution, SolveError> {
+    fn solve_inner(&self, problem: &MatchingProblem, seed: Option<Seed>) -> RobustSolution {
         let _span = mfcp_obs::span("robust_solve");
         register_ladder_counters();
         mfcp_obs::counter("optim.robust.calls").inc();
         let start = Instant::now();
         let mut attempts: Vec<StageAttempt> = Vec::new();
-        // One PGD workspace serves every first-order rung.
-        let mut pgd_ws = PgdWorkspace::default();
 
-        for &stage in &self.ladder {
-            if stage != FallbackStage::GreedyRounding
-                && (self.budget_spent(start) || self.budget.expired())
-            {
+        if !self.greedy_only {
+            if self.budget_spent(start) || self.budget.expired() {
                 attempts.push(StageAttempt {
-                    stage,
-                    retry: 0,
+                    stage: FallbackStage::Primary,
                     iterations: 0,
                     stop: None,
                     residual: None,
@@ -746,155 +599,57 @@ impl RobustSolver {
                     }),
                 });
                 record_attempt_metrics(attempts.last().expect("just pushed"));
-                continue;
-            }
-            match stage {
-                FallbackStage::Primary => {
-                    let opts = self.solver_opts;
-                    // One seeded attempt first, when given prices or a
-                    // repaired prediction were supplied; its failure
-                    // falls through to the regular cold primary attempt
-                    // and the rest of the ladder.
-                    if let Some(seeded) = seed.take() {
-                        if let Some(sol) = self.try_pgd(
-                            problem,
-                            stage,
-                            0,
-                            self.params,
-                            opts,
-                            start,
-                            Some(seeded),
-                            &mut attempts,
-                            &mut pgd_ws,
-                        ) {
-                            return Ok(self.finish(
-                                (sol.x, sol.objective, sol.prices),
-                                stage,
-                                None,
-                                attempts,
-                                start,
-                            ));
-                        }
-                    }
-                    if let Some(sol) = self.try_pgd(
-                        problem,
-                        stage,
-                        0,
-                        self.params,
-                        opts,
-                        start,
+            } else {
+                let mut pgd_ws = PgdWorkspace::default();
+                // One seeded attempt first, when given prices or a
+                // repaired prediction were supplied; its failure falls
+                // through to the cold attempt, and that one's to greedy.
+                let sol = seed
+                    .and_then(|seed| {
+                        self.try_primary(problem, start, Some(seed), &mut attempts, &mut pgd_ws)
+                    })
+                    .or_else(|| self.try_primary(problem, start, None, &mut attempts, &mut pgd_ws));
+                if let Some(sol) = sol {
+                    return self.finish(
+                        (sol.x, sol.objective, sol.prices),
+                        FallbackStage::Primary,
                         None,
-                        &mut attempts,
-                        &mut pgd_ws,
-                    ) {
-                        return Ok(self.finish(
-                            (sol.x, sol.objective, sol.prices),
-                            stage,
-                            None,
-                            attempts,
-                            start,
-                        ));
-                    }
-                }
-                FallbackStage::BackedOff => {
-                    for retry in 1..=self.backoff.retries {
-                        if self.budget_spent(start) || self.budget.expired() {
-                            break;
-                        }
-                        let params = self.backoff.backed_off(&self.params, retry);
-                        let opts = self.solver_opts;
-                        if let Some(sol) = self.try_pgd(
-                            problem,
-                            stage,
-                            retry,
-                            params,
-                            opts,
-                            start,
-                            None,
-                            &mut attempts,
-                            &mut pgd_ws,
-                        ) {
-                            return Ok(self.finish(
-                                (sol.x, sol.objective, sol.prices),
-                                stage,
-                                None,
-                                attempts,
-                                start,
-                            ));
-                        }
-                    }
-                }
-                FallbackStage::MirrorDescent | FallbackStage::EuclideanPgd => {
-                    let mut opts = self.solver_opts;
-                    opts.projection = if stage == FallbackStage::MirrorDescent {
-                        ProjectionKind::MirrorDescent
-                    } else {
-                        ProjectionKind::Euclidean
-                    };
-                    let params = self.safe_params();
-                    if let Some(sol) = self.try_pgd(
-                        problem,
-                        stage,
-                        0,
-                        params,
-                        opts,
-                        start,
-                        None,
-                        &mut attempts,
-                        &mut pgd_ws,
-                    ) {
-                        return Ok(self.finish(
-                            (sol.x, sol.objective, sol.prices),
-                            stage,
-                            None,
-                            attempts,
-                            start,
-                        ));
-                    }
-                }
-                FallbackStage::GreedyRounding => {
-                    let t0 = Instant::now();
-                    mfcp_obs::trace::begin(stage_trace_name(stage), None);
-                    let mut asg = crate::exact::greedy_lpt(problem);
-                    crate::rounding::repair_reliability(problem, &mut asg);
-                    if problem.capacity.is_some() {
-                        crate::rounding::repair_capacity(problem, &mut asg);
-                    }
-                    let x = asg.to_matrix(problem.clusters());
-                    let objective = objective::value(problem, &self.safe_params(), &x);
-                    attempts.push(StageAttempt {
-                        stage,
-                        retry: 0,
-                        iterations: 0,
-                        stop: None,
-                        residual: None,
-                        objective: Some(objective),
-                        elapsed_secs: t0.elapsed().as_secs_f64(),
-                        seed: None,
-                        outcome: StageOutcome::Success,
-                    });
-                    mfcp_obs::trace::end(stage_trace_name(stage), None);
-                    record_attempt_metrics(attempts.last().expect("just pushed"));
-                    return Ok(self.finish(
-                        (x, objective, Vec::new()),
-                        stage,
-                        Some(asg),
                         attempts,
                         start,
-                    ));
+                    );
                 }
             }
         }
 
-        mfcp_obs::counter("optim.robust.exhausted").inc();
-        Err(SolveError::Exhausted {
-            diagnostics: Box::new(SolveDiagnostics {
-                recovered: false,
-                total_secs: start.elapsed().as_secs_f64(),
-                attempts,
-                seed: SeedProvenance::Cold,
-            }),
-        })
+        let stage = FallbackStage::GreedyRounding;
+        let t0 = Instant::now();
+        mfcp_obs::trace::begin(stage_trace_name(stage), None);
+        let mut asg = crate::exact::greedy_lpt(problem);
+        crate::rounding::repair_reliability(problem, &mut asg);
+        if problem.capacity.is_some() {
+            crate::rounding::repair_capacity(problem, &mut asg);
+        }
+        let x = asg.to_matrix(problem.clusters());
+        let objective = objective::value(problem, &self.params, &x);
+        attempts.push(StageAttempt {
+            stage,
+            iterations: 0,
+            stop: None,
+            residual: None,
+            objective: Some(objective),
+            elapsed_secs: t0.elapsed().as_secs_f64(),
+            seed: None,
+            outcome: StageOutcome::Success,
+        });
+        mfcp_obs::trace::end(stage_trace_name(stage), None);
+        record_attempt_metrics(attempts.last().expect("just pushed"));
+        self.finish(
+            (x, objective, Vec::new()),
+            stage,
+            Some(asg),
+            attempts,
+            start,
+        )
     }
 
     fn budget_spent(&self, start: Instant) -> bool {
@@ -903,29 +658,20 @@ impl RobustSolver {
             .is_some_and(|limit| start.elapsed() >= limit)
     }
 
-    /// Runs a guarded PGD attempt; records it and returns the solution
-    /// on success.
-    #[allow(clippy::too_many_arguments)]
-    fn try_pgd(
+    /// Runs one guarded primary attempt from `seed` (cold when `None`);
+    /// records it and returns the solution on success.
+    fn try_primary(
         &self,
         problem: &MatchingProblem,
-        stage: FallbackStage,
-        retry: usize,
-        params: RelaxationParams,
-        opts: SolverOptions,
         start: Instant,
         seed: Option<Seed>,
         attempts: &mut Vec<StageAttempt>,
         pgd_ws: &mut PgdWorkspace,
     ) -> Option<RelaxedSolution> {
+        let stage = FallbackStage::Primary;
         let t0 = Instant::now();
-        mfcp_obs::trace::begin(stage_trace_name(stage), Some(retry as u64));
-        // The softened barrier cutoff is this ladder's μ-style continuation
-        // knob; its per-attempt trajectory shows how far back-off had to go.
-        if let BarrierKind::Log { eps } = params.barrier {
-            mfcp_obs::histogram("optim.robust.barrier_eps").record(eps);
-        }
-        let mut guard = GuardRunner::new(&self.policy, &self.budget, start, stage);
+        mfcp_obs::trace::begin(stage_trace_name(stage), None);
+        let mut guard = GuardRunner::new(&self.policy, &self.budget, start);
         let source = seed.as_ref().map(|seed| seed.source);
         // A seed's prices start the price state; without them the solver
         // prices the seed itself.
@@ -938,79 +684,58 @@ impl RobustSolver {
         };
         let result = solve_relaxed_from_guarded(
             problem,
-            &params,
-            &opts,
+            &self.params,
+            &self.solver_opts,
             x0,
             (!prices.is_empty()).then_some(&prices[..]),
             &mut |it, f, step| guard.check(it, f, step),
             pgd_ws,
         );
-        self.record(stage, retry, t0, result, source, attempts)
-    }
-
-    /// Health-checks a finished attempt, records it, and returns the
-    /// solution when it is usable.
-    fn record(
-        &self,
-        stage: FallbackStage,
-        retry: usize,
-        t0: Instant,
-        result: Result<RelaxedSolution, SolveError>,
-        seed: Option<SeedSource>,
-        attempts: &mut Vec<StageAttempt>,
-    ) -> Option<RelaxedSolution> {
         let elapsed_secs = t0.elapsed().as_secs_f64();
-        let iters = match &result {
-            Ok(sol) => sol.iterations,
-            Err(err) => error_iteration(err),
-        };
-        mfcp_obs::trace::end(stage_trace_name(stage), Some(iters as u64));
-        match result {
+        let (attempt, usable) = match result {
             Ok(sol) => {
                 let healthy =
                     sol.objective.is_finite() && sol.x.as_slice().iter().all(|v| v.is_finite());
-                let on_simplex = healthy && is_column_stochastic(&sol.x, 1e-6);
                 let outcome = if !healthy {
                     StageOutcome::Failed(SolveError::NonFinite {
-                        stage,
                         iteration: sol.iterations,
                     })
-                } else if !on_simplex {
-                    StageOutcome::Failed(SolveError::OffSimplex { stage })
+                } else if !is_column_stochastic(&sol.x, 1e-6) {
+                    StageOutcome::Failed(SolveError::OffSimplex)
                 } else {
                     StageOutcome::Success
                 };
-                let usable = matches!(outcome, StageOutcome::Success);
-                attempts.push(StageAttempt {
+                let attempt = StageAttempt {
                     stage,
-                    retry,
                     iterations: sol.iterations,
                     stop: Some(sol.stop),
                     residual: Some(sol.residual),
                     objective: Some(sol.objective),
                     elapsed_secs,
-                    seed,
+                    seed: source,
                     outcome,
-                });
-                record_attempt_metrics(attempts.last().expect("just pushed"));
-                usable.then_some(sol)
+                };
+                let usable = matches!(attempt.outcome, StageOutcome::Success).then_some(sol);
+                (attempt, usable)
             }
             Err(err) => {
-                attempts.push(StageAttempt {
+                let attempt = StageAttempt {
                     stage,
-                    retry,
                     iterations: error_iteration(&err),
                     stop: None,
                     residual: None,
                     objective: None,
                     elapsed_secs,
-                    seed,
+                    seed: source,
                     outcome: StageOutcome::Failed(err),
-                });
-                record_attempt_metrics(attempts.last().expect("just pushed"));
-                None
+                };
+                (attempt, None)
             }
-        }
+        };
+        mfcp_obs::trace::end(stage_trace_name(stage), Some(attempt.iterations as u64));
+        record_attempt_metrics(&attempt);
+        attempts.push(attempt);
+        usable
     }
 
     fn finish(
@@ -1044,14 +769,11 @@ impl RobustSolver {
 }
 
 /// Flight-recorder event name for a ladder stage. Attempts that actually
-/// run emit a begin/end pair under this name; skipped stages emit an
-/// instant, so the trace timeline shows where the ladder jumped.
+/// run emit a begin/end pair under this name; a skipped primary rung
+/// emits an instant, so the trace timeline shows where the ladder jumped.
 fn stage_trace_name(stage: FallbackStage) -> &'static str {
     match stage {
         FallbackStage::Primary => "robust.primary",
-        FallbackStage::BackedOff => "robust.backoff",
-        FallbackStage::MirrorDescent => "robust.mirror-descent",
-        FallbackStage::EuclideanPgd => "robust.euclidean-pgd",
         FallbackStage::GreedyRounding => "robust.greedy-rounding",
     }
 }
@@ -1063,14 +785,7 @@ fn register_ladder_counters() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         mfcp_obs::counter("optim.robust.recovered");
-        mfcp_obs::counter("optim.robust.exhausted");
-        for stage in [
-            FallbackStage::Primary,
-            FallbackStage::BackedOff,
-            FallbackStage::MirrorDescent,
-            FallbackStage::EuclideanPgd,
-            FallbackStage::GreedyRounding,
-        ] {
+        for stage in [FallbackStage::Primary, FallbackStage::GreedyRounding] {
             for suffix in ["ok", "failed", "skipped"] {
                 mfcp_obs::counter(&format!("optim.robust.stage.{stage}.{suffix}"));
             }
@@ -1093,7 +808,7 @@ fn record_attempt_metrics(attempt: &StageAttempt) {
     };
     mfcp_obs::counter(&format!("optim.robust.stage.{}.{suffix}", attempt.stage)).inc();
     if matches!(attempt.outcome, StageOutcome::Skipped(_)) {
-        mfcp_obs::trace::instant(stage_trace_name(attempt.stage), Some(attempt.retry as u64));
+        mfcp_obs::trace::instant(stage_trace_name(attempt.stage), None);
     } else {
         mfcp_obs::histogram("optim.robust.attempt_secs").record(attempt.elapsed_secs);
         mfcp_obs::histogram("optim.robust.attempt_iters").record(attempt.iterations as f64);
@@ -1136,39 +851,32 @@ fn note_learned_rejected() {
 
 fn error_iteration(err: &SolveError) -> usize {
     match err {
-        SolveError::NonFinite { iteration, .. }
+        SolveError::NonFinite { iteration }
         | SolveError::Diverged { iteration, .. }
-        | SolveError::Stalled { iteration, .. }
-        | SolveError::DeadlineExceeded { iteration, .. }
+        | SolveError::Stalled { iteration }
+        | SolveError::DeadlineExceeded { iteration }
         | SolveError::WallBudget { iteration, .. } => *iteration,
         _ => 0,
     }
 }
 
-/// Per-iterate health state threaded through a guarded solver run. It
-/// judges the objective the solver hands it and never re-evaluates the
-/// iterate.
+/// Per-iterate health state threaded through a guarded primary attempt.
+/// It judges the objective the solver hands it and never re-evaluates
+/// the iterate.
 struct GuardRunner<'a> {
     policy: &'a HealthPolicy,
     budget: &'a Budget,
     start: Instant,
-    stage: FallbackStage,
     best: f64,
     stall_count: usize,
 }
 
 impl<'a> GuardRunner<'a> {
-    fn new(
-        policy: &'a HealthPolicy,
-        budget: &'a Budget,
-        start: Instant,
-        stage: FallbackStage,
-    ) -> Self {
+    fn new(policy: &'a HealthPolicy, budget: &'a Budget, start: Instant) -> Self {
         GuardRunner {
             policy,
             budget,
             start,
-            stage,
             best: f64::INFINITY,
             stall_count: 0,
         }
@@ -1180,21 +888,14 @@ impl<'a> GuardRunner<'a> {
         // The request budget is the tightest contract: checked first, on
         // every accepted iterate of the PGD loop.
         if self.budget.expired() {
-            return Err(SolveError::DeadlineExceeded {
-                stage: self.stage,
-                iteration,
-            });
+            return Err(SolveError::DeadlineExceeded { iteration });
         }
         if !obj.is_finite() {
-            return Err(SolveError::NonFinite {
-                stage: self.stage,
-                iteration,
-            });
+            return Err(SolveError::NonFinite { iteration });
         }
         if let Some(limit) = self.policy.wall_limit {
             if self.start.elapsed() >= limit {
                 return Err(SolveError::WallBudget {
-                    stage: self.stage,
                     iteration,
                     elapsed_secs: self.start.elapsed().as_secs_f64(),
                 });
@@ -1207,7 +908,6 @@ impl<'a> GuardRunner<'a> {
                     + self.policy.divergence_ratio * self.best.abs();
                 if obj > ceiling {
                     return Err(SolveError::Diverged {
-                        stage: self.stage,
                         iteration,
                         objective: obj,
                         reference: self.best,
@@ -1221,10 +921,7 @@ impl<'a> GuardRunner<'a> {
                     // iterate is bouncing, not converging.
                     self.stall_count += 1;
                     if self.stall_count > self.policy.stall_checks {
-                        return Err(SolveError::Stalled {
-                            stage: self.stage,
-                            iteration,
-                        });
+                        return Err(SolveError::Stalled { iteration });
                     }
                 }
             }
@@ -1330,10 +1027,13 @@ fn validate_params(params: &RelaxationParams) -> Result<(), SolveError> {
             params.rho
         )));
     }
+    // The barrier's linear extension divides by ε: a zero or subnormal
+    // cutoff sends the first gradient, and the objective at a
+    // reliability-violating 0/1 point, to infinity.
     if let BarrierKind::Log { eps } = params.barrier {
-        if !eps.is_finite() || eps < 0.0 {
+        if !(eps.is_finite() && eps > 0.0 && eps.recip().is_finite()) {
             return Err(SolveError::InvalidInput(format!(
-                "log-barrier eps = {eps} (must be finite and non-negative)"
+                "log-barrier eps = {eps} (must be finite, positive and have a finite reciprocal)"
             )));
         }
     }
@@ -1353,18 +1053,19 @@ mod tests {
         MatchingProblem::new(t, a, 0.75)
     }
 
-    /// A problem that is reliability-infeasible at the uniform starting
-    /// point: with a zero-cutoff log barrier the very first gradient is
-    /// `-∞` and the plain solver's iterates go `NaN` immediately.
-    fn degenerate_barrier_setup() -> (MatchingProblem, RelaxationParams) {
-        let t = Matrix::filled(2, 4, 1.0);
-        let a = Matrix::filled(2, 4, 0.7);
-        let problem = MatchingProblem::new(t, a, 0.95);
-        let params = RelaxationParams {
-            barrier: BarrierKind::Log { eps: 0.0 },
-            ..Default::default()
+    /// A healthy problem under a health policy no run can pass: every
+    /// iterate is checked, and one that does not beat the best objective
+    /// so far by a whole unit counts as diverged. Every primary attempt,
+    /// seeded or cold, fails at its second iterate, deterministically.
+    fn failing_primary_setup() -> (MatchingProblem, RobustSolver) {
+        let mut solver = RobustSolver::new(RelaxationParams::default());
+        solver.policy = HealthPolicy {
+            check_every: 1,
+            divergence_slack: -1.0,
+            divergence_ratio: 0.0,
+            ..HealthPolicy::default()
         };
-        (problem, params)
+        (random_problem(1, 3, 6), solver)
     }
 
     #[test]
@@ -1391,38 +1092,75 @@ mod tests {
     }
 
     #[test]
-    fn zero_eps_barrier_recovers_through_backoff() {
-        let (problem, params) = degenerate_barrier_setup();
-        // The unguarded solver silently returns a NaN matching here.
-        let raw = crate::solver::solve_relaxed(&problem, &params, &SolverOptions::default());
-        assert!(
-            raw.x.as_slice().iter().any(|v| v.is_nan()),
-            "setup must actually break the plain solver"
-        );
-
-        let sol = RobustSolver::new(params)
+    fn failed_primary_recovers_through_greedy() {
+        let (problem, solver) = failing_primary_setup();
+        let sol = solver
             .solve(&problem, SolveCtx::default())
-            .expect("ladder must recover");
+            .expect("greedy rounding must recover");
         assert!(
             sol.diagnostics.recovered,
             "path: {}",
             sol.diagnostics.path()
         );
-        assert_ne!(sol.stage, FallbackStage::Primary);
-        assert!(is_column_stochastic(&sol.x, 1e-6));
-        assert!(sol.x.as_slice().iter().all(|v| v.is_finite()));
+        assert_eq!(sol.stage, FallbackStage::GreedyRounding);
+        assert!(is_column_stochastic(&sol.x, 1e-12));
         assert!(sol.objective.is_finite());
-        // The primary attempt must be on record as a non-finite failure.
+        // The primary attempt must be on record as a divergence failure.
         let first = &sol.diagnostics.attempts[0];
         assert_eq!(first.stage, FallbackStage::Primary);
         assert!(
             matches!(
                 first.outcome,
-                StageOutcome::Failed(SolveError::NonFinite { .. })
+                StageOutcome::Failed(SolveError::Diverged { iteration: 2, .. })
             ),
             "unexpected first outcome: {:?}",
             first.outcome
         );
+    }
+
+    #[test]
+    fn degenerate_barrier_rejected_as_invalid_input() {
+        let problem = random_problem(3, 2, 3);
+        // A zero or subnormal cutoff breaks the unguarded solver on a
+        // reliability-infeasible start: the barrier's linear extension
+        // divides by it.
+        let infeasible =
+            MatchingProblem::new(Matrix::filled(2, 4, 1.0), Matrix::filled(2, 4, 0.7), 0.95);
+        for eps in [0.0, 1e-310] {
+            let params = RelaxationParams {
+                barrier: BarrierKind::Log { eps },
+                ..Default::default()
+            };
+            let raw = crate::solver::solve_relaxed(&infeasible, &params, &SolverOptions::default());
+            assert!(
+                !raw.objective.is_finite(),
+                "eps = {eps} breaks the plain solver"
+            );
+        }
+        for eps in [0.0, -1e-3, 1e-310, f64::NAN, f64::INFINITY] {
+            let params = RelaxationParams {
+                barrier: BarrierKind::Log { eps },
+                ..Default::default()
+            };
+            let err = RobustSolver::new(params)
+                .solve(&problem, SolveCtx::default())
+                .unwrap_err();
+            assert!(
+                matches!(err, SolveError::InvalidInput(_)),
+                "eps = {eps}: {err}"
+            );
+        }
+        // Tiny cutoffs with a finite reciprocal stay valid.
+        for eps in [1e-300, 1e-12] {
+            let params = RelaxationParams {
+                barrier: BarrierKind::Log { eps },
+                ..Default::default()
+            };
+            let sol = RobustSolver::new(params)
+                .solve(&problem, SolveCtx::default())
+                .expect("a positive cutoff with a finite reciprocal solves");
+            assert!(sol.objective.is_finite(), "eps = {eps}");
+        }
     }
 
     #[test]
@@ -1458,27 +1196,20 @@ mod tests {
     }
 
     #[test]
-    fn truncated_ladder_exhausts_with_diagnostics() {
-        let (problem, params) = degenerate_barrier_setup();
-        let mut solver = RobustSolver::new(params);
-        solver.ladder = vec![FallbackStage::Primary];
-        let err = solver.solve(&problem, SolveCtx::default()).unwrap_err();
-        let SolveError::Exhausted { diagnostics } = err else {
-            panic!("expected exhaustion, got {err}");
-        };
-        assert_eq!(diagnostics.attempts.len(), 1);
-        assert_eq!(diagnostics.failures(), 1);
-    }
-
-    #[test]
     fn greedy_rung_alone_produces_feasible_assignment() {
         let problem = random_problem(4, 3, 7);
-        let mut solver = RobustSolver::new(RelaxationParams::default());
-        solver.ladder = vec![FallbackStage::GreedyRounding];
+        let params = RelaxationParams::default();
+        let mut solver = RobustSolver::new(params);
+        solver.greedy_only = true;
         let sol = solver
             .solve(&problem, SolveCtx::default())
             .expect("greedy rung is infallible");
         assert_eq!(sol.stage, FallbackStage::GreedyRounding);
+        // Reported under the caller's parameters, like a primary solve.
+        assert_eq!(
+            sol.objective.to_bits(),
+            objective::value(&problem, &params, &sol.x).to_bits()
+        );
         let asg = sol.assignment.expect("greedy rung returns an assignment");
         assert_eq!(asg.tasks(), 7);
         assert!(is_column_stochastic(&sol.x, 1e-12));
@@ -1495,39 +1226,13 @@ mod tests {
     }
 
     #[test]
-    fn backoff_schedule_softens_parameters() {
-        let schedule = BackoffSchedule::default();
-        let params = RelaxationParams {
-            beta: 8.0,
-            rho: 0.0,
-            barrier: BarrierKind::Log { eps: 0.0 },
-            ..Default::default()
-        };
-        let once = schedule.backed_off(&params, 1);
-        assert!((once.beta - 4.0).abs() < 1e-12);
-        assert!(once.rho > 0.0);
-        let BarrierKind::Log { eps } = once.barrier else {
-            panic!("barrier kind must be preserved");
-        };
-        assert!(eps > 0.0);
-        // Floors hold under heavy back-off.
-        let deep = schedule.backed_off(&params, 40);
-        assert!(deep.beta >= schedule.beta_floor);
-        let BarrierKind::Log { eps } = deep.barrier else {
-            panic!("barrier kind must be preserved");
-        };
-        assert!(eps <= 0.1 + 1e-12);
-    }
-
-    #[test]
     fn diagnostics_path_is_readable() {
-        let (problem, params) = degenerate_barrier_setup();
-        let sol = RobustSolver::new(params)
-            .solve(&problem, SolveCtx::default())
-            .unwrap();
-        let path = sol.diagnostics.path();
-        assert!(path.contains("primary x(non-finite)"), "path: {path}");
-        assert!(path.contains("ok"), "path: {path}");
+        let (problem, solver) = failing_primary_setup();
+        let sol = solver.solve(&problem, SolveCtx::default()).unwrap();
+        assert_eq!(
+            sol.diagnostics.path(),
+            "primary x(diverged) -> greedy-rounding ok"
+        );
     }
 
     fn tight_solver() -> RobustSolver {
@@ -1570,16 +1275,15 @@ mod tests {
 
     #[test]
     fn failed_given_attempt_falls_back_to_cold_ladder() {
-        // The degenerate barrier breaks the seeded attempt (the prices
+        // The health policy fails the seeded attempt (the prices
         // themselves pass their check), so the solver must record the
-        // failure and recover through the ladder with the same answer
-        // as a cold solve.
-        let (problem, params) = degenerate_barrier_setup();
-        let solver = RobustSolver::new(params);
+        // failure and recover through the cold attempt and greedy with
+        // the same answer as a cold solve.
+        let (problem, solver) = failing_primary_setup();
         let prices = vec![0.0; problem.clusters() + 1];
         let cold = solver
             .solve(&problem, SolveCtx::default())
-            .expect("plain ladder recovers");
+            .expect("greedy rounding recovers");
         let ctx = SolveCtx {
             prices: Some(&prices),
             ..SolveCtx::default()
@@ -1597,6 +1301,10 @@ mod tests {
             matches!(first.outcome, StageOutcome::Failed(_)),
             "the seeded attempt must be on record as failed"
         );
+        assert_eq!(
+            sol.diagnostics.path(),
+            "given-primary x(diverged) -> primary x(diverged) -> greedy-rounding ok"
+        );
         assert!(sol.diagnostics.recovered);
         assert_eq!(sol.stage, cold.stage);
         assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
@@ -1612,12 +1320,12 @@ mod tests {
                 _: &MatchingProblem,
                 _: &RelaxationParams,
             ) -> Option<crate::learned::DualPrediction> {
-                panic!("a ladder without a primary rung consulted the predictor");
+                panic!("a greedy-only solve consulted the predictor");
             }
         }
         let problem = random_problem(10, 3, 7);
         let mut solver = RobustSolver::new(RelaxationParams::default());
-        solver.ladder = vec![FallbackStage::GreedyRounding];
+        solver.greedy_only = true;
         let prices = vec![0.0; 4];
         let ctx = SolveCtx {
             prices: Some(&prices),
@@ -1643,7 +1351,7 @@ mod tests {
             .expect("an expired budget still yields a feasible matching");
         assert_eq!(sol.stage, FallbackStage::GreedyRounding);
         assert!(is_column_stochastic(&sol.x, 1e-9));
-        // Every optimizing rung must be on record as budget-skipped, not
+        // The primary rung must be on record as budget-skipped, not
         // silently dropped.
         let skipped: Vec<_> = sol
             .diagnostics
@@ -1697,7 +1405,7 @@ mod tests {
         let policy = HealthPolicy::default();
         let token = crate::budget::CancelToken::new();
         let budget = Budget::unlimited().with_cancel(token.clone());
-        let mut guard = GuardRunner::new(&policy, &budget, Instant::now(), FallbackStage::Primary);
+        let mut guard = GuardRunner::new(&policy, &budget, Instant::now());
         let x = crate::solver::uniform_init(problem.clusters(), problem.tasks());
         let f = objective::value(&problem, &params, &x);
 
@@ -1707,10 +1415,7 @@ mod tests {
         token.cancel();
         let err = guard.check(1, f, 1.0).unwrap_err();
         match err {
-            SolveError::DeadlineExceeded { stage, iteration } => {
-                assert_eq!(stage, FallbackStage::Primary);
-                assert_eq!(iteration, 1);
-            }
+            SolveError::DeadlineExceeded { iteration } => assert_eq!(iteration, 1),
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
         assert_eq!(short_reason(&err), "deadline");

@@ -4,16 +4,28 @@
 //! reliability constraint no matching can satisfy, all-equal costs, or a
 //! barrier configured to blow up — `RobustSolver::solve` must return
 //! either a finite column-stochastic matching or a typed error. It must
-//! never panic and never leak a NaN.
+//! never panic and never leak a NaN. A zero-cutoff log barrier is
+//! rejected as `SolveError::InvalidInput` before any attempt runs.
 
 use mfcp_linalg::Matrix;
-use mfcp_optim::{BarrierKind, MatchingProblem, RelaxationParams, RobustSolver, SolveCtx};
+use mfcp_optim::{
+    BarrierKind, MatchingProblem, RelaxationParams, RobustSolver, SolveCtx, SolveError,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Asserts the solve contract: finite feasible solution or typed error.
+/// Asserts the solve contract: finite feasible solution or typed error,
+/// and the typed rejection of a zero-cutoff barrier.
 fn assert_contract(solver: &RobustSolver, problem: &MatchingProblem) {
-    match solver.solve(problem, SolveCtx::default()) {
+    let result = solver.solve(problem, SolveCtx::default());
+    if solver.params.barrier == (BarrierKind::Log { eps: 0.0 }) {
+        assert!(
+            matches!(result, Err(SolveError::InvalidInput(_))),
+            "a zero-cutoff barrier must be rejected as invalid input, got {result:?}"
+        );
+        return;
+    }
+    match result {
         Ok(sol) => {
             assert!(
                 sol.objective.is_finite(),
@@ -51,7 +63,7 @@ fn barrier_for(choice: usize) -> BarrierKind {
     match choice % 3 {
         0 => BarrierKind::log(),
         1 => BarrierKind::HardPenalty,
-        // The pathological configuration the recovery ladder exists for.
+        // The pathological configuration validation rejects.
         _ => BarrierKind::Log { eps: 0.0 },
     }
 }

@@ -24,12 +24,12 @@
 //!   or one after a greedy resolve) starts from the dual head's
 //!   prediction when a head is attached, and cold otherwise.
 //! * A per-resolve [`Budget`] deadline cooperatively cancels the
-//!   optimizing rungs mid-iteration when the request blows its latency
+//!   primary rung mid-iteration when the request blows its latency
 //!   budget; the greedy rung still runs, so every resolve produces a
 //!   feasible matching (`serve.deadline_miss` counts the degradations).
 //! * Under overload (pending at or past
-//!   [`DaemonConfig::degrade_watermark`]) the resolve skips straight to
-//!   the greedy-only ladder to drain the backlog quickly.
+//!   [`DaemonConfig::degrade_watermark`]) the resolve runs greedy-only
+//!   ([`RobustSolver::greedy_only`]) to drain the backlog quickly.
 //!
 //! The daemon is deliberately single-threaded and wall-clock-free
 //! except for the optional deadline: given the same trace it performs
@@ -49,8 +49,8 @@ use std::time::{Duration, Instant};
 use mfcp_core::predictor::ClusterPredictor;
 use mfcp_linalg::Matrix;
 use mfcp_optim::{
-    Budget, DualPredictor, FallbackStage, LearnedDualHead, MatchingProblem, RelaxationParams,
-    RobustSolver, SkipReason, SolveCtx, SolveDiagnostics, SolveError, StageOutcome,
+    Budget, DualPredictor, LearnedDualHead, MatchingProblem, RelaxationParams, RobustSolver,
+    SkipReason, SolveCtx, SolveDiagnostics, SolveError, StageOutcome,
 };
 use mfcp_platform::prelude::{FeatureEmbedder, PerfModel};
 use mfcp_platform::stream::ExchangeEvent;
@@ -455,7 +455,7 @@ impl ExchangeDaemon {
             None => self.solver.clone(),
         };
         if degraded {
-            solver.ladder = vec![FallbackStage::GreedyRounding];
+            solver.greedy_only = true;
             self.state.counters.degraded += 1;
             self.c_degraded.inc();
         }
@@ -501,9 +501,10 @@ impl ExchangeDaemon {
                 self.last_resolve = Some(sol.diagnostics);
             }
             Err(e) => {
-                // The greedy rung is infallible, so this is a config
-                // error (e.g. an empty ladder). Keep the previous
-                // matching rather than serving nothing.
+                // The greedy rung is infallible, so only
+                // `SolveError::InvalidInput` (malformed matrices or
+                // parameters) reaches here. Keep the previous matching
+                // rather than serving nothing.
                 mfcp_obs::counter("serve.solve_error").inc();
                 mfcp_obs::trace::instant("serve.solve_error", None);
                 self.last_resolve = None;
