@@ -1,9 +1,10 @@
 //! Fault-tolerance demo: the three recovery layers end to end.
 //!
-//! 1. **Solver fallback ladder** — an instance whose log-barrier is
-//!    configured with `eps = 0` drives the plain solver to NaN; the
+//! 1. **Robust solver** — an instance whose log-barrier is configured
+//!    with `eps = 0` drives the plain solver to NaN; the
 //!    [`RobustSolver`] rejects that barrier with a typed error, and a
-//!    request whose budget has expired lands on greedy rounding.
+//!    request whose budget has expired fails its one primary attempt at
+//!    the first iterate and lands on greedy rounding.
 //! 2. **Guarded training** — a dataset with a poisoned (NaN) measurement
 //!    trains to completion, with the loss-spike guard rolling the iterate
 //!    back whenever a corrupt round is drawn.
@@ -29,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn solver_ladder_demo() {
-    println!("== 1. Solver fallback ladder ==");
+    println!("== 1. Robust solver: typed rejection and greedy fallback ==");
     // Reliability 0.7 everywhere with gamma = 0.95 makes the uniform
     // start infeasible for the reliability constraint; with a raw log
     // barrier (eps = 0) its linear extension divides by zero and the
@@ -53,8 +54,16 @@ fn solver_ladder_demo() {
     }
 
     // With a valid barrier but a request budget that has already run
-    // out (its cancel token fired), the primary rung is skipped and
-    // greedy rounding still serves a feasible 0/1 matching.
+    // out (its cancel token fired), the primary attempt stops at its
+    // first iterate with a deadline error and greedy rounding still
+    // serves a feasible 0/1 matching. (The instance above is symmetric,
+    // so its uniform start is already stationary and would be returned
+    // without an iterate; this one is not.)
+    let problem = MatchingProblem::new(
+        Matrix::from_rows(&[&[1.0, 2.0, 1.5, 0.5], &[2.0, 1.0, 0.5, 1.5]]),
+        Matrix::filled(2, 4, 0.9),
+        0.8,
+    );
     let token = CancelToken::new();
     token.cancel();
     let solver = RobustSolver::new(RelaxationParams::default())

@@ -346,7 +346,6 @@ fn suite_learned_duals(cfg: &PerfgateConfig) {
         tol: 1e-8,
         ..Default::default()
     };
-    solver.policy.stall_checks = usize::MAX;
 
     // One base instance; siblings drift the data ±1% around it. The
     // family mimics successive exchange rounds: same structure,

@@ -1,7 +1,7 @@
 //! Workload behind the `report` binary: one pass through every
 //! instrumented layer of the pipeline, sized for a CI smoke run.
 //!
-//! The stages mirror `fault_demo` — solver fallback ladder (typed
+//! The stages mirror `fault_demo` — the robust solver's exits (typed
 //! rejection, then a failed primary landing on greedy), guarded
 //! training, fault-injected execution — but are
 //! parameterized so CI can run a tiny configuration and the profile
@@ -21,7 +21,7 @@ use mfcp_linalg::Matrix;
 use mfcp_optim::rounding::solve_discrete;
 use mfcp_optim::solver::SolverOptions;
 use mfcp_optim::{
-    BarrierKind, HealthPolicy, MatchingProblem, RelaxationParams, RobustSolver, SolveCtx,
+    BarrierKind, Budget, CancelToken, MatchingProblem, RelaxationParams, RobustSolver, SolveCtx,
 };
 use mfcp_platform::dataset::{NoiseConfig, PlatformDataset};
 use mfcp_platform::embedding::FeatureEmbedder;
@@ -55,9 +55,8 @@ impl Default for ReportConfig {
 
 /// Stage 1: the robust solver's two exits. A degenerate barrier
 /// (`eps = 0`) is rejected with a typed error before any attempt; then a
-/// health policy no run passes (each checked iterate must beat the best
-/// objective so far by a whole unit) fails the primary attempt, and
-/// greedy rounding answers.
+/// request budget whose cancel token has fired fails the primary
+/// attempt at its first iterate, and greedy rounding answers.
 pub(crate) fn solver_stage(cfg: &ReportConfig) {
     let n = cfg.tasks.max(2);
     let t = Matrix::from_fn(2, n, |i, j| 1.0 + 0.1 * ((i + j) % 5) as f64);
@@ -67,13 +66,10 @@ pub(crate) fn solver_stage(cfg: &ReportConfig) {
         ..Default::default()
     };
     let _ = RobustSolver::new(degenerate).solve(&problem, SolveCtx::default());
-    let mut solver = RobustSolver::new(RelaxationParams::default());
-    solver.policy = HealthPolicy {
-        check_every: 1,
-        divergence_slack: -1.0,
-        divergence_ratio: 0.0,
-        ..HealthPolicy::default()
-    };
+    let token = CancelToken::new();
+    token.cancel();
+    let solver = RobustSolver::new(RelaxationParams::default())
+        .with_budget(Budget::unlimited().with_cancel(token));
     let _ = solver.solve(&problem, SolveCtx::default());
 }
 

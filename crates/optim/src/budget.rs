@@ -3,7 +3,7 @@
 //! A long-running exchange daemon cannot let one pathological instance
 //! hold the matching loop hostage — every request carries a latency
 //! budget, and a solve that blows it must yield the thread *now* and let
-//! the ladder degrade to the greedy rung instead of queueing work
+//! the solve degrade to greedy rounding instead of queueing work
 //! unboundedly behind it. [`Budget`] packages the two mechanisms the
 //! guarded solver checks on every accepted iterate:
 //!
@@ -14,8 +14,8 @@
 //!   solve at the next iterate boundary, deterministically.
 //!
 //! Budgets are cooperative: nothing is interrupted mid-step, so expiry
-//! latency is one inner iteration. The greedy fallback rung always
-//! runs regardless of the budget — a request past its deadline still gets
+//! latency is one inner iteration. Greedy rounding always runs
+//! regardless of the budget — a request past its deadline still gets
 //! a feasible matching, just not an optimized one.
 
 use std::fmt;
@@ -91,8 +91,8 @@ impl Budget {
     }
 
     /// Whether the budget is spent: the deadline has passed or the
-    /// cancel token fired. Checked by the guarded solvers on every
-    /// accepted iterate and before the primary rung.
+    /// cancel token fired. Checked by the guarded primary attempt on
+    /// every accepted iterate.
     pub fn expired(&self) -> bool {
         if let Some(tok) = &self.cancel {
             if tok.is_cancelled() {

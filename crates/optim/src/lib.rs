@@ -25,12 +25,13 @@
 //!   pass, the MFCP-AD gradient path.
 //! * [`zeroth`] — the zeroth-order forward-gradient estimator of
 //!   Algorithm 2 (lines 5–11), the MFCP-FG gradient path.
-//! * [`recovery`] — fault-tolerant solving: health-guarded solver runs
-//!   with a fallback ladder (backed-off parameters → PGD variants →
-//!   greedy rounding) and per-stage diagnostics.
-//!   [`RobustSolver::solve`] is the one entry point: a [`SolveCtx`] hands
-//!   it a previous solve's prices and/or a learned predictor, and the
-//!   typed [`SeedProvenance`] in its diagnostics says which start ran.
+//! * [`recovery`] — fault-tolerant solving: input validation, one
+//!   guarded mirror-descent attempt (request budget and finiteness
+//!   checked on every iterate), greedy rounding when it fails, and
+//!   per-stage diagnostics. [`RobustSolver::solve`] is the one entry
+//!   point: a [`SolveCtx`] hands it a previous solve's prices and/or a
+//!   learned predictor, and the typed [`SeedProvenance`] in its
+//!   diagnostics says which start ran.
 //! * [`learned`] — learned dual predictions for *unseen* instances: a
 //!   small `mfcp-nn` head maps structure-only problem features to
 //!   per-column duals and a primal seed, with instance-robust
@@ -61,8 +62,8 @@ pub use learned::{DualPrediction, DualPredictor, LearnedDualHead, RepairError};
 pub use objective::{BarrierKind, CostKind, RelaxationParams};
 pub use problem::{Assignment, CapacityConstraint, MatchingProblem};
 pub use recovery::{
-    FallbackStage, HealthPolicy, RobustSolution, RobustSolver, SeedProvenance, SeedSource,
-    SkipReason, SolveCtx, SolveDiagnostics, SolveError, StageAttempt, StageOutcome,
+    FallbackStage, RobustSolution, RobustSolver, SeedProvenance, SeedSource, SolveCtx,
+    SolveDiagnostics, SolveError, StageAttempt, StageOutcome,
 };
 pub use solver::{PgdWorkspace, ProjectionKind, RelaxedSolution, SolverOptions, StopReason};
 pub use speedup::SpeedupCurve;

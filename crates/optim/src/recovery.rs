@@ -1,37 +1,42 @@
-//! Fault-tolerant solving: a health-guarded primary solve with a greedy
+//! Fault-tolerant solving: one guarded primary attempt with a greedy
 //! fallback.
 //!
 //! The plain solvers in [`crate::solver`] assume well-posed inputs and
 //! well-behaved parameters. Production traces are messier: predictors
-//! occasionally emit `NaN` execution times and a diverging run silently
-//! poisons everything downstream. [`RobustSolver`] validates its input
-//! and parameters up front — malformed data, and a log barrier whose
-//! cutoff `ε` is not positive with a finite reciprocal, fail with
-//! [`SolveError::InvalidInput`] — then walks a two-rung ladder:
+//! occasionally emit `NaN` execution times and a non-finite iterate
+//! silently poisons everything downstream. [`RobustSolver`] validates
+//! its input and parameters up front — malformed data, a log barrier
+//! whose cutoff `ε` is not positive with a finite reciprocal, and a
+//! projection other than mirror descent fail with
+//! [`SolveError::InvalidInput`] — then runs at most two stages:
 //!
-//! 1. the configured first-order solver with the caller's parameters
-//!    under per-iterate health checks (finiteness, objective divergence,
-//!    stall and wall-clock budgets) ([`FallbackStage::Primary`]),
-//! 2. feasible greedy rounding — LPT assignment plus reliability and
-//!    capacity repair, which always produces a 0/1 column-stochastic
-//!    matching ([`FallbackStage::GreedyRounding`]).
+//! 1. one attempt of Armijo-safeguarded mirror descent with the
+//!    caller's parameters, checked on every accepted iterate against
+//!    the request [`Budget`] and for a finite objective
+//!    ([`FallbackStage::Primary`]),
+//! 2. if that attempt fails, feasible greedy rounding — LPT assignment
+//!    plus reliability and capacity repair, which always produces a 0/1
+//!    column-stochastic matching ([`FallbackStage::GreedyRounding`]).
+//!
+//! Mirror and price trials are both Armijo-tested, so `F` never rises
+//! inside the attempt from any start: a start only chooses where descent
+//! begins. A failure that remains — an expired budget, a non-finite
+//! iterate — would hit a second, cold attempt just as hard, so there is
+//! none.
 //!
 //! Every attempt is recorded in [`SolveDiagnostics`] so callers can see
-//! the recovery path taken instead of just a final answer.
+//! the path taken instead of just a final answer.
 //!
 //! [`RobustSolver::solve`] takes a [`SolveCtx`]: start prices (a
 //! previous solve's [`RobustSolution::prices`]) and a
-//! [`crate::learned::DualPredictor`]. Admissible given prices seed one
-//! primary attempt ahead of the cold one; otherwise the predictor's
-//! feasibility-repaired seed ([`crate::learned::repair`]) does;
-//! otherwise the solve starts cold. A rejected start never reaches the
-//! solver, and a seeded attempt that fails falls through to the cold
-//! attempt, so a bad start costs at most one attempt — never a wrong
-//! answer. [`SolveDiagnostics::seed`] records the start's provenance as
-//! a typed [`SeedProvenance`].
+//! [`crate::learned::DualPredictor`]. Admissible given prices start the
+//! attempt; otherwise the predictor's feasibility-repaired seed
+//! ([`crate::learned::repair`]) does; otherwise it starts cold. A
+//! rejected start never reaches the solver. [`SolveDiagnostics::seed`]
+//! records the start's provenance as a typed [`SeedProvenance`].
 
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::budget::Budget;
 use crate::learned::{prices_admissible, repair, DualPredictor, RepairError};
@@ -39,14 +44,14 @@ use crate::objective::{self, price_dim, BarrierKind, RelaxationParams};
 use crate::problem::{Assignment, MatchingProblem};
 use crate::solver::{
     is_column_stochastic, solve_relaxed_from_guarded, takes_price_trials, uniform_init,
-    PgdWorkspace, RelaxedSolution, SolverOptions, StopReason,
+    PgdWorkspace, ProjectionKind, RelaxedSolution, SolverOptions, StopReason,
 };
 use mfcp_linalg::Matrix;
 
-/// A rung of the fallback ladder.
+/// A stage of a robust solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FallbackStage {
-    /// The configured first-order solver with the caller's parameters.
+    /// Mirror descent with the caller's parameters.
     Primary,
     /// Greedy LPT rounding plus reliability/capacity repair.
     GreedyRounding,
@@ -62,58 +67,27 @@ impl fmt::Display for FallbackStage {
 }
 
 /// Typed failure modes surfaced by [`RobustSolver`] instead of panics or
-/// silent `NaN` propagation. All but [`SolveError::InvalidInput`] and
-/// [`SolveError::AllSamplesNonFinite`] end a primary attempt (greedy
-/// rounding cannot fail).
+/// silent `NaN` propagation. All but [`SolveError::InvalidInput`] end a
+/// primary attempt (greedy rounding cannot fail).
 #[derive(Debug, Clone)]
 pub enum SolveError {
-    /// The problem data or relaxation parameters failed validation.
+    /// The problem data, relaxation parameters or solver options failed
+    /// validation.
     InvalidInput(String),
     /// An iterate or its objective became `NaN`/`±∞`.
     NonFinite {
         /// Iteration at which it was detected.
         iteration: usize,
     },
-    /// The objective rose far above the best value seen in the attempt.
-    Diverged {
-        /// Iteration at which divergence was detected.
-        iteration: usize,
-        /// Objective value at detection.
-        objective: f64,
-        /// Best objective seen before divergence.
-        reference: f64,
-    },
-    /// No measurable objective improvement for the configured window
-    /// while the iterate kept taking sizable steps.
-    Stalled {
-        /// Iteration at which the stall was declared.
-        iteration: usize,
-    },
-    /// The caller's per-request [`Budget`] expired mid-attempt: its
-    /// deadline passed or its cancel token fired. Unlike
-    /// [`SolveError::WallBudget`] (the solver's own safety limit), this
-    /// is the *request's* latency contract; the ladder responds by
-    /// going straight to the greedy rung.
+    /// The caller's per-request [`Budget`] expired: its deadline passed
+    /// or its cancel token fired. The solve responds by going straight
+    /// to greedy rounding.
     DeadlineExceeded {
         /// Iteration at which the expiry was observed.
         iteration: usize,
     },
-    /// The shared wall-clock budget ran out mid-attempt.
-    WallBudget {
-        /// Iteration at which the budget check fired.
-        iteration: usize,
-        /// Elapsed seconds since the solve started.
-        elapsed_secs: f64,
-    },
     /// An attempt returned an iterate whose columns left the simplex.
     OffSimplex,
-    /// Every zeroth-order perturbation sample produced a non-finite
-    /// directional derivative (see
-    /// [`crate::zeroth::estimate_gradient_checked`]).
-    AllSamplesNonFinite {
-        /// Number of samples attempted.
-        samples: usize,
-    },
 }
 
 impl fmt::Display for SolveError {
@@ -123,119 +97,34 @@ impl fmt::Display for SolveError {
             SolveError::NonFinite { iteration } => {
                 write!(f, "non-finite iterate at iteration {iteration}")
             }
-            SolveError::Diverged {
-                iteration,
-                objective,
-                reference,
-            } => write!(
-                f,
-                "objective diverged at iteration {iteration} ({objective} vs best {reference})"
-            ),
-            SolveError::Stalled { iteration } => {
-                write!(f, "stalled without progress at iteration {iteration}")
-            }
             SolveError::DeadlineExceeded { iteration } => {
                 write!(f, "request budget expired at iteration {iteration}")
             }
-            SolveError::WallBudget {
-                iteration,
-                elapsed_secs,
-            } => write!(
-                f,
-                "wall-clock budget exhausted at iteration {iteration} after {elapsed_secs:.3}s"
-            ),
             SolveError::OffSimplex => f.write_str("result columns left the probability simplex"),
-            SolveError::AllSamplesNonFinite { samples } => {
-                write!(
-                    f,
-                    "all {samples} zeroth-order samples gave non-finite directional derivatives"
-                )
-            }
         }
     }
 }
 
 impl std::error::Error for SolveError {}
 
-/// Per-iterate health thresholds applied by [`RobustSolver`].
-#[derive(Debug, Clone, Copy)]
-pub struct HealthPolicy {
-    /// Divergence and stall checks run every this many iterations
-    /// (finiteness of the iterate's objective is checked on every
-    /// iteration).
-    pub check_every: usize,
-    /// Declare divergence when the objective exceeds
-    /// `best + slack + ratio·|best|`.
-    pub divergence_ratio: f64,
-    /// Additive part of the divergence threshold.
-    pub divergence_slack: f64,
-    /// Declare a stall after this many consecutive objective checks
-    /// without relative improvement beyond [`HealthPolicy::stall_tol`].
-    pub stall_checks: usize,
-    /// Relative improvement below which a check counts as stalled.
-    pub stall_tol: f64,
-    /// Stall checks only count while the solver's step magnitude exceeds
-    /// this floor — an iterate crawling toward its stationary point is
-    /// converging, not stalled; large steps with no objective
-    /// improvement are an oscillation.
-    pub stall_step_floor: f64,
-    /// Shared wall-clock budget for the primary attempts; `None`
-    /// disables the budget. Greedy rounding always runs regardless.
-    pub wall_limit: Option<Duration>,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            check_every: 10,
-            divergence_ratio: 5.0,
-            divergence_slack: 5.0,
-            stall_checks: 25,
-            stall_tol: 1e-12,
-            stall_step_floor: 1e-4,
-            wall_limit: Some(Duration::from_secs(30)),
-        }
-    }
-}
-
-/// How a single ladder attempt ended.
+/// How a single attempt ended.
 #[derive(Debug, Clone)]
 pub enum StageOutcome {
     /// The stage produced a healthy solution.
     Success,
     /// The stage aborted with a typed error.
     Failed(SolveError),
-    /// The stage was not applicable and was skipped (reason attached).
-    Skipped(SkipReason),
 }
 
-/// Why the primary rung was skipped without running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SkipReason {
-    /// The caller's per-request [`Budget`] expired or was cancelled.
-    RequestBudgetExpired,
-    /// The ladder's shared [`HealthPolicy::wall_limit`] ran out.
-    WallClockExhausted,
-}
-
-impl fmt::Display for SkipReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SkipReason::RequestBudgetExpired => "request budget expired",
-            SkipReason::WallClockExhausted => "wall-clock budget exhausted",
-        })
-    }
-}
-
-/// Record of one attempt at one rung of the ladder.
+/// Record of one attempt at one stage.
 #[derive(Debug, Clone)]
 pub struct StageAttempt {
-    /// The rung attempted.
+    /// The stage attempted.
     pub stage: FallbackStage,
     /// Iterations the underlying solver performed.
     pub iterations: usize,
-    /// Why the underlying solver stopped; `None` when the rung produced
-    /// no solver iterate (skipped, failed, or greedy rounding).
+    /// Why the underlying solver stopped; `None` when the stage produced
+    /// no solver iterate (failed, or greedy rounding).
     pub stop: Option<StopReason>,
     /// Projected stationarity residual of the attempt's iterate, when
     /// the solver returned one.
@@ -282,14 +171,14 @@ pub enum SeedProvenance {
     /// No start was offered, the predictor abstained, or the solve is
     /// greedy-only: the solve ran cold.
     Cold,
-    /// The start seeded the successful first attempt.
+    /// The start seeded the successful primary attempt.
     Seeded(SeedSource),
     /// The start failed its admission check ([`prices_admissible`] and
     /// [`price_dim`] for prices, [`crate::learned::repair`] for columns)
-    /// and never reached the solver; the cold path ran.
+    /// and never reached the solver; the attempt started cold.
     Rejected(SeedSource, RepairError),
-    /// The start seeded an attempt that failed; the solve fell through
-    /// to the cold attempt (cost: exactly one attempt).
+    /// The start seeded an attempt that failed, and greedy rounding
+    /// answered.
     FellBack(SeedSource),
 }
 
@@ -298,7 +187,7 @@ pub enum SeedProvenance {
 #[derive(Clone, Copy, Default)]
 pub struct SolveCtx<'a> {
     /// Start prices in [`price_dim`] layout, typically the previous
-    /// solve's [`RobustSolution::prices`]. They seed one attempt when
+    /// solve's [`RobustSolution::prices`]. They seed the attempt when
     /// the solve takes price trials, their length is the problem's
     /// [`price_dim`] and they pass [`prices_admissible`]; otherwise they
     /// are rejected.
@@ -313,8 +202,7 @@ pub struct SolveCtx<'a> {
 pub struct SolveDiagnostics {
     /// Every stage attempt, in execution order.
     pub attempts: Vec<StageAttempt>,
-    /// True when at least one attempt failed before a later one
-    /// succeeded (i.e. the ladder actually recovered something).
+    /// True when the primary attempt failed and greedy rounding answered.
     pub recovered: bool,
     /// Total wall-clock seconds across all attempts.
     pub total_secs: f64,
@@ -323,7 +211,7 @@ pub struct SolveDiagnostics {
 }
 
 impl SolveDiagnostics {
-    /// Human-readable recovery path, e.g.
+    /// Human-readable path, e.g.
     /// `"primary x(non-finite) -> greedy-rounding ok"`.
     pub fn path(&self) -> String {
         let mut parts = Vec::with_capacity(self.attempts.len());
@@ -335,7 +223,6 @@ impl SolveDiagnostics {
             let mark = match &a.outcome {
                 StageOutcome::Success => "ok".to_string(),
                 StageOutcome::Failed(err) => format!("x({})", short_reason(err)),
-                StageOutcome::Skipped(_) => "skipped".to_string(),
             };
             parts.push(format!("{label} {mark}"));
         }
@@ -347,35 +234,31 @@ fn short_reason(err: &SolveError) -> &'static str {
     match err {
         SolveError::InvalidInput(_) => "invalid-input",
         SolveError::NonFinite { .. } => "non-finite",
-        SolveError::Diverged { .. } => "diverged",
-        SolveError::Stalled { .. } => "stalled",
         SolveError::DeadlineExceeded { .. } => "deadline",
-        SolveError::WallBudget { .. } => "wall-budget",
         SolveError::OffSimplex => "off-simplex",
-        SolveError::AllSamplesNonFinite { .. } => "non-finite-samples",
     }
 }
 
 /// A successful robust solve: the matching plus how it was obtained.
 #[derive(Debug, Clone)]
 pub struct RobustSolution {
-    /// Column-stochastic matching (fractional, or 0/1 from the greedy
-    /// rung).
+    /// Column-stochastic matching (fractional, or 0/1 from greedy
+    /// rounding).
     pub x: Matrix,
     /// Objective value of `x` under the caller's parameters, whichever
-    /// rung produced it, so a greedy answer compares directly with a
+    /// stage produced it, so a greedy answer compares directly with a
     /// primary one (validation keeps it finite).
     pub objective: f64,
     /// The solve's final prices ([`RelaxedSolution::prices`]); empty
-    /// when the producing rung keeps none (greedy rounding, or an
+    /// when the producing stage keeps none (greedy rounding, or an
     /// instance that takes no price trials).
     pub prices: Vec<f64>,
-    /// The rung that produced the result.
+    /// The stage that produced the result.
     pub stage: FallbackStage,
-    /// Discrete assignment, present when the greedy rung produced the
+    /// Discrete assignment, present when greedy rounding produced the
     /// result.
     pub assignment: Option<Assignment>,
-    /// Full record of the recovery path.
+    /// Full record of the solve's path.
     pub diagnostics: SolveDiagnostics,
 }
 
@@ -405,21 +288,25 @@ struct Seed {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RobustSolver {
-    /// Relaxation parameters of the primary attempts and of the greedy
-    /// rung's reported objective.
+    /// Relaxation parameters of the primary attempt and of greedy
+    /// rounding's reported objective.
     pub params: RelaxationParams,
-    /// First-order solver options (projection kind, step size, budget).
+    /// First-order solver options (step size, budget). The projection
+    /// must be [`ProjectionKind::MirrorDescent`], the only one whose
+    /// trials are Armijo-tested; the fixed-step projections are
+    /// ablations of [`crate::solver::solve_relaxed`].
     pub solver_opts: SolverOptions,
-    /// Health thresholds applied to every primary attempt.
-    pub policy: HealthPolicy,
-    /// Skip the primary rung and answer with greedy rounding alone (the
-    /// daemon's degraded mode under overload).
+    /// Skip the primary attempt and answer with greedy rounding alone
+    /// (the daemon's degraded mode under overload).
     pub greedy_only: bool,
     /// Per-request solve budget (deadline and/or cancel token); defaults
-    /// to [`Budget::unlimited`]. When the budget expires mid-solve the
-    /// running attempt aborts with [`SolveError::DeadlineExceeded`] and
-    /// the solve goes to greedy rounding, so an over-budget request
-    /// still gets a feasible answer with bounded extra latency.
+    /// to [`Budget::unlimited`]. Once the budget expires the primary
+    /// attempt aborts at its next accepted iterate with
+    /// [`SolveError::DeadlineExceeded`] and the solve goes to greedy
+    /// rounding, so an over-budget request still gets a feasible answer
+    /// with bounded extra latency: one iteration when it expired before
+    /// the solve began (none when the start is already stationary, which
+    /// the attempt then returns).
     pub budget: Budget,
 }
 
@@ -429,7 +316,6 @@ impl RobustSolver {
         RobustSolver {
             params,
             solver_opts: SolverOptions::default(),
-            policy: HealthPolicy::default(),
             greedy_only: false,
             budget: Budget::unlimited(),
         }
@@ -443,23 +329,20 @@ impl RobustSolver {
         solver
     }
 
-    /// Solves `problem`: the primary rung, then greedy rounding if it
+    /// Solves `problem`: one primary attempt, then greedy rounding if it
     /// fails or the budget runs out.
     ///
-    /// The primary rung first runs one seeded attempt when `ctx` offers
-    /// a usable start, best to worst: the given prices, when the solve
-    /// takes price trials and they fit the problem's [`price_dim`]
-    /// layout and pass [`prices_admissible`]; else the predictor's seed
-    /// (its prices when it has admissible ones, else its repaired
-    /// columns). A seeded attempt that fails falls through to the cold
-    /// primary attempt, so a bad start costs at most one attempt and can
-    /// never change the answer. [`SolveDiagnostics::seed`] records the
-    /// provenance.
+    /// The attempt starts from the best start `ctx` offers: the given
+    /// prices, when the solve takes price trials and they fit the
+    /// problem's [`price_dim`] layout and pass [`prices_admissible`];
+    /// else the predictor's seed (its prices when it has admissible
+    /// ones, else its repaired columns); else the uniform point.
+    /// [`SolveDiagnostics::seed`] records the provenance.
     ///
-    /// Returns the first healthy solution together with the full
-    /// per-attempt diagnostics, or [`SolveError::InvalidInput`] when the
-    /// problem data or parameters are malformed — the only error, since
-    /// greedy rounding cannot fail.
+    /// Returns the solution together with the per-attempt diagnostics,
+    /// or [`SolveError::InvalidInput`] when the problem data, parameters
+    /// or projection are malformed — the only error, since greedy
+    /// rounding cannot fail.
     pub fn solve(
         &self,
         problem: &MatchingProblem,
@@ -467,8 +350,14 @@ impl RobustSolver {
     ) -> Result<RobustSolution, SolveError> {
         validate_problem(problem)?;
         validate_params(&self.params)?;
-        // Only the primary rung takes a start; a greedy-only solve asks
-        // for none.
+        if self.solver_opts.projection != ProjectionKind::MirrorDescent {
+            return Err(SolveError::InvalidInput(format!(
+                "projection {:?} (a robust solve runs mirror descent only)",
+                self.solver_opts.projection
+            )));
+        }
+        // Only the primary attempt takes a start; a greedy-only solve
+        // asks for none.
         let (seed, offered) = if self.greedy_only {
             (None, SeedProvenance::Cold)
         } else {
@@ -477,20 +366,12 @@ impl RobustSolver {
         let mut sol = self.solve_inner(problem, seed);
         let diagnostics = &mut sol.diagnostics;
         diagnostics.seed = match offered {
-            SeedProvenance::Seeded(source) => match diagnostics.attempts.first() {
-                Some(first) if first.seed.is_some() => {
-                    if matches!(first.outcome, StageOutcome::Success) {
-                        offered
-                    } else {
-                        if source == SeedSource::Predicted {
-                            mfcp_obs::counter("optim.learned.fallback").inc();
-                        }
-                        SeedProvenance::FellBack(source)
-                    }
+            SeedProvenance::Seeded(source) if diagnostics.recovered => {
+                if source == SeedSource::Predicted {
+                    mfcp_obs::counter("optim.learned.fallback").inc();
                 }
-                // The budget ran out before the seeded attempt could.
-                _ => SeedProvenance::Cold,
-            },
+                SeedProvenance::FellBack(source)
+            }
             other => other,
         };
         record_provenance(diagnostics.seed);
@@ -577,175 +458,25 @@ impl RobustSolver {
 
     fn solve_inner(&self, problem: &MatchingProblem, seed: Option<Seed>) -> RobustSolution {
         let _span = mfcp_obs::span("robust_solve");
-        register_ladder_counters();
+        register_stage_counters();
         mfcp_obs::counter("optim.robust.calls").inc();
         let start = Instant::now();
-        let mut attempts: Vec<StageAttempt> = Vec::new();
+        let mut attempts: Vec<StageAttempt> = Vec::with_capacity(2);
 
-        if !self.greedy_only {
-            if self.budget_spent(start) || self.budget.expired() {
-                attempts.push(StageAttempt {
-                    stage: FallbackStage::Primary,
-                    iterations: 0,
-                    stop: None,
-                    residual: None,
-                    objective: None,
-                    elapsed_secs: 0.0,
-                    seed: None,
-                    outcome: StageOutcome::Skipped(if self.budget.expired() {
-                        SkipReason::RequestBudgetExpired
-                    } else {
-                        SkipReason::WallClockExhausted
-                    }),
-                });
-                record_attempt_metrics(attempts.last().expect("just pushed"));
-            } else {
-                let mut pgd_ws = PgdWorkspace::default();
-                // One seeded attempt first, when given prices or a
-                // repaired prediction were supplied; its failure falls
-                // through to the cold attempt, and that one's to greedy.
-                let sol = seed
-                    .and_then(|seed| {
-                        self.try_primary(problem, start, Some(seed), &mut attempts, &mut pgd_ws)
-                    })
-                    .or_else(|| self.try_primary(problem, start, None, &mut attempts, &mut pgd_ws));
-                if let Some(sol) = sol {
-                    return self.finish(
-                        (sol.x, sol.objective, sol.prices),
-                        FallbackStage::Primary,
-                        None,
-                        attempts,
-                        start,
-                    );
-                }
-            }
-        }
-
-        let stage = FallbackStage::GreedyRounding;
-        let t0 = Instant::now();
-        mfcp_obs::trace::begin(stage_trace_name(stage), None);
-        let mut asg = crate::exact::greedy_lpt(problem);
-        crate::rounding::repair_reliability(problem, &mut asg);
-        if problem.capacity.is_some() {
-            crate::rounding::repair_capacity(problem, &mut asg);
-        }
-        let x = asg.to_matrix(problem.clusters());
-        let objective = objective::value(problem, &self.params, &x);
-        attempts.push(StageAttempt {
-            stage,
-            iterations: 0,
-            stop: None,
-            residual: None,
-            objective: Some(objective),
-            elapsed_secs: t0.elapsed().as_secs_f64(),
-            seed: None,
-            outcome: StageOutcome::Success,
-        });
-        mfcp_obs::trace::end(stage_trace_name(stage), None);
-        record_attempt_metrics(attempts.last().expect("just pushed"));
-        self.finish(
-            (x, objective, Vec::new()),
-            stage,
-            Some(asg),
-            attempts,
-            start,
-        )
-    }
-
-    fn budget_spent(&self, start: Instant) -> bool {
-        self.policy
-            .wall_limit
-            .is_some_and(|limit| start.elapsed() >= limit)
-    }
-
-    /// Runs one guarded primary attempt from `seed` (cold when `None`);
-    /// records it and returns the solution on success.
-    fn try_primary(
-        &self,
-        problem: &MatchingProblem,
-        start: Instant,
-        seed: Option<Seed>,
-        attempts: &mut Vec<StageAttempt>,
-        pgd_ws: &mut PgdWorkspace,
-    ) -> Option<RelaxedSolution> {
-        let stage = FallbackStage::Primary;
-        let t0 = Instant::now();
-        mfcp_obs::trace::begin(stage_trace_name(stage), None);
-        let mut guard = GuardRunner::new(&self.policy, &self.budget, start);
-        let source = seed.as_ref().map(|seed| seed.source);
-        // A seed's prices start the price state; without them the solver
-        // prices the seed itself.
-        let (x0, prices) = match seed {
-            Some(Seed { x, prices, .. }) => (x, prices),
-            None => (
-                uniform_init(problem.clusters(), problem.tasks()),
-                Vec::new(),
-            ),
+        let primary = if self.greedy_only {
+            None
+        } else {
+            self.try_primary(problem, seed, &mut attempts)
         };
-        let result = solve_relaxed_from_guarded(
-            problem,
-            &self.params,
-            &self.solver_opts,
-            x0,
-            (!prices.is_empty()).then_some(&prices[..]),
-            &mut |it, f, step| guard.check(it, f, step),
-            pgd_ws,
-        );
-        let elapsed_secs = t0.elapsed().as_secs_f64();
-        let (attempt, usable) = match result {
-            Ok(sol) => {
-                let healthy =
-                    sol.objective.is_finite() && sol.x.as_slice().iter().all(|v| v.is_finite());
-                let outcome = if !healthy {
-                    StageOutcome::Failed(SolveError::NonFinite {
-                        iteration: sol.iterations,
-                    })
-                } else if !is_column_stochastic(&sol.x, 1e-6) {
-                    StageOutcome::Failed(SolveError::OffSimplex)
-                } else {
-                    StageOutcome::Success
-                };
-                let attempt = StageAttempt {
-                    stage,
-                    iterations: sol.iterations,
-                    stop: Some(sol.stop),
-                    residual: Some(sol.residual),
-                    objective: Some(sol.objective),
-                    elapsed_secs,
-                    seed: source,
-                    outcome,
-                };
-                let usable = matches!(attempt.outcome, StageOutcome::Success).then_some(sol);
-                (attempt, usable)
-            }
-            Err(err) => {
-                let attempt = StageAttempt {
-                    stage,
-                    iterations: error_iteration(&err),
-                    stop: None,
-                    residual: None,
-                    objective: None,
-                    elapsed_secs,
-                    seed: source,
-                    outcome: StageOutcome::Failed(err),
-                };
-                (attempt, None)
+        let (x, objective, prices, assignment) = match primary {
+            Some(sol) => (sol.x, sol.objective, sol.prices, None),
+            None => {
+                let (x, objective, asg) = self.greedy(problem, &mut attempts);
+                (x, objective, Vec::new(), Some(asg))
             }
         };
-        mfcp_obs::trace::end(stage_trace_name(stage), Some(attempt.iterations as u64));
-        record_attempt_metrics(&attempt);
-        attempts.push(attempt);
-        usable
-    }
-
-    fn finish(
-        &self,
-        (x, objective, prices): (Matrix, f64, Vec<f64>),
-        stage: FallbackStage,
-        assignment: Option<Assignment>,
-        attempts: Vec<StageAttempt>,
-        start: Instant,
-    ) -> RobustSolution {
+        // The last attempt produced the answer.
+        let stage = attempts.last().expect("every solve makes an attempt").stage;
         let recovered = attempts
             .iter()
             .any(|a| matches!(a.outcome, StageOutcome::Failed(_)));
@@ -766,11 +497,116 @@ impl RobustSolver {
             },
         }
     }
+
+    /// Runs the guarded primary attempt from `seed` (cold when `None`);
+    /// records it and returns the solution on success.
+    fn try_primary(
+        &self,
+        problem: &MatchingProblem,
+        seed: Option<Seed>,
+        attempts: &mut Vec<StageAttempt>,
+    ) -> Option<RelaxedSolution> {
+        let stage = FallbackStage::Primary;
+        let t0 = Instant::now();
+        mfcp_obs::trace::begin(stage_trace_name(stage), None);
+        let source = seed.as_ref().map(|seed| seed.source);
+        // A seed's prices start the price state; without them the solver
+        // prices the seed itself.
+        let (x0, prices) = match seed {
+            Some(Seed { x, prices, .. }) => (x, prices),
+            None => (
+                uniform_init(problem.clusters(), problem.tasks()),
+                Vec::new(),
+            ),
+        };
+        let result = solve_relaxed_from_guarded(
+            problem,
+            &self.params,
+            &self.solver_opts,
+            x0,
+            (!prices.is_empty()).then_some(&prices[..]),
+            &mut |it, f| check_iterate(&self.budget, it, f),
+            &mut PgdWorkspace::default(),
+        );
+        let mut attempt = StageAttempt {
+            stage,
+            iterations: 0,
+            stop: None,
+            residual: None,
+            objective: None,
+            elapsed_secs: t0.elapsed().as_secs_f64(),
+            seed: source,
+            outcome: StageOutcome::Success,
+        };
+        let usable = match result {
+            Ok(sol) => {
+                let healthy =
+                    sol.objective.is_finite() && sol.x.as_slice().iter().all(|v| v.is_finite());
+                if !healthy {
+                    attempt.outcome = StageOutcome::Failed(SolveError::NonFinite {
+                        iteration: sol.iterations,
+                    });
+                } else if !is_column_stochastic(&sol.x, 1e-6) {
+                    attempt.outcome = StageOutcome::Failed(SolveError::OffSimplex);
+                }
+                attempt.iterations = sol.iterations;
+                attempt.stop = Some(sol.stop);
+                attempt.residual = Some(sol.residual);
+                attempt.objective = Some(sol.objective);
+                matches!(attempt.outcome, StageOutcome::Success).then_some(sol)
+            }
+            Err(err) => {
+                if let SolveError::NonFinite { iteration }
+                | SolveError::DeadlineExceeded { iteration } = err
+                {
+                    attempt.iterations = iteration;
+                }
+                attempt.outcome = StageOutcome::Failed(err);
+                None
+            }
+        };
+        mfcp_obs::trace::end(stage_trace_name(stage), Some(attempt.iterations as u64));
+        record_attempt_metrics(&attempt);
+        attempts.push(attempt);
+        usable
+    }
+
+    /// Greedy rounding: LPT assignment plus reliability (and capacity)
+    /// repair, reported under the caller's parameters.
+    fn greedy(
+        &self,
+        problem: &MatchingProblem,
+        attempts: &mut Vec<StageAttempt>,
+    ) -> (Matrix, f64, Assignment) {
+        let stage = FallbackStage::GreedyRounding;
+        let t0 = Instant::now();
+        mfcp_obs::trace::begin(stage_trace_name(stage), None);
+        let mut asg = crate::exact::greedy_lpt(problem);
+        crate::rounding::repair_reliability(problem, &mut asg);
+        if problem.capacity.is_some() {
+            crate::rounding::repair_capacity(problem, &mut asg);
+        }
+        let x = asg.to_matrix(problem.clusters());
+        let objective = objective::value(problem, &self.params, &x);
+        let attempt = StageAttempt {
+            stage,
+            iterations: 0,
+            stop: None,
+            residual: None,
+            objective: Some(objective),
+            elapsed_secs: t0.elapsed().as_secs_f64(),
+            seed: None,
+            outcome: StageOutcome::Success,
+        };
+        mfcp_obs::trace::end(stage_trace_name(stage), None);
+        record_attempt_metrics(&attempt);
+        attempts.push(attempt);
+        (x, objective, asg)
+    }
 }
 
-/// Flight-recorder event name for a ladder stage. Attempts that actually
-/// run emit a begin/end pair under this name; a skipped primary rung
-/// emits an instant, so the trace timeline shows where the ladder jumped.
+/// Flight-recorder event name for a stage; each attempt emits a
+/// begin/end pair under it.
 fn stage_trace_name(stage: FallbackStage) -> &'static str {
     match stage {
         FallbackStage::Primary => "robust.primary",
@@ -778,15 +614,15 @@ fn stage_trace_name(stage: FallbackStage) -> &'static str {
     }
 }
 
-/// Registers the ladder's event counters once per process, so one that
+/// Registers the stage event counters once per process, so one that
 /// has not fired reads 0 in a snapshot rather than being absent: an
 /// absent counter is how the perf gate tells a deleted one.
-fn register_ladder_counters() {
+fn register_stage_counters() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         mfcp_obs::counter("optim.robust.recovered");
         for stage in [FallbackStage::Primary, FallbackStage::GreedyRounding] {
-            for suffix in ["ok", "failed", "skipped"] {
+            for suffix in ["ok", "failed"] {
                 mfcp_obs::counter(&format!("optim.robust.stage.{stage}.{suffix}"));
             }
         }
@@ -804,15 +640,10 @@ fn record_attempt_metrics(attempt: &StageAttempt) {
     let suffix = match attempt.outcome {
         StageOutcome::Success => "ok",
         StageOutcome::Failed(_) => "failed",
-        StageOutcome::Skipped(_) => "skipped",
     };
     mfcp_obs::counter(&format!("optim.robust.stage.{}.{suffix}", attempt.stage)).inc();
-    if matches!(attempt.outcome, StageOutcome::Skipped(_)) {
-        mfcp_obs::trace::instant(stage_trace_name(attempt.stage), None);
-    } else {
-        mfcp_obs::histogram("optim.robust.attempt_secs").record(attempt.elapsed_secs);
-        mfcp_obs::histogram("optim.robust.attempt_iters").record(attempt.iterations as f64);
-    }
+    mfcp_obs::histogram("optim.robust.attempt_secs").record(attempt.elapsed_secs);
+    mfcp_obs::histogram("optim.robust.attempt_iters").record(attempt.iterations as f64);
 }
 
 /// Counts a solve's [`SeedProvenance`] in one of
@@ -849,88 +680,17 @@ fn note_learned_rejected() {
     note_rejected();
 }
 
-fn error_iteration(err: &SolveError) -> usize {
-    match err {
-        SolveError::NonFinite { iteration }
-        | SolveError::Diverged { iteration, .. }
-        | SolveError::Stalled { iteration }
-        | SolveError::DeadlineExceeded { iteration }
-        | SolveError::WallBudget { iteration, .. } => *iteration,
-        _ => 0,
+/// The primary attempt's guard: judges accepted iterate `iteration` by
+/// its objective `obj` (`NaN` when the iterate itself is not finite).
+/// The request budget is the tightest contract and is checked first.
+fn check_iterate(budget: &Budget, iteration: usize, obj: f64) -> Result<(), SolveError> {
+    if budget.expired() {
+        return Err(SolveError::DeadlineExceeded { iteration });
     }
-}
-
-/// Per-iterate health state threaded through a guarded primary attempt.
-/// It judges the objective the solver hands it and never re-evaluates
-/// the iterate.
-struct GuardRunner<'a> {
-    policy: &'a HealthPolicy,
-    budget: &'a Budget,
-    start: Instant,
-    best: f64,
-    stall_count: usize,
-}
-
-impl<'a> GuardRunner<'a> {
-    fn new(policy: &'a HealthPolicy, budget: &'a Budget, start: Instant) -> Self {
-        GuardRunner {
-            policy,
-            budget,
-            start,
-            best: f64::INFINITY,
-            stall_count: 0,
-        }
+    if !obj.is_finite() {
+        return Err(SolveError::NonFinite { iteration });
     }
-
-    /// Judges accepted iterate `iteration` by its objective `obj` (`NaN`
-    /// when the iterate itself is not finite) and step magnitude `step`.
-    fn check(&mut self, iteration: usize, obj: f64, step: f64) -> Result<(), SolveError> {
-        // The request budget is the tightest contract: checked first, on
-        // every accepted iterate of the PGD loop.
-        if self.budget.expired() {
-            return Err(SolveError::DeadlineExceeded { iteration });
-        }
-        if !obj.is_finite() {
-            return Err(SolveError::NonFinite { iteration });
-        }
-        if let Some(limit) = self.policy.wall_limit {
-            if self.start.elapsed() >= limit {
-                return Err(SolveError::WallBudget {
-                    iteration,
-                    elapsed_secs: self.start.elapsed().as_secs_f64(),
-                });
-            }
-        }
-        if iteration == 1 || iteration.is_multiple_of(self.policy.check_every.max(1)) {
-            if self.best.is_finite() {
-                let ceiling = self.best
-                    + self.policy.divergence_slack
-                    + self.policy.divergence_ratio * self.best.abs();
-                if obj > ceiling {
-                    return Err(SolveError::Diverged {
-                        iteration,
-                        objective: obj,
-                        reference: self.best,
-                    });
-                }
-                let improved = obj < self.best - self.policy.stall_tol * (1.0 + self.best.abs());
-                if improved {
-                    self.stall_count = 0;
-                } else if step > self.policy.stall_step_floor {
-                    // Sizable steps with no objective improvement: the
-                    // iterate is bouncing, not converging.
-                    self.stall_count += 1;
-                    if self.stall_count > self.policy.stall_checks {
-                        return Err(SolveError::Stalled { iteration });
-                    }
-                }
-            }
-            if obj < self.best {
-                self.best = obj;
-            }
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 fn validate_problem(problem: &MatchingProblem) -> Result<(), SolveError> {
@@ -1053,18 +813,14 @@ mod tests {
         MatchingProblem::new(t, a, 0.75)
     }
 
-    /// A healthy problem under a health policy no run can pass: every
-    /// iterate is checked, and one that does not beat the best objective
-    /// so far by a whole unit counts as diverged. Every primary attempt,
-    /// seeded or cold, fails at its second iterate, deterministically.
+    /// A healthy problem under a request budget whose cancel token has
+    /// fired: every primary attempt, seeded or cold, fails at its first
+    /// guarded iterate, deterministically.
     fn failing_primary_setup() -> (MatchingProblem, RobustSolver) {
-        let mut solver = RobustSolver::new(RelaxationParams::default());
-        solver.policy = HealthPolicy {
-            check_every: 1,
-            divergence_slack: -1.0,
-            divergence_ratio: 0.0,
-            ..HealthPolicy::default()
-        };
+        let token = crate::budget::CancelToken::new();
+        token.cancel();
+        let solver = RobustSolver::new(RelaxationParams::default())
+            .with_budget(Budget::unlimited().with_cancel(token));
         (random_problem(1, 3, 6), solver)
     }
 
@@ -1105,17 +861,42 @@ mod tests {
         assert_eq!(sol.stage, FallbackStage::GreedyRounding);
         assert!(is_column_stochastic(&sol.x, 1e-12));
         assert!(sol.objective.is_finite());
-        // The primary attempt must be on record as a divergence failure.
+        // The primary attempt must be on record as a deadline failure at
+        // its first iterate, not silently dropped.
+        assert_eq!(sol.diagnostics.attempts.len(), 2);
         let first = &sol.diagnostics.attempts[0];
         assert_eq!(first.stage, FallbackStage::Primary);
         assert!(
             matches!(
                 first.outcome,
-                StageOutcome::Failed(SolveError::Diverged { iteration: 2, .. })
+                StageOutcome::Failed(SolveError::DeadlineExceeded { iteration: 1 })
             ),
             "unexpected first outcome: {:?}",
             first.outcome
         );
+        assert_eq!(first.iterations, 1);
+
+        // Degradation is deterministic: a second run under the same fired
+        // token reproduces the matching bit for bit.
+        let again = solver
+            .solve(&problem, SolveCtx::default())
+            .expect("greedy rounding is infallible");
+        assert_eq!(again.objective.to_bits(), sol.objective.to_bits());
+        assert_eq!(again.x.as_slice(), sol.x.as_slice());
+    }
+
+    #[test]
+    fn fixed_step_projections_rejected_as_invalid_input() {
+        let problem = random_problem(5, 2, 3);
+        for projection in [ProjectionKind::SoftmaxPaper, ProjectionKind::Euclidean] {
+            let mut solver = RobustSolver::new(RelaxationParams::default());
+            solver.solver_opts.projection = projection;
+            let err = solver.solve(&problem, SolveCtx::default()).unwrap_err();
+            assert!(
+                matches!(err, SolveError::InvalidInput(_)),
+                "{projection:?}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1231,7 +1012,7 @@ mod tests {
         let sol = solver.solve(&problem, SolveCtx::default()).unwrap();
         assert_eq!(
             sol.diagnostics.path(),
-            "primary x(diverged) -> greedy-rounding ok"
+            "primary x(deadline) -> greedy-rounding ok"
         );
     }
 
@@ -1274,11 +1055,11 @@ mod tests {
     }
 
     #[test]
-    fn failed_given_attempt_falls_back_to_cold_ladder() {
-        // The health policy fails the seeded attempt (the prices
+    fn failed_given_attempt_falls_back_to_greedy() {
+        // The fired budget fails the seeded attempt (the prices
         // themselves pass their check), so the solver must record the
-        // failure and recover through the cold attempt and greedy with
-        // the same answer as a cold solve.
+        // failure and answer with greedy rounding, which does not depend
+        // on the start: the same answer as a cold solve.
         let (problem, solver) = failing_primary_setup();
         let prices = vec![0.0; problem.clusters() + 1];
         let cold = solver
@@ -1303,7 +1084,7 @@ mod tests {
         );
         assert_eq!(
             sol.diagnostics.path(),
-            "given-primary x(diverged) -> primary x(diverged) -> greedy-rounding ok"
+            "given-primary x(deadline) -> greedy-rounding ok"
         );
         assert!(sol.diagnostics.recovered);
         assert_eq!(sol.stage, cold.stage);
@@ -1339,81 +1120,26 @@ mod tests {
     }
 
     #[test]
-    fn expired_budget_degrades_to_greedy_deterministically() {
-        let problem = random_problem(21, 3, 8);
-        let token = crate::budget::CancelToken::new();
-        token.cancel();
-        let solver = RobustSolver::new(RelaxationParams::default())
-            .with_budget(Budget::unlimited().with_cancel(token));
-
-        let sol = solver
-            .solve(&problem, SolveCtx::default())
-            .expect("an expired budget still yields a feasible matching");
-        assert_eq!(sol.stage, FallbackStage::GreedyRounding);
-        assert!(is_column_stochastic(&sol.x, 1e-9));
-        // The primary rung must be on record as budget-skipped, not
-        // silently dropped.
-        let skipped: Vec<_> = sol
-            .diagnostics
-            .attempts
-            .iter()
-            .filter(|a| {
-                matches!(
-                    a.outcome,
-                    StageOutcome::Skipped(SkipReason::RequestBudgetExpired)
-                )
-            })
-            .collect();
-        assert_eq!(skipped.len(), sol.diagnostics.attempts.len() - 1);
-
-        // Degradation is deterministic: a second run under the same fired
-        // token reproduces the assignment bit for bit.
-        let again = solver
-            .solve(&problem, SolveCtx::default())
-            .expect("greedy rung is infallible");
-        assert_eq!(again.objective.to_bits(), sol.objective.to_bits());
-        assert_eq!(again.x.as_slice(), sol.x.as_slice());
-    }
-
-    #[test]
-    fn exhausted_wall_budget_skips_with_its_own_variant() {
-        let problem = random_problem(23, 3, 8);
-        let mut solver = RobustSolver::new(RelaxationParams::default());
-        solver.policy.wall_limit = Some(Duration::ZERO);
-        let sol = solver
-            .solve(&problem, SolveCtx::default())
-            .expect("an exhausted wall budget still yields a feasible matching");
-        assert_eq!(sol.stage, FallbackStage::GreedyRounding);
-        let skipped = sol
-            .diagnostics
-            .attempts
-            .iter()
-            .filter(|a| {
-                matches!(
-                    a.outcome,
-                    StageOutcome::Skipped(SkipReason::WallClockExhausted)
-                )
-            })
-            .count();
-        assert_eq!(skipped, sol.diagnostics.attempts.len() - 1);
-    }
-
-    #[test]
     fn guard_reports_deadline_exceeded_mid_iteration() {
         let problem = random_problem(22, 2, 4);
         let params = RelaxationParams::default();
-        let policy = HealthPolicy::default();
         let token = crate::budget::CancelToken::new();
         let budget = Budget::unlimited().with_cancel(token.clone());
-        let mut guard = GuardRunner::new(&policy, &budget, Instant::now());
         let x = crate::solver::uniform_init(problem.clusters(), problem.tasks());
         let f = objective::value(&problem, &params, &x);
 
-        // Healthy while the token is quiet...
-        guard.check(0, f, 1.0).expect("live budget passes");
-        // ...and a typed abort at the very next iterate once it fires.
+        // Healthy while the token is quiet; a non-finite objective is
+        // its own typed failure...
+        check_iterate(&budget, 0, f).expect("live budget passes");
+        let err = check_iterate(&budget, 0, f64::NAN).unwrap_err();
+        assert!(
+            matches!(err, SolveError::NonFinite { iteration: 0 }),
+            "{err}"
+        );
+        // ...and a typed abort at the very next iterate once it fires,
+        // checked before finiteness.
         token.cancel();
-        let err = guard.check(1, f, 1.0).unwrap_err();
+        let err = check_iterate(&budget, 1, f64::NAN).unwrap_err();
         match err {
             SolveError::DeadlineExceeded { iteration } => assert_eq!(iteration, 1),
             other => panic!("expected DeadlineExceeded, got {other:?}"),

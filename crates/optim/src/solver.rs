@@ -196,12 +196,11 @@ impl PriceWorkspace {
     }
 }
 
-/// Per-iterate health hook used by the guarded solver entry points in
+/// Per-iterate hook used by the guarded solver entry point in
 /// [`crate::recovery`]: called after every accepted iterate with the
-/// iteration count, the iterate's objective (`NaN` when the iterate is
-/// not finite), and the step magnitude `max |ΔX|`; returning an error
-/// aborts the solve.
-pub(crate) type IterGuard<'a> = &'a mut dyn FnMut(usize, f64, f64) -> Result<(), SolveError>;
+/// iteration count and the iterate's objective (`NaN` when the iterate
+/// is not finite); returning an error aborts the solve.
+pub(crate) type IterGuard<'a> = &'a mut dyn FnMut(usize, f64) -> Result<(), SolveError>;
 
 /// Simplex-projection flavor used after each gradient step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -405,7 +404,7 @@ pub fn solve_relaxed_from(
             opts,
             x,
             None,
-            &mut |_, _, _| Ok(()),
+            &mut |_, _| Ok(()),
             &mut ws.borrow_mut(),
         )
     });
@@ -467,14 +466,6 @@ struct LoopCounts {
     price_steps: u64,
     mirror_fallbacks: u64,
     model_fallbacks: u64,
-}
-
-/// The sweep-level by-products of one trial step.
-struct Trial {
-    /// `⟨∇F, x⁺ − x⟩`.
-    slope: f64,
-    /// `max |x⁺ − x|`.
-    max_change: f64,
 }
 
 /// Overwrites the logits in `col` (whose maximum is `cmax`) with their
@@ -550,8 +541,8 @@ fn add_task_cov(te: &TransposedEval, j: usize, x: &[f64], mu: &mut [f64], cov: &
 /// One fused trial sweep over the task-major iterate: projects
 /// `x − η∇F` (mirror: `ln x − η∇F`) row by row into `trial_xt`, writes
 /// the trial's floored logs into `trial_lx`, accumulates its per-cluster
-/// sums and entropy into `trial_stats`, and returns `⟨∇F, x⁺ − x⟩` and
-/// `max |Δx|`.
+/// sums and entropy into `trial_stats`, and returns the slope
+/// `⟨∇F, x⁺ − x⟩`.
 #[allow(clippy::too_many_arguments)]
 fn trial_step(
     projection: ProjectionKind,
@@ -565,11 +556,10 @@ fn trial_step(
     trial_stats: &mut IterStats,
     col: &mut [f64],
     proj: &mut Vec<f64>,
-) -> Trial {
+) -> f64 {
     let (n, m) = xt.shape();
     trial_stats.reset(m);
     let mut slope = 0.0;
-    let mut max_change: f64 = 0.0;
     for j in 0..n {
         let xr = xt.row(j);
         let gr = grad_t.row(j);
@@ -602,19 +592,17 @@ fn trial_step(
             }
         }
         for ((&o, &xv), &gv) in out.iter().zip(xr).zip(gr) {
-            let delta = o - xv;
-            slope += gv * delta;
-            max_change = max_change.max(delta.abs());
+            slope += gv * (o - xv);
         }
         trial_stats.add_row(teval, j, out, lout);
     }
-    Trial { slope, max_change }
+    slope
 }
 
 /// The price trial's sweep: writes `x(θ)` — each task's softmax of
 /// `−θ·f_ij/ρ` — into `trial_xt` with its floored logs, sums and
 /// entropy like [`trial_step`], accumulates its feature covariance into
-/// `cov` (`mu` is scratch), and returns `⟨∇F, x⁺ − x⟩` and `max |Δx|`.
+/// `cov` (`mu` is scratch), and returns the slope `⟨∇F, x⁺ − x⟩`.
 #[allow(clippy::too_many_arguments)]
 fn price_step(
     theta: &[f64],
@@ -627,12 +615,11 @@ fn price_step(
     trial_stats: &mut IterStats,
     col: &mut [f64],
     (cov, mu): (&mut [f64], &mut [f64]),
-) -> Trial {
+) -> f64 {
     let (n, m) = xt.shape();
     trial_stats.reset(m);
     cov.fill(0.0);
     let mut slope = 0.0;
-    let mut max_change: f64 = 0.0;
     let counts = teval.count_at.map(|k| &theta[k..k + m]);
     for j in 0..n {
         let (tr, ar) = (teval.tt.row(j), teval.at.row(j));
@@ -664,15 +651,13 @@ fn price_step(
         let lout = trial_lx.row_mut(j);
         softmax_with_logs(col, cmax, out, lout);
         for ((&o, &xv), &gv) in out.iter().zip(xt.row(j)).zip(grad_t.row(j)) {
-            let delta = o - xv;
-            slope += gv * delta;
-            max_change = max_change.max(delta.abs());
+            slope += gv * (o - xv);
         }
         trial_stats.add_row(teval, j, out, lout);
         add_task_cov(teval, j, out, mu, cov);
     }
     mirror_upper(cov, mu.len());
-    Trial { slope, max_change }
+    slope
 }
 
 /// The feature covariance `C` of the task-major iterate `xt` into `cov`
@@ -1013,7 +998,7 @@ pub(crate) fn solve_relaxed_from_guarded(
                 break (StopReason::IterationCap, residual);
             }
         }
-        // Price trials first; `Some((F, max|Δx|))` once one is accepted.
+        // Price trials first; `Some(F)` once one is accepted.
         let mut accepted = None;
         let direction = if price_mode && f.is_finite() {
             newton_direction(problem, params, stats, pw)
@@ -1029,7 +1014,7 @@ pub(crate) fn solve_relaxed_from_guarded(
                 for ((t, &th), &d) in pw.trial_theta.iter_mut().zip(&pw.theta).zip(&pw.dir) {
                     *t = th + s * d;
                 }
-                let trial = price_step(
+                let slope = price_step(
                     &pw.trial_theta,
                     params.rho,
                     teval,
@@ -1042,10 +1027,10 @@ pub(crate) fn solve_relaxed_from_guarded(
                     (&mut pw.trial_cov, &mut pw.mu),
                 );
                 let f_trial = teval.value(problem, params, trial_stats);
-                if price_accepts(f_trial, f, trial.slope) {
+                if price_accepts(f_trial, f, slope) {
                     std::mem::swap(&mut pw.theta, &mut pw.trial_theta);
                     std::mem::swap(&mut pw.cov, &mut pw.trial_cov);
-                    accepted = Some((f_trial, trial.max_change));
+                    accepted = Some(f_trial);
                     counts.price_steps += 1;
                     break;
                 }
@@ -1060,7 +1045,7 @@ pub(crate) fn solve_relaxed_from_guarded(
                 stats.prices_into(problem, params, &mut pw.theta_x);
             }
             for _ in 0..tries {
-                let trial = trial_step(
+                let slope = trial_step(
                     opts.projection,
                     eta,
                     teval,
@@ -1084,13 +1069,13 @@ pub(crate) fn solve_relaxed_from_guarded(
                 if !line_search
                     || f_trial.is_nan()
                     || !f.is_finite()
-                    || f_trial <= f + ARMIJO_C * trial.slope
+                    || f_trial <= f + ARMIJO_C * slope
                 {
-                    accepted = Some((f_trial, trial.max_change));
+                    accepted = Some(f_trial);
                     break;
                 }
                 counts.backtracks += 1;
-                if -trial.slope <= F_RESOLUTION * (1.0 + f.abs()) {
+                if -slope <= F_RESOLUTION * (1.0 + f.abs()) {
                     // Shorter steps only shrink a decrease that is
                     // already below the objective's rounding.
                     break;
@@ -1107,7 +1092,7 @@ pub(crate) fn solve_relaxed_from_guarded(
                 covariance_into(teval, trial_xt, &mut pw.mu, &mut pw.cov);
             }
         }
-        let Some((f_next, step)) = accepted else {
+        let Some(f_next) = accepted else {
             // No trial decreased F: stationary to numerical resolution.
             break (StopReason::NoDescent, worst_residual(xt, grad_t));
         };
@@ -1127,7 +1112,7 @@ pub(crate) fn solve_relaxed_from_guarded(
             let id = *PGD_ITER.get_or_init(|| mfcp_obs::trace::intern("pgd.iter"));
             mfcp_obs::trace::instant_id(id, Some(iterations as u64));
         }
-        guard(iterations, f, step)?;
+        guard(iterations, f)?;
     };
     for i in 0..m {
         for (j, slot) in x.row_mut(i).iter_mut().enumerate() {
@@ -2164,7 +2149,7 @@ mod tests {
     ) -> (RelaxedSolution, Vec<f64>) {
         let mut trace = Vec::new();
         let mut ws = PgdWorkspace::new();
-        let mut guard = |_: usize, f: f64, _: f64| {
+        let mut guard = |_: usize, f: f64| {
             trace.push(f);
             Ok(())
         };
@@ -2426,7 +2411,7 @@ mod tests {
                 let x0 = uniform_init(3, 6);
                 let mut prev = objective::value(problem, &params, &x0);
                 let mut seen = 0;
-                let mut guard = |it: usize, f: f64, _: f64| {
+                let mut guard = |it: usize, f: f64| {
                     assert!(
                         f <= prev,
                         "problem {k} lr {lr}: F rose at iteration {it}: {prev} -> {f}"

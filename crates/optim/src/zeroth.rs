@@ -15,7 +15,6 @@
 //! `β²Δ²d/4 + σ²d/(SΔ²)`; the benches sweep `Δ` and `S` against the
 //! analytic KKT gradients to reproduce that trade-off.
 
-use crate::recovery::SolveError;
 use mfcp_linalg::Matrix;
 use mfcp_parallel::{par_map, ParallelConfig};
 use rand::Rng;
@@ -37,54 +36,6 @@ impl Default for ZerothOrderOptions {
             delta: 0.05,
             samples: 8,
             parallel: ParallelConfig::default(),
-        }
-    }
-}
-
-/// Fallback perturbation size used when [`ZerothOrderOptions::optimal_delta`]
-/// cannot be computed from degenerate inputs; equals the default `delta`.
-pub const FALLBACK_DELTA: f64 = 0.05;
-
-impl ZerothOrderOptions {
-    /// The bias/variance-optimal perturbation size of Theorem 3,
-    /// `Δ* = (2σ²_F / (β² S))^{1/4}`, for smoothness `beta` and function
-    /// noise scale `sigma_f`.
-    ///
-    /// Degenerate inputs (`beta == 0`, `sigma_f == 0`, negatives, or
-    /// non-finite values) would make the formula return `0`, `inf`, or
-    /// `NaN` — all of which poison the estimator downstream. This variant
-    /// clamps those cases to [`FALLBACK_DELTA`]; use
-    /// [`ZerothOrderOptions::try_optimal_delta`] to detect them instead.
-    pub fn optimal_delta(beta: f64, sigma_f: f64, samples: usize) -> f64 {
-        Self::try_optimal_delta(beta, sigma_f, samples).unwrap_or(FALLBACK_DELTA)
-    }
-
-    /// Fallible form of [`ZerothOrderOptions::optimal_delta`].
-    ///
-    /// # Errors
-    /// [`SolveError::InvalidInput`] when `beta` or `sigma_f` is zero,
-    /// negative, or non-finite — the Theorem 3 formula divides by
-    /// `β²` and vanishes with `σ_F`, so no meaningful `Δ*` exists.
-    pub fn try_optimal_delta(beta: f64, sigma_f: f64, samples: usize) -> Result<f64, SolveError> {
-        if !beta.is_finite() || beta <= 0.0 {
-            return Err(SolveError::InvalidInput(format!(
-                "optimal_delta: smoothness beta = {beta} (must be finite and positive)"
-            )));
-        }
-        if !sigma_f.is_finite() || sigma_f <= 0.0 {
-            return Err(SolveError::InvalidInput(format!(
-                "optimal_delta: noise scale sigma_f = {sigma_f} (must be finite and positive)"
-            )));
-        }
-        let delta = (2.0 * sigma_f * sigma_f / (beta * beta * samples.max(1) as f64)).powf(0.25);
-        if delta.is_finite() && delta > 0.0 {
-            Ok(delta)
-        } else {
-            // Extreme but individually-finite inputs can still overflow or
-            // underflow the quotient (e.g. sigma_f near f64::MAX).
-            Err(SolveError::InvalidInput(format!(
-                "optimal_delta: beta = {beta}, sigma_f = {sigma_f} produce a non-finite delta"
-            )))
         }
     }
 }
@@ -125,16 +76,6 @@ impl NormalSampler {
             }
         }
     }
-}
-
-/// Draws a standard normal via Box–Muller (the `rand` crate alone, without
-/// `rand_distr`, has no Gaussian sampler).
-///
-/// Single-shot form that discards the paired variate; callers drawing many
-/// normals should hold a [`NormalSampler`] to use both halves of each
-/// transform.
-pub fn sample_standard_normal(rng: &mut impl Rng) -> f64 {
-    NormalSampler::new().sample(rng)
 }
 
 /// Estimates `∂L/∂θ` by forward-mode zeroth-order perturbation.
@@ -195,118 +136,6 @@ pub fn estimate_gradient(
         *g *= inv;
     }
     grad
-}
-
-/// A zeroth-order gradient with per-sample health screening applied.
-#[derive(Debug, Clone)]
-pub struct CheckedGradient {
-    /// Gradient averaged over the healthy samples only.
-    pub grad: Vec<f64>,
-    /// Perturbation samples discarded for non-finite directional
-    /// derivatives (a crashed or diverged perturbed re-solve).
-    pub skipped: usize,
-}
-
-/// Fault-tolerant variant of [`estimate_gradient`]: validates the inputs,
-/// discards perturbation samples whose directional derivative is not
-/// finite (averaging over the survivors), and reports typed errors
-/// instead of silently returning a `NaN` gradient.
-///
-/// # Errors
-/// [`SolveError::InvalidInput`] when `theta`, `base_x`, or `dl_dx`
-/// contain non-finite entries (or `delta`/`samples` are degenerate);
-/// [`SolveError::AllSamplesNonFinite`] when every sample was discarded.
-pub fn estimate_gradient_checked(
-    theta: &[f64],
-    base_x: &Matrix,
-    dl_dx: &Matrix,
-    solve: impl Fn(&[f64]) -> Matrix + Sync,
-    opts: &ZerothOrderOptions,
-    rng: &mut impl Rng,
-) -> Result<CheckedGradient, SolveError> {
-    if base_x.shape() != dl_dx.shape() {
-        return Err(SolveError::InvalidInput(format!(
-            "dl_dx shape {:?} does not match base_x shape {:?}",
-            dl_dx.shape(),
-            base_x.shape()
-        )));
-    }
-    if !opts.delta.is_finite() || opts.delta <= 0.0 {
-        return Err(SolveError::InvalidInput(format!(
-            "perturbation delta = {} (must be finite and positive)",
-            opts.delta
-        )));
-    }
-    if opts.samples == 0 {
-        return Err(SolveError::InvalidInput("need at least one sample".into()));
-    }
-    if theta.iter().any(|v| !v.is_finite()) {
-        return Err(SolveError::InvalidInput(
-            "theta contains non-finite entries".into(),
-        ));
-    }
-    if base_x.as_slice().iter().any(|v| !v.is_finite())
-        || dl_dx.as_slice().iter().any(|v| !v.is_finite())
-    {
-        return Err(SolveError::InvalidInput(
-            "base_x / dl_dx contain non-finite entries".into(),
-        ));
-    }
-    let d = theta.len();
-    if d == 0 {
-        return Ok(CheckedGradient {
-            grad: Vec::new(),
-            skipped: 0,
-        });
-    }
-
-    let mut sampler = NormalSampler::new();
-    let directions: Vec<Vec<f64>> = (0..opts.samples)
-        .map(|_| (0..d).map(|_| sampler.sample(rng)).collect())
-        .collect();
-
-    let contributions: Vec<Option<Vec<f64>>> = par_map(&opts.parallel, &directions, |v| {
-        let perturbed: Vec<f64> = theta
-            .iter()
-            .zip(v)
-            .map(|(&th, &vi)| th + opts.delta * vi)
-            .collect();
-        let x_s = solve(&perturbed);
-        if x_s.shape() != base_x.shape() {
-            return None;
-        }
-        let mut directional = 0.0;
-        for (idx, (&xs, &xb)) in x_s.as_slice().iter().zip(base_x.as_slice()).enumerate() {
-            directional += dl_dx.as_slice()[idx] * (xs - xb);
-        }
-        directional /= opts.delta;
-        if !directional.is_finite() {
-            return None;
-        }
-        Some(v.iter().map(|&vi| directional * vi).collect())
-    });
-
-    let mut grad = vec![0.0; d];
-    let mut kept = 0usize;
-    for contribution in contributions.iter().flatten() {
-        kept += 1;
-        for (g, &c) in grad.iter_mut().zip(contribution) {
-            *g += c;
-        }
-    }
-    if kept == 0 {
-        return Err(SolveError::AllSamplesNonFinite {
-            samples: opts.samples,
-        });
-    }
-    let inv = 1.0 / kept as f64;
-    for g in &mut grad {
-        *g *= inv;
-    }
-    Ok(CheckedGradient {
-        grad,
-        skipped: opts.samples - kept,
-    })
 }
 
 #[cfg(test)]
@@ -459,7 +288,8 @@ mod tests {
             draws: 0,
         };
         for _ in 0..n {
-            sample_standard_normal(&mut single);
+            // A fresh sampler per draw discards each transform's pair.
+            NormalSampler::new().sample(&mut single);
         }
         assert!(
             paired.draws * 2 <= single.draws + 4,
@@ -467,136 +297,6 @@ mod tests {
             paired.draws,
             single.draws
         );
-    }
-
-    #[test]
-    fn optimal_delta_formula() {
-        // Δ* = (2σ²/(β²S))^{1/4}; spot-check monotonicity and a value.
-        let d1 = ZerothOrderOptions::optimal_delta(1.0, 1.0, 1);
-        assert!((d1 - 2.0_f64.powf(0.25)).abs() < 1e-12);
-        let d_many = ZerothOrderOptions::optimal_delta(1.0, 1.0, 256);
-        assert!(d_many < d1, "more samples allow a smaller Δ");
-    }
-
-    #[test]
-    fn optimal_delta_zero_beta_clamps_to_fallback() {
-        // β = 0 used to divide by zero and return inf.
-        let d = ZerothOrderOptions::optimal_delta(0.0, 1.0, 8);
-        assert_eq!(d, FALLBACK_DELTA);
-        let err = ZerothOrderOptions::try_optimal_delta(0.0, 1.0, 8).unwrap_err();
-        assert!(matches!(err, SolveError::InvalidInput(_)), "{err}");
-    }
-
-    #[test]
-    fn optimal_delta_zero_sigma_clamps_to_fallback() {
-        // σ_F = 0 used to return Δ* = 0, which divides by zero later in the
-        // estimator.
-        let d = ZerothOrderOptions::optimal_delta(1.0, 0.0, 8);
-        assert_eq!(d, FALLBACK_DELTA);
-        let err = ZerothOrderOptions::try_optimal_delta(1.0, 0.0, 8).unwrap_err();
-        assert!(matches!(err, SolveError::InvalidInput(_)), "{err}");
-    }
-
-    #[test]
-    fn optimal_delta_rejects_non_finite_inputs() {
-        for (beta, sigma) in [
-            (f64::NAN, 1.0),
-            (1.0, f64::NAN),
-            (f64::INFINITY, 1.0),
-            (1.0, f64::INFINITY),
-            (-1.0, 1.0),
-            (1.0, -1.0),
-        ] {
-            assert!(ZerothOrderOptions::try_optimal_delta(beta, sigma, 8).is_err());
-            let d = ZerothOrderOptions::optimal_delta(beta, sigma, 8);
-            assert_eq!(d, FALLBACK_DELTA, "beta={beta} sigma={sigma}");
-        }
-    }
-
-    #[test]
-    fn checked_matches_unchecked_on_healthy_input() {
-        let theta = [0.3, -0.7, 1.1];
-        let base = linear_map(&theta);
-        let dl_dx = Matrix::from_rows(&[&[1.0, -2.0], &[0.5, 3.0]]);
-        let opts = ZerothOrderOptions {
-            delta: 0.05,
-            samples: 64,
-            parallel: ParallelConfig::sequential(),
-        };
-        let mut rng = StdRng::seed_from_u64(4);
-        let plain = estimate_gradient(&theta, &base, &dl_dx, linear_map, &opts, &mut rng);
-        let mut rng = StdRng::seed_from_u64(4);
-        let checked =
-            estimate_gradient_checked(&theta, &base, &dl_dx, linear_map, &opts, &mut rng).unwrap();
-        assert_eq!(checked.skipped, 0);
-        for (a, b) in plain.iter().zip(&checked.grad) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn checked_skips_nan_samples() {
-        // The perturbed solve fails (NaN output) whenever the first
-        // coordinate moves negative; those samples must be discarded and
-        // the estimate still recovered from the rest.
-        let theta = [0.05, -0.7, 1.1];
-        let base = linear_map(&theta);
-        let dl_dx = Matrix::from_rows(&[&[1.0, -2.0], &[0.5, 3.0]]);
-        let flaky = |th: &[f64]| {
-            if th[0] < 0.0 {
-                Matrix::filled(2, 2, f64::NAN)
-            } else {
-                linear_map(th)
-            }
-        };
-        let opts = ZerothOrderOptions {
-            delta: 0.2,
-            samples: 256,
-            parallel: ParallelConfig::sequential(),
-        };
-        let mut rng = StdRng::seed_from_u64(6);
-        let checked =
-            estimate_gradient_checked(&theta, &base, &dl_dx, flaky, &opts, &mut rng).unwrap();
-        assert!(checked.skipped > 0, "setup must actually trigger skips");
-        assert!(checked.skipped < opts.samples);
-        assert!(checked.grad.iter().all(|g| g.is_finite()));
-    }
-
-    #[test]
-    fn checked_reports_total_failure() {
-        let theta = [0.1];
-        let base = Matrix::zeros(1, 1);
-        let dl_dx = Matrix::filled(1, 1, 1.0);
-        let broken = |_: &[f64]| Matrix::filled(1, 1, f64::INFINITY);
-        let opts = ZerothOrderOptions {
-            delta: 0.05,
-            samples: 8,
-            parallel: ParallelConfig::sequential(),
-        };
-        let mut rng = StdRng::seed_from_u64(7);
-        let err =
-            estimate_gradient_checked(&theta, &base, &dl_dx, broken, &opts, &mut rng).unwrap_err();
-        assert!(
-            matches!(err, SolveError::AllSamplesNonFinite { samples: 8 }),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn checked_rejects_nan_theta() {
-        let base = Matrix::zeros(1, 1);
-        let dl_dx = Matrix::zeros(1, 1);
-        let mut rng = StdRng::seed_from_u64(8);
-        let err = estimate_gradient_checked(
-            &[f64::NAN],
-            &base,
-            &dl_dx,
-            |_| Matrix::zeros(1, 1),
-            &ZerothOrderOptions::default(),
-            &mut rng,
-        )
-        .unwrap_err();
-        assert!(matches!(err, SolveError::InvalidInput(_)), "{err}");
     }
 
     #[test]

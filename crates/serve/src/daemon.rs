@@ -50,7 +50,7 @@ use mfcp_core::predictor::ClusterPredictor;
 use mfcp_linalg::Matrix;
 use mfcp_optim::{
     Budget, DualPredictor, LearnedDualHead, MatchingProblem, RelaxationParams, RobustSolver,
-    SkipReason, SolveCtx, SolveDiagnostics, SolveError, StageOutcome,
+    SolveCtx, SolveDiagnostics, SolveError, StageOutcome,
 };
 use mfcp_platform::prelude::{FeatureEmbedder, PerfModel};
 use mfcp_platform::stream::ExchangeEvent;
@@ -126,7 +126,10 @@ impl MatrixSource {
 /// Tuning knobs for the daemon.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Relaxation parameters for the matching solves.
+    /// Relaxation parameters for the matching solves. They are not
+    /// checked up front: invalid ones (say a `BarrierKind::Log` with
+    /// `eps = 0`) fail every resolve's validation, each counted in
+    /// `serve.solve_error`, and no new matching is committed.
     pub params: RelaxationParams,
     /// Platform-wide reliability threshold γ.
     pub gamma: f64,
@@ -483,7 +486,6 @@ impl ExchangeDaemon {
                     matches!(
                         att.outcome,
                         StageOutcome::Failed(SolveError::DeadlineExceeded { .. })
-                            | StageOutcome::Skipped(SkipReason::RequestBudgetExpired)
                     )
                 });
                 if missed {
@@ -500,15 +502,14 @@ impl ExchangeDaemon {
                 });
                 self.last_resolve = Some(sol.diagnostics);
             }
-            Err(e) => {
-                // The greedy rung is infallible, so only
+            Err(_) => {
+                // Greedy rounding is infallible, so only
                 // `SolveError::InvalidInput` (malformed matrices or
                 // parameters) reaches here. Keep the previous matching
                 // rather than serving nothing.
                 mfcp_obs::counter("serve.solve_error").inc();
                 mfcp_obs::trace::instant("serve.solve_error", None);
                 self.last_resolve = None;
-                debug_assert!(false, "resolve failed: {e}");
             }
         }
     }
