@@ -1,40 +1,34 @@
 //! Continuous benchmark gate for the solve-and-train pipeline.
 //!
-//! Runs the fixed perfgate suite (MFCP-AD solve, MFCP-FG solve, one
-//! training round, pool throughput, fault replay — see
-//! `mfcp_bench::perfgate`), writes the schema-stable JSON report, and in
-//! `--check` mode compares it against the checked-in baseline, exiting
-//! nonzero on regression.
+//! Runs the fixed perfgate suite (see `mfcp_bench::perfgate`) at its one
+//! configuration, writes the schema-stable JSON report, and in `--check`
+//! mode compares it against the checked-in expected file, exiting
+//! nonzero when a counter differs from its expected value or a suite's
+//! median wall time exceeds its bound.
 //!
 //! Usage:
 //!   cargo run --release -p mfcp-bench --bin perfgate -- \
-//!     [--runs N] [--tasks N] [--rounds N] [--seed N] \
-//!     [--out PATH] [--baseline PATH] [--check] [--tolerance F] \
-//!     [--trace PATH]
+//!     [--out PATH] [--baseline PATH] [--check] [--trace PATH]
 //!
 //! `--trace PATH` additionally exports the flight-recorder contents of
 //! the final training-round run as Chrome trace-event JSON (loadable in
 //! chrome://tracing or Perfetto).
 
-use mfcp_bench::perfgate::{run_perfgate, PerfgateConfig, PerfgateReport, DEFAULT_TOLERANCE};
+use mfcp_bench::perfgate::{run_perfgate, PerfgateConfig, PerfgateReport, WALL_BOUND};
 use std::path::{Path, PathBuf};
 
 struct Args {
-    cfg: PerfgateConfig,
     out: PathBuf,
     baseline: PathBuf,
     check: bool,
-    tolerance: f64,
     trace: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        cfg: PerfgateConfig::default(),
         out: PathBuf::from("BENCH_perfgate.json"),
         baseline: PathBuf::from("bench/baseline.json"),
         check: false,
-        tolerance: DEFAULT_TOLERANCE,
         trace: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -46,26 +40,6 @@ fn parse_args() -> Result<Args, String> {
                 .ok_or_else(|| format!("{} needs a value", argv[i]))
         };
         match argv[i].as_str() {
-            "--runs" => {
-                args.cfg.runs = take_value(i)?.parse().map_err(|e| format!("--runs: {e}"))?;
-                i += 2;
-            }
-            "--tasks" => {
-                args.cfg.tasks = take_value(i)?
-                    .parse()
-                    .map_err(|e| format!("--tasks: {e}"))?;
-                i += 2;
-            }
-            "--rounds" => {
-                args.cfg.rounds = take_value(i)?
-                    .parse()
-                    .map_err(|e| format!("--rounds: {e}"))?;
-                i += 2;
-            }
-            "--seed" => {
-                args.cfg.seed = take_value(i)?.parse().map_err(|e| format!("--seed: {e}"))?;
-                i += 2;
-            }
             "--out" => {
                 args.out = PathBuf::from(take_value(i)?);
                 i += 2;
@@ -77,15 +51,6 @@ fn parse_args() -> Result<Args, String> {
             "--check" => {
                 args.check = true;
                 i += 1;
-            }
-            "--tolerance" => {
-                args.tolerance = take_value(i)?
-                    .parse()
-                    .map_err(|e| format!("--tolerance: {e}"))?;
-                if !(args.tolerance >= 0.0 && args.tolerance.is_finite()) {
-                    return Err("--tolerance must be a finite non-negative number".into());
-                }
-                i += 2;
             }
             "--trace" => {
                 args.trace = Some(PathBuf::from(take_value(i)?));
@@ -112,27 +77,18 @@ fn main() {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("perfgate: {msg}");
-            eprintln!(
-                "usage: perfgate [--runs N] [--tasks N] [--rounds N] [--seed N] [--out PATH] \
-                 [--baseline PATH] [--check] [--tolerance F] [--trace PATH]"
-            );
+            eprintln!("usage: perfgate [--out PATH] [--baseline PATH] [--check] [--trace PATH]");
             std::process::exit(2);
         }
     };
 
-    println!(
-        "perfgate: runs {} tasks {} rounds {} seed {}",
-        args.cfg.runs, args.cfg.tasks, args.cfg.rounds, args.cfg.seed
-    );
+    let cfg = PerfgateConfig::default();
     let mut trace_json = String::new();
-    let report = run_perfgate(&args.cfg, args.trace.is_some().then_some(&mut trace_json));
+    let report = run_perfgate(&cfg, args.trace.is_some().then_some(&mut trace_json));
     for s in &report.suites {
         println!(
-            "  {:<16} median {:>9.4}s  p95 {:>9.4}s  over {} runs",
-            s.name,
-            s.median_wall_secs,
-            s.p95_wall_secs,
-            s.wall_secs.len()
+            "  {:<17} median {:>9.4}s over {} runs",
+            s.name, s.median_wall_secs, cfg.runs
         );
     }
 
@@ -174,19 +130,12 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        let violations = report.compare(&baseline, args.tolerance);
+        let violations = report.compare(&baseline);
+        let rule = format!("counters exact, wall time within {WALL_BOUND}x");
         if violations.is_empty() {
-            println!(
-                "check PASSED against {} (tolerance {:.0}%)",
-                args.baseline.display(),
-                args.tolerance * 100.0
-            );
+            println!("check PASSED against {} ({rule})", args.baseline.display());
         } else {
-            eprintln!(
-                "check FAILED against {} (tolerance {:.0}%):",
-                args.baseline.display(),
-                args.tolerance * 100.0
-            );
+            eprintln!("check FAILED against {} ({rule}):", args.baseline.display());
             for v in &violations {
                 eprintln!("  {v}");
             }

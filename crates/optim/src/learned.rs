@@ -230,9 +230,7 @@ pub fn targets(x: &Matrix, duals: &[f64]) -> Matrix {
 ///
 /// At an interior optimum of the entropic relaxation the gradient is
 /// constant across the support of each column, so the column minimum
-/// recovers the stationarity multiplier of the simplex constraint (the
-/// same estimate [`crate::solver::RelaxedSolution::duals`] reads off a
-/// solve's final gradient).
+/// recovers the stationarity multiplier of the simplex constraint.
 pub fn column_duals(problem: &MatchingProblem, params: &RelaxationParams, x: &Matrix) -> Vec<f64> {
     column_minima(&objective::grad_x(problem, params, x))
 }

@@ -65,5 +65,5 @@ pub use recovery::{
     FallbackStage, RobustSolution, RobustSolver, SeedProvenance, SeedSource, SolveCtx,
     SolveDiagnostics, SolveError, StageAttempt, StageOutcome,
 };
-pub use solver::{PgdWorkspace, ProjectionKind, RelaxedSolution, SolverOptions, StopReason};
+pub use solver::{ProjectionKind, RelaxedSolution, SolverOptions, StopReason};
 pub use speedup::SpeedupCurve;

@@ -44,7 +44,7 @@ use crate::objective::{self, price_dim, BarrierKind, RelaxationParams};
 use crate::problem::{Assignment, MatchingProblem};
 use crate::solver::{
     is_column_stochastic, solve_relaxed_from_guarded, takes_price_trials, uniform_init,
-    PgdWorkspace, ProjectionKind, RelaxedSolution, SolverOptions, StopReason,
+    ProjectionKind, RelaxedSolution, SolverOptions, StopReason,
 };
 use mfcp_linalg::Matrix;
 
@@ -526,7 +526,6 @@ impl RobustSolver {
             x0,
             (!prices.is_empty()).then_some(&prices[..]),
             &mut |it, f| check_iterate(&self.budget, it, f),
-            &mut PgdWorkspace::default(),
         );
         let mut attempt = StageAttempt {
             stage,

@@ -111,10 +111,10 @@ const ACTIVE_FLOOR: f64 = 1e-6;
 /// iterate and of the trial step (each with its floored logs and
 /// per-cluster sums), the task-major gradient, the per-task projection
 /// scratch, the transposed problem data, and the price state. One
-/// workspace per solve (or per thread) makes every iteration and every
-/// backtrack allocation-free after warm-up.
+/// workspace per thread makes every iteration and every backtrack
+/// allocation-free after warm-up.
 #[derive(Debug, Clone)]
-pub struct PgdWorkspace {
+struct PgdWorkspace {
     xt: Matrix,
     lx: Matrix,
     stats: IterStats,
@@ -143,13 +143,6 @@ impl Default for PgdWorkspace {
             teval: TransposedEval::default(),
             price: PriceWorkspace::default(),
         }
-    }
-}
-
-impl PgdWorkspace {
-    /// A fresh workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
     }
 }
 
@@ -276,10 +269,6 @@ pub struct RelaxedSolution {
     /// Projected stationarity residual at the solution (`NaN` when the
     /// iterate is not finite).
     pub residual: f64,
-    /// Per-task simplex duals `min_i ∂F/∂x_ij` at `x` (as
-    /// [`crate::learned::column_duals`] computes them), read off the
-    /// solve's final gradient.
-    pub duals: Vec<f64>,
     /// Final prices `θ` in [`price_dim`] layout, whose softmax is `x`.
     /// Empty when the solve cannot take price trials (`ρ = 0` or another
     /// projection). A later solve of a similar
@@ -380,34 +369,19 @@ pub fn solve_relaxed(
 }
 
 /// Solves the relaxed matching problem starting from `x0` (columns must
-/// lie on the simplex). Warm starts from a cached optimum enter here;
-/// the solve counter and iteration histogram cover both cold and warm
-/// entries. The loop's buffers live in one [`PgdWorkspace`] per thread,
-/// so a solve of a shape the thread has solved before allocates only
-/// its returned solution.
+/// lie on the simplex), with no guard and no start prices; the solve
+/// counter and iteration histogram count these solves. A solve of a
+/// shape its thread has solved before allocates only its returned
+/// solution (see [`solve_relaxed_from_guarded`]).
 pub fn solve_relaxed_from(
     problem: &MatchingProblem,
     params: &RelaxationParams,
     opts: &SolverOptions,
     x: Matrix,
 ) -> RelaxedSolution {
-    thread_local! {
-        static PGD_WS: std::cell::RefCell<PgdWorkspace> =
-            std::cell::RefCell::new(PgdWorkspace::default());
-    }
     let _span = mfcp_obs::span("solve_relaxed");
     mfcp_obs::counter("optim.solve.calls").inc();
-    let solved = PGD_WS.with(|ws| {
-        solve_relaxed_from_guarded(
-            problem,
-            params,
-            opts,
-            x,
-            None,
-            &mut |_, _| Ok(()),
-            &mut ws.borrow_mut(),
-        )
-    });
+    let solved = solve_relaxed_from_guarded(problem, params, opts, x, None, &mut |_, _| Ok(()));
     let sol = match solved {
         Ok(sol) => sol,
         Err(_) => unreachable!("the no-op guard never fails"),
@@ -416,7 +390,8 @@ pub fn solve_relaxed_from(
     sol
 }
 
-/// Records how a solve stopped: `optim.solve.cap_hits` counts solves the
+/// Records how a solve stopped: `optim.solve.iterations` sums the
+/// solves' iterations, `optim.solve.cap_hits` counts solves the
 /// iteration cap ended, `optim.solve.residual` histograms the (finite)
 /// final residuals, `optim.solve.backtracks` counts rejected trials
 /// (mirror and price), `optim.solve.price_steps` accepted price trials,
@@ -425,18 +400,20 @@ pub fn solve_relaxed_from(
 /// `optim.solve.model_fallbacks` the Newton directions of a solve with
 /// speedup curves that came from the semidefinite Hessian model because
 /// the exact Hessian's did not descend.
-fn record_stop(stop: StopReason, residual: f64, counts: &LoopCounts) {
-    static METRICS: std::sync::OnceLock<[mfcp_obs::Counter; 5]> = std::sync::OnceLock::new();
+fn record_stop(stop: StopReason, residual: f64, iterations: usize, counts: &LoopCounts) {
+    static METRICS: std::sync::OnceLock<[mfcp_obs::Counter; 6]> = std::sync::OnceLock::new();
     static RESIDUALS: std::sync::OnceLock<mfcp_obs::Histogram> = std::sync::OnceLock::new();
-    let [cap_hits, rejected, price_steps, fallbacks, model_fallbacks] = METRICS.get_or_init(|| {
-        [
-            mfcp_obs::counter("optim.solve.cap_hits"),
-            mfcp_obs::counter("optim.solve.backtracks"),
-            mfcp_obs::counter("optim.solve.price_steps"),
-            mfcp_obs::counter("optim.solve.mirror_fallbacks"),
-            mfcp_obs::counter("optim.solve.model_fallbacks"),
-        ]
-    });
+    let [iters, cap_hits, rejected, price_steps, fallbacks, model_fallbacks] =
+        METRICS.get_or_init(|| {
+            [
+                mfcp_obs::counter("optim.solve.iterations"),
+                mfcp_obs::counter("optim.solve.cap_hits"),
+                mfcp_obs::counter("optim.solve.backtracks"),
+                mfcp_obs::counter("optim.solve.price_steps"),
+                mfcp_obs::counter("optim.solve.mirror_fallbacks"),
+                mfcp_obs::counter("optim.solve.model_fallbacks"),
+            ]
+        });
     if stop == StopReason::IterationCap {
         cap_hits.inc();
     }
@@ -448,6 +425,7 @@ fn record_stop(stop: StopReason, residual: f64, counts: &LoopCounts) {
             .record(residual);
     }
     for (counter, n) in [
+        (iters, iterations as u64),
         (rejected, counts.backtracks),
         (price_steps, counts.price_steps),
         (fallbacks, counts.mirror_fallbacks),
@@ -879,10 +857,38 @@ pub(crate) fn takes_price_trials(params: &RelaxationParams, opts: &SolverOptions
 /// The loop runs on a task-major (`N×M`) working copy of the iterate:
 /// with tasks as rows, the gradient step and the per-task simplex
 /// projection both read and write contiguous memory instead of striding
-/// by `N`, and every buffer lives in `ws` so no iteration or backtrack
-/// allocates. The iterate is copied back to cluster-major once, at the
-/// end.
+/// by `N`, and every buffer lives in the thread's [`PgdWorkspace`], so
+/// no iteration or backtrack allocates and a solve of a shape the thread
+/// has solved before allocates only its returned solution. `guard` must
+/// not solve on the same thread: the workspace is borrowed for the whole
+/// solve. The iterate is copied back to cluster-major once, at the end.
 pub(crate) fn solve_relaxed_from_guarded(
+    problem: &MatchingProblem,
+    params: &RelaxationParams,
+    opts: &SolverOptions,
+    x: Matrix,
+    prices: Option<&[f64]>,
+    guard: IterGuard<'_>,
+) -> Result<RelaxedSolution, SolveError> {
+    thread_local! {
+        static PGD_WS: std::cell::RefCell<PgdWorkspace> =
+            std::cell::RefCell::new(PgdWorkspace::default());
+    }
+    PGD_WS.with(|ws| {
+        solve_in(
+            problem,
+            params,
+            opts,
+            x,
+            prices,
+            guard,
+            &mut ws.borrow_mut(),
+        )
+    })
+}
+
+/// [`solve_relaxed_from_guarded`]'s loop on the buffers of `ws`.
+fn solve_in(
     problem: &MatchingProblem,
     params: &RelaxationParams,
     opts: &SolverOptions,
@@ -901,7 +907,6 @@ pub(crate) fn solve_relaxed_from_guarded(
             iterations: 0,
             stop: StopReason::Converged,
             residual: 0.0,
-            duals: vec![f64::INFINITY; n],
             prices: Vec::new(),
         });
     }
@@ -1119,16 +1124,13 @@ pub(crate) fn solve_relaxed_from_guarded(
             *slot = xt[(j, i)];
         }
     }
-    record_stop(stop, residual, &counts);
+    record_stop(stop, residual, iterations, &counts);
     Ok(RelaxedSolution {
         x,
         objective: f,
         iterations,
         stop,
         residual,
-        duals: (0..n)
-            .map(|j| grad_t.row(j).iter().copied().fold(f64::INFINITY, f64::min))
-            .collect(),
         prices: if price_mode {
             pw.theta.clone()
         } else {
@@ -1664,7 +1666,6 @@ mod tests {
             iterations += 1;
         };
         RelaxedSolution {
-            duals: crate::learned::column_duals(problem, params, &x),
             x,
             objective: f,
             iterations,
@@ -2012,7 +2013,6 @@ mod tests {
             counts.push(counts_of(&x));
         };
         let sol = RelaxedSolution {
-            duals: crate::learned::column_duals(problem, params, &x),
             x,
             objective: f,
             iterations,
@@ -2148,14 +2148,12 @@ mod tests {
         prices: Option<&[f64]>,
     ) -> (RelaxedSolution, Vec<f64>) {
         let mut trace = Vec::new();
-        let mut ws = PgdWorkspace::new();
         let mut guard = |_: usize, f: f64| {
             trace.push(f);
             Ok(())
         };
-        let sol =
-            solve_relaxed_from_guarded(problem, params, opts, x0, prices, &mut guard, &mut ws)
-                .expect("no-fail guard");
+        let sol = solve_relaxed_from_guarded(problem, params, opts, x0, prices, &mut guard)
+            .expect("no-fail guard");
         (sol, trace)
     }
 
@@ -2198,7 +2196,6 @@ mod tests {
                 assert_eq!(bits(sol.x.as_slice()), bits(base.x.as_slice()));
                 assert_eq!(sol.objective.to_bits(), base.objective.to_bits());
                 assert_eq!(bits(&sol.prices), bits(&base.prices));
-                assert_eq!(bits(&sol.duals), bits(&base.duals));
             }
         }
     }
@@ -2420,11 +2417,8 @@ mod tests {
                     seen += 1;
                     Ok(())
                 };
-                let mut ws = PgdWorkspace::new();
-                let sol = solve_relaxed_from_guarded(
-                    problem, &params, &opts, x0, None, &mut guard, &mut ws,
-                )
-                .expect("no-fail guard");
+                let sol = solve_relaxed_from_guarded(problem, &params, &opts, x0, None, &mut guard)
+                    .expect("no-fail guard");
                 assert_eq!(seen, sol.iterations);
                 assert!(sol.iterations > 0);
             }

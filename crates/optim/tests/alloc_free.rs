@@ -1,11 +1,12 @@
 //! Proves the PGD inner loop performs zero heap allocations per
 //! iteration — per rejected Armijo trial, per price trial and per mirror
 //! fallback — after warm-up, and that a solve of a shape its thread has
-//! solved before allocates only its returned solution.
+//! solved before allocates only its returned solution, through
+//! `solve_relaxed_from` and through `RobustSolver::solve` alike.
 //!
 //! A counting global allocator measures two solves of the same instance
 //! that differ only in iteration count (tol = 0 pins the count exactly).
-//! Workspace warm-up — sizing `PgdWorkspace`, the iterate, the final
+//! Workspace warm-up — sizing the thread's loop buffers, the iterate, the final
 //! solution and its prices — costs the same number of allocations in
 //! both runs, so the extra iterations of the longer run must add exactly
 //! zero. On the mirror-only instance (`ρ = 0`, which takes no price
@@ -27,7 +28,9 @@ use std::sync::Mutex;
 
 use mfcp_linalg::Matrix;
 use mfcp_optim::solver::{solve_relaxed_from, uniform_init, SolverOptions};
-use mfcp_optim::{MatchingProblem, ProjectionKind, RelaxationParams, SpeedupCurve};
+use mfcp_optim::{
+    MatchingProblem, ProjectionKind, RelaxationParams, RobustSolver, SolveCtx, SpeedupCurve,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -212,9 +215,9 @@ fn price_trials_and_mirror_fallbacks_allocate_nothing_after_warmup() {
     }
 }
 
-/// `solve_relaxed_from` keeps its loop buffers in a per-thread
-/// workspace: once the thread has solved a shape, a second solve of that
-/// shape allocates only the returned solution's `duals` and `prices`.
+/// The solver keeps its loop buffers in a per-thread workspace: once the
+/// thread has solved a shape, a second solve of that shape allocates
+/// only the returned solution's `prices`.
 #[test]
 fn repeat_solve_on_a_thread_allocates_only_its_solution() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -226,14 +229,42 @@ fn repeat_solve_on_a_thread_allocates_only_its_solution() {
             let before = allocations();
             let sol = solve_relaxed_from(problem, &params, &opts, x0);
             let after = allocations();
-            assert!(!sol.prices.is_empty() && !sol.duals.is_empty());
+            assert!(!sol.prices.is_empty());
             after - before
         };
         let first = solve();
         let second = solve();
         assert_eq!(
-            second, 2,
-            "problem {k}: a repeat solve must allocate only its duals and prices \
+            second, 1,
+            "problem {k}: a repeat solve must allocate only its prices \
+             (first solve: {first} allocations, second: {second})"
+        );
+    }
+}
+
+/// A robust solve runs its primary attempt on the same per-thread
+/// workspace, so a repeat `RobustSolver::solve` allocates none of the
+/// loop's buffers: only its start iterate, its prices and its
+/// bookkeeping, four allocations in all.
+#[test]
+fn repeat_robust_solve_on_a_thread_allocates_only_its_result() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let solver = RobustSolver::new(RelaxationParams::default());
+    for (k, problem) in price_problems().iter().enumerate() {
+        let solve = || {
+            let before = allocations();
+            let sol = solver
+                .solve(problem, SolveCtx::default())
+                .expect("robust solve");
+            let after = allocations();
+            assert!(!sol.prices.is_empty());
+            after - before
+        };
+        let first = solve();
+        let second = solve();
+        assert_eq!(
+            second, 4,
+            "problem {k}: a repeat robust solve must allocate only its result \
              (first solve: {first} allocations, second: {second})"
         );
     }
